@@ -234,7 +234,7 @@ def _cmd_verify_pm(args) -> int:
                     "series": p.series, "terms": p.terms, "error": p.error}
                    for p in report],
     }, args)
-    return 3 if max_err > args.max_error else 0
+    return 3 if max(p.relative_error for p in report) > args.max_error else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc-tol", dest="trunc_tol", type=float, default=1e-12,
                    help="truncation tolerance for product and series")
     p.add_argument("--max-error", dest="max_error", type=float, default=1e-8,
-                   help="largest acceptable |product - series|")
+                   help="largest acceptable |product - series| over max(1, |product|, "
+                        "sum of |series terms|)")
     _common(p)
     p.set_defaults(func=_cmd_verify_pm)
 

@@ -7,12 +7,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cholesky import TriangularTable, cholesky_decompose
 from .scalars import (
     FLOAT,
     RATIONAL,
     as_scalar,
     check_mode,
     format_scalar,
+    one,
     to_float,
 )
 
@@ -166,6 +168,7 @@ class HankelMoments:
 
     order: int
     source: MomentSequence
+    _factor: TriangularTable | None = field(default=None, repr=False)
     _deltas: list | None = field(default=None, repr=False)
 
     @property
@@ -183,25 +186,28 @@ class HankelMoments:
         return [[self.entry(i, j) for j in range(n + 1)] for i in range(n + 1)]
 
     @property
+    def factor(self) -> TriangularTable:
+        """Cholesky factor L of the matrix, computed on first use and cached."""
+        if self._factor is None:
+            self._factor = cholesky_decompose(self)
+        return self._factor
+
+    @property
     def deltas(self) -> list:
         """Leading principal minors Delta_0..Delta_n.
 
-        Rational mode uses fraction-free (Bareiss) elimination; float mode uses
-        the Cholesky pivot product Delta_n = prod l[i][i]^2.  The two agree
-        exactly in rational mode (asserted in the test suite).
+        Each pivot is a ratio of minors, l[k][k]^2 = Delta_k / Delta_{k-1},
+        so Delta_k is the running product of the squared pivots of
+        :attr:`factor`.  In rational mode a surd pivot squares to an exact
+        Fraction.  Raises :class:`NotPositiveDefinite` at the first failing
+        order, as the factorization does.
         """
         if self._deltas is None:
-            if self.mode == RATIONAL:
-                self._deltas = principal_minors(self.dense())
-            else:
-                from .cholesky import cholesky_decompose
-
-                diag = cholesky_decompose(self).diagonal()
-                out, acc = [], 1.0
-                for d in diag:
-                    acc *= d * d
-                    out.append(acc)
-                self._deltas = out
+            out, acc = [], one(self.mode)
+            for d in self.factor.diagonal():
+                acc *= d * d
+                out.append(acc)
+            self._deltas = out
         return self._deltas
 
 
@@ -211,53 +217,6 @@ def hankel_matrix(m: MomentSequence, n: int) -> HankelMoments:
         raise ValueError("order must be nonnegative")
     m.require(2 * n)
     return HankelMoments(order=n, source=m)
-
-
-def _det_pivoted(mat: list) -> Fraction:
-    """Exact determinant by Gaussian elimination with partial pivoting."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    sign = 1
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
-    return sign * det
-
-
-def principal_minors(mat: list) -> list:
-    """Leading principal minors of an exact square matrix.
-
-    Single-pass Bareiss elimination: after step k the (k, k) entry equals the
-    (k+1) x (k+1) leading minor.  A zero pivot (possible only for degenerate
-    moment inputs) triggers a per-minor pivoted fallback.
-    """
-    n = len(mat)
-    a = [[Fraction(v) for v in row] for row in mat]
-    minors = [a[0][0]]
-    prev = Fraction(1)
-    for k in range(n - 1):
-        pivot = a[k][k]
-        if pivot == 0:
-            return minors + [
-                _det_pivoted([row[: t + 1] for row in mat[: t + 1]])
-                for t in range(k + 1, n)
-            ]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) / prev
-        prev = pivot
-        minors.append(a[k + 1][k + 1])
-    return minors
 
 
 @dataclass
@@ -304,6 +263,8 @@ def moment_sequence_to_dict(m: MomentSequence) -> dict:
 def moment_sequence_from_dict(data: dict, mode: str | None = None) -> MomentSequence:
     if not isinstance(data, dict) or "moments" not in data:
         raise ValueError("moment file must be an object with a 'moments' list")
+    if not isinstance(data["moments"], list):
+        raise ValueError("'moments' in a moment file must be a list")
     file_mode = data.get("mode", RATIONAL)
     use = mode or file_mode
     check_mode(use)

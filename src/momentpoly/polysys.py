@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cholesky import (
-    TriangularTable,
-    cholesky_decompose,
-    invert_lower_triangular,
-)
+from .cholesky import TriangularTable, invert_lower_triangular
 from .moments import HankelMoments, MomentSequence, hankel_matrix
 from .recurrence import RecurrenceCoefficients, eta_table, tau_table
 from .scalars import RATIONAL, one, zero
@@ -56,7 +52,7 @@ class PolynomialSystem:
 def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
     """Assemble the order-n system from m_0..m_{2n}."""
     hank = hankel_matrix(m, n)
-    L = cholesky_decompose(hank)
+    L = hank.factor
     Pi = invert_lower_triangular(L, role="Pi")
     sys_ = PolynomialSystem(moments=m, hankel=hank, L=L, Pi=Pi, rec=None)  # type: ignore[arg-type]
     sys_.rec = recurrence_from_tables(sys_)

@@ -25,12 +25,6 @@ from .scalars import FLOAT, RATIONAL, one, zero
 MAX_PM_TERMS = 10**4
 
 
-def _is_exact(q) -> bool:
-    return isinstance(q, (int, Fraction)) or (
-        isinstance(q, str) and not isinstance(q, bytes)
-    )
-
-
 def _coerce_q(q):
     """Return (q as backend scalar, mode)."""
     if isinstance(q, float):
@@ -255,6 +249,9 @@ def pm_product(x: float, y: float, p: QParams, tol: float = 1e-12) -> float:
 class PMSeriesResult:
     value: float
     terms: int
+    #: sum of |term|; the rounding error of ``value`` scales with it, not
+    #: with ``value``, when the terms cancel
+    magnitude: float
 
 
 def pm_series(x: float, y: float, p: QParams, tol: float = 1e-12) -> PMSeriesResult:
@@ -271,7 +268,7 @@ def pm_series(x: float, y: float, p: QParams, tol: float = 1e-12) -> PMSeriesRes
     q, rho = float(p.q), float(p.rho)
     hx_prev, hx = 0.0, 1.0
     hy_prev, hy = 0.0, 1.0
-    total = 1.0
+    total = magnitude = 1.0
     rho_pow = 1.0
     fact = 1.0
     small_run = 0
@@ -283,9 +280,10 @@ def pm_series(x: float, y: float, p: QParams, tol: float = 1e-12) -> PMSeriesRes
         fact *= bracket
         term = rho_pow / fact * hx * hy
         total += term
+        magnitude += abs(term)
         small_run = small_run + 1 if abs(term) < tol else 0
         if small_run >= 4 and j >= 4:
-            return PMSeriesResult(value=total, terms=j + 1)
+            return PMSeriesResult(value=total, terms=j + 1, magnitude=magnitude)
     raise ArithmeticError("series truncation did not converge within the cap")
 
 
@@ -296,10 +294,20 @@ class PMPoint:
     product: float
     series: float
     terms: int
+    magnitude: float
 
     @property
     def error(self) -> float:
         return abs(self.product - self.series)
+
+    @property
+    def relative_error(self) -> float:
+        """Error over the larger of |product| and the series' sum of |terms|.
+
+        The sum counts the unit j = 0 term, so the scale is at least 1 and
+        small kernels are judged absolutely.
+        """
+        return self.error / max(abs(self.product), self.magnitude)
 
 
 def pm_grid_report(p: QParams, points=None, tol: float = 1e-12) -> list:
@@ -312,5 +320,6 @@ def pm_grid_report(p: QParams, points=None, tol: float = 1e-12) -> list:
     for x, y in points:
         prod = pm_product(x, y, p, tol)
         ser = pm_series(x, y, p, tol)
-        out.append(PMPoint(x=x, y=y, product=prod, series=ser.value, terms=ser.terms))
+        out.append(PMPoint(x=x, y=y, product=prod, series=ser.value, terms=ser.terms,
+                           magnitude=ser.magnitude))
     return out

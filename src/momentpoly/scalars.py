@@ -282,6 +282,8 @@ def check_mode(mode: str) -> str:
 
 def as_scalar(value, mode: str):
     """Convert a file-level number (int, float, or 'p/q' string) to a backend scalar."""
+    if isinstance(value, bool):
+        raise ValueError(f"cannot interpret boolean {value!r} as a number")
     if mode == RATIONAL:
         if isinstance(value, str):
             return Fraction(value)

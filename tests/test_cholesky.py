@@ -20,6 +20,7 @@ from momentpoly.moments import MomentSequence
 from momentpoly.scalars import FLOAT, RATIONAL, exact_sqrt
 
 from conftest import CATALOG
+from minors_oracle import principal_minors
 
 
 def reconstruct(L):
@@ -70,11 +71,12 @@ class TestDecomposition:
         assert reconstruct(L) == dense
 
     def test_pivot_interpretation_as_minor_ratio(self, catalog_moments):
-        # l[n][n]^2 * Delta_{n-1} = Delta_n
+        # l[n][n]^2 * Delta_{n-1} = Delta_n, with the minors by elimination
         h = hankel_matrix(catalog_moments["semicircle"], 10)
         L = cholesky_decompose(h)
+        minors = principal_minors(h.dense())
         for n in range(1, 11):
-            assert L.rows[n][n] ** 2 * h.deltas[n - 1] == h.deltas[n]
+            assert L.rows[n][n] ** 2 * minors[n - 1] == minors[n]
 
     def test_unique_factor_bit_identical(self, catalog_moments):
         h = hankel_matrix(catalog_moments["chebyshev1"], 8)

@@ -93,6 +93,20 @@ class TestDecompose:
         bad.write_text("{not json")
         assert run_cli("decompose", str(bad), "-n", "1").returncode == 1
 
+    def test_string_moments_exit_one(self, tmp_path):
+        bad = tmp_path / "string.json"
+        bad.write_text('{"moments": "1012"}')
+        res = run_cli("decompose", str(bad), "-n", "1")
+        assert res.returncode == 1
+        assert res.stdout == ""
+
+    def test_boolean_moment_exits_one(self, tmp_path):
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"moments": [true, 0, 1, 0, 3]}')
+        res = run_cli("decompose", str(bad), "-n", "1")
+        assert res.returncode == 1
+        assert res.stdout == ""
+
     def test_deterministic_output(self, files):
         a = run_cli("decompose", files["gauss"], "-n", "3").stdout
         b = run_cli("decompose", files["gauss"], "-n", "3").stdout
@@ -208,6 +222,12 @@ class TestVerifyPM:
         res = run_cli("verify-pm", "--q", "0.5", "--rho", "0.9",
                       "--max-error", "1e-18")
         assert res.returncode == 3
+
+    def test_large_kernel_judged_by_relative_error(self):
+        # the kernel reaches ~7e12 here; its absolute error is far above 1e-8
+        res = run_cli("verify-pm", "--q", "0.9", "--rho", "0.9")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["max_error"] > 1e-8
 
     def test_invalid_q_exits_one(self):
         assert run_cli("verify-pm", "--q", "1.5", "--rho", "0.3").returncode == 1

@@ -4,21 +4,32 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpoly import (
     FamilySpec,
     InsufficientMoments,
     MomentSequence,
+    NotPositiveDefinite,
+    RecurrenceCoefficients,
+    build_system,
     carleman_diagnostic,
     hankel_matrix,
     load_moment_file,
     make_moments,
+    moments_from_recurrence,
     save_moment_file,
 )
-from momentpoly.moments import moment_sequence_from_dict, principal_minors
+from momentpoly import moments as moments_module
+from momentpoly.moments import moment_sequence_from_dict
 from momentpoly.scalars import FLOAT, RATIONAL
 
 from conftest import CATALOG
+from minors_oracle import det_pivoted, principal_minors
+
+positive_fractions = st.builds(Fraction, st.integers(1, 9), st.integers(1, 5))
+signed_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
 
 
 class TestCatalog:
@@ -125,15 +136,74 @@ class TestHankel:
             hankel_matrix(m, 3)
 
     def test_minors_match_pivoted_determinants(self):
-        # Bareiss single pass vs independent cofactor-style elimination
-        from momentpoly.moments import _det_pivoted
-
+        # the test oracle itself: Bareiss single pass vs pivoted elimination
         m = make_moments(FamilySpec("semicircle", 13))
         dense = hankel_matrix(m, 6).dense()
         minors = principal_minors(dense)
         for k in range(7):
             sub = [row[: k + 1] for row in dense[: k + 1]]
-            assert minors[k] == _det_pivoted(sub)
+            assert minors[k] == det_pivoted(sub)
+
+
+class TestDeltas:
+    """Delta_k from the Cholesky pivots, checked against elimination minors."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FamilySpec(fam, 41) for fam in CATALOG]
+        + [FamilySpec("q-hermite", 41, {"q": Fraction(1, 2)})],
+        ids=lambda spec: spec.family,
+    )
+    def test_deltas_match_oracle_at_order_twenty(self, spec):
+        h = hankel_matrix(make_moments(spec), 20)
+        assert h.deltas == principal_minors(h.dense())
+
+    def test_deltas_match_oracle_with_nonzero_b(self):
+        spec = FamilySpec("from-recurrence", 21, {
+            "a2": ["0", "1/2", "3", "5/4", "2", "7/3", "1", "9/5", "4/3", "2", "3"],
+            "b": ["1/3", "-2/3", "1", "0", "-1/2", "2/5", "1/4", "-1", "3/2", "1/3"],
+        })
+        h = hankel_matrix(make_moments(spec), 10)
+        assert h.deltas == principal_minors(h.dense())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.lists(positive_fractions, min_size=n, max_size=n),
+        st.lists(signed_fractions, min_size=n, max_size=n),
+    )))
+    def test_deltas_equal_oracle_and_recurrence_product(self, coeffs):
+        a2, b = coeffs
+        n = len(a2)
+        rec = RecurrenceCoefficients(
+            (Fraction(0),) + tuple(a2), tuple(b), RATIONAL
+        )
+        h = hankel_matrix(moments_from_recurrence(rec, 2 * n + 1), n)
+        product = Fraction(1)
+        for j in range(1, n + 1):
+            product *= rec.a2[j] ** (n - j + 1)
+        assert h.deltas[n] == product
+        assert h.deltas == principal_minors(h.dense())
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_build_then_deltas_factors_once(self, mode, monkeypatch):
+        calls = []
+        original = moments_module.cholesky_decompose
+
+        def counting(hankel):
+            calls.append(hankel.order)
+            return original(hankel)
+
+        monkeypatch.setattr(moments_module, "cholesky_decompose", counting)
+        sys_ = build_system(make_moments(FamilySpec("uniform", 13), mode), 6)
+        assert len(sys_.deltas) == 7
+        assert calls == [6]
+
+    def test_non_positive_definite_raises_at_failing_order(self):
+        # moments of the two-point measure on {-1, 1}: rank 2
+        m = MomentSequence(tuple(Fraction(1 - k % 2) for k in range(5)), RATIONAL)
+        with pytest.raises(NotPositiveDefinite) as err:
+            hankel_matrix(m, 2).deltas
+        assert err.value.order == 2
 
 
 class TestCarleman:
@@ -187,3 +257,12 @@ class TestMomentFiles:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             moment_sequence_from_dict({"label": "x"})
+
+    def test_string_moments_rejected(self):
+        with pytest.raises(ValueError):
+            moment_sequence_from_dict({"moments": "1012"})
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_boolean_moment_rejected(self, mode):
+        with pytest.raises(ValueError):
+            moment_sequence_from_dict({"moments": [True, 0, 1]}, mode=mode)

@@ -146,6 +146,21 @@ class TestKernelIdentity:
         with pytest.raises(ValueError):
             QParams(q=0.5, rho=-1.0)
 
+    def test_series_magnitude_measures_cancellation(self):
+        # H_j(-x) = (-1)^j H_j(x): the terms at (x, -x) are those at (x, x)
+        # with alternating signs, all positive at (x, x)
+        p = QParams(q=0.5, rho=0.9)
+        same, opposite = pm_series(1.5, 1.5, p), pm_series(1.5, -1.5, p)
+        assert same.magnitude == same.value
+        assert opposite.magnitude == same.magnitude
+        assert abs(opposite.value) < 1e-2 * opposite.magnitude
+
+    def test_relative_error_scales_by_larger_side(self):
+        report = pm_grid_report(QParams(q=0.9, rho=0.9))
+        worst = max(report, key=lambda pt: pt.error)
+        assert worst.error > 1.0
+        assert max(pt.relative_error for pt in report) < 1e-10
+
     def test_term_counts_grow_with_correlation(self):
         x = y = 1.0
         low = pm_series(x, y, QParams(q=0.5, rho=0.1), tol=1e-12).terms
