@@ -113,6 +113,8 @@ def _random_recurrence(rng: random.Random, size: int) -> RecurrenceCoefficients:
 
 
 def _cmd_recurrence(args) -> int:
+    if args.draws < 1:
+        raise ValueError(f"--draws must be at least 1, got {args.draws}")
     if args.verify_closed_forms is not None and args.recfile is None:
         rng = random.Random(args.seed)
         recs = [_random_recurrence(rng, args.verify_closed_forms + 5)

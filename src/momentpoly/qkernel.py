@@ -271,11 +271,13 @@ def pm_series(x: float, y: float, p: QParams, tol: float = 1e-12) -> PMSeriesRes
     total = magnitude = 1.0
     rho_pow = 1.0
     fact = 1.0
+    # [j]_q by the same Horner steps as q_bracket, carried from term to term
+    bracket = 0.0
     small_run = 0
     for j in range(1, MAX_PM_TERMS):
-        bracket = q_bracket(j, q)
-        hx_prev, hx = hx, x * hx - q_bracket(j - 1, q) * hx_prev
-        hy_prev, hy = hy, y * hy - q_bracket(j - 1, q) * hy_prev
+        prev, bracket = bracket, bracket * q + 1
+        hx_prev, hx = hx, x * hx - prev * hx_prev
+        hy_prev, hy = hy, y * hy - prev * hy_prev
         rho_pow *= rho
         fact *= bracket
         term = rho_pow / fact * hx * hy

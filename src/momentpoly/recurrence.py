@@ -14,6 +14,7 @@ near the diagonal are evaluated verbatim and reported against them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .cholesky import TriangularTable
@@ -93,10 +94,55 @@ def _require(rec: RecurrenceCoefficients, a2_top: int, b_top: int) -> None:
         )
 
 
-def _get(rows: list, n: int, j: int, mode: str):
-    if n < 0 or j < 0 or j > n:
-        return zero(mode)
-    return rows[n][j]
+def _check_order(rec: RecurrenceCoefficients, n: int) -> None:
+    """Reject a negative order, and coefficients too short for rows 0..n."""
+    if n < 0:
+        raise ValueError(f"table order must be non-negative, got {n}")
+    if n > 0:
+        _require(rec, n - 1, n - 1)
+
+
+def _banded_fill(rec: RecurrenceCoefficients, n: int, role: str, *, expand: bool,
+                 b: bool, a2: bool) -> TriangularTable:
+    """Rows 0..n of the banded recursion that every table here shares.
+
+    Row m+1 is row m shifted one column right, plus a b term if ``b`` and an
+    a^2 term if ``a2``.  In the monic direction (``expand`` false: eta, xi)
+    the terms are ``- b_m * row_m[j]`` and ``- a_m^2 * row_{m-1}[j]``; in the
+    expansion direction (``expand`` true: tau, zeta) they are
+    ``+ b_j * row_m[j]`` and ``+ a_{j+1}^2 * row_m[j+1]``.  Zero source
+    entries are skipped, so a coefficient is read only where a nonzero entry
+    forces its index into 0..n-1.
+    """
+    _check_order(rec, n)
+    mode = rec.mode
+    z = zero(mode)
+    if expand:
+        step, a2_shift = operator.add, 2
+        b_at, a2_at = (lambda m, j: rec.b[j]), (lambda m, j: rec.a2[j + 1])
+    else:
+        step, a2_shift = operator.sub, 1
+        b_at, a2_at = (lambda m, j: rec.b[m]), (lambda m, j: rec.a2[m])
+    rows = [[one(mode)]]
+    before = [z] * 4  # padded row -1
+    for m in range(n):
+        above = [z] + rows[m] + [z, z]  # above[j + 1] = row_m[j]
+        a2_src = above if expand else before
+        row = []
+        for j in range(m + 2):
+            v = above[j]
+            if b:
+                t = above[j + 1]
+                if t:
+                    v = step(v, b_at(m, j) * t)
+            if a2:
+                t = a2_src[j + a2_shift]
+                if t:
+                    v = step(v, a2_at(m, j) * t)
+            row.append(v)
+        rows.append(row)
+        before = above
+    return TriangularTable(role=role, mode=mode, rows=rows)
 
 
 def eta_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
@@ -105,23 +151,7 @@ def eta_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     Rows extend by ``eta[n+1][j] = eta[n][j-1] - b_n*eta[n][j] - a_n^2*eta[n-1][j]``
     from eta[0][0] = 1, so every diagonal entry is 1.
     """
-    if n > 0:
-        _require(rec, n - 1, n - 1)
-    mode = rec.mode
-    rows = [[one(mode)]]
-    for m in range(n):
-        row = []
-        for j in range(m + 2):
-            v = _get(rows, m, j - 1, mode)
-            t = _get(rows, m, j, mode)
-            if t:
-                v = v - rec.b[m] * t
-            t = _get(rows, m - 1, j, mode)
-            if t:
-                v = v - rec.a2[m] * t
-            row.append(v)
-        rows.append(row)
-    return TriangularTable(role="Eta", mode=mode, rows=rows)
+    return _banded_fill(rec, n, "Eta", expand=False, b=True, a2=True)
 
 
 def tau_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
@@ -129,171 +159,129 @@ def tau_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
 
     Rows extend by ``tau[n+1][j] = tau[n][j-1] + b_j*tau[n][j] + a_{j+1}^2*tau[n][j+1]``.
     """
-    if n > 0:
-        _require(rec, n - 1, n - 1)
-    mode = rec.mode
-    rows = [[one(mode)]]
-    for m in range(n):
-        row = []
-        for j in range(m + 2):
-            v = _get(rows, m, j - 1, mode)
-            t = _get(rows, m, j, mode)
-            if t:
-                v = v + rec.b[j] * t
-            t = _get(rows, m, j + 1, mode)
-            if t:
-                # t nonzero forces j + 1 <= m <= n - 1, so the index is in range
-                v = v + rec.a2[j + 1] * t
-            row.append(v)
-        rows.append(row)
-    return TriangularTable(role="Tau", mode=mode, rows=rows)
+    return _banded_fill(rec, n, "Tau", expand=True, b=True, a2=True)
 
 
 # -- auxiliary tables: recursion fills and closed forms ---------------------
 
 
-def _xi1_recursion(rec, n):
-    mode = rec.mode
-    rows = [[one(mode)]]
-    for m in range(n):
-        row = []
-        for j in range(m + 2):
-            v = _get(rows, m, j - 1, mode)
-            t = _get(rows, m - 1, j, mode)
-            if t:
-                v = v - rec.a2[m] * t
-            row.append(v)
-        rows.append(row)
+def _aux_recursions(rec: RecurrenceCoefficients, n: int) -> tuple:
+    """xi1, xi2, zeta1, zeta2 by recursion: the pure-a^2 and pure-b parts of
+    the eta and tau recursions."""
+    return (
+        _banded_fill(rec, n, "XiZeta", expand=False, b=False, a2=True),
+        _banded_fill(rec, n, "XiZeta", expand=False, b=True, a2=False),
+        _banded_fill(rec, n, "XiZeta", expand=True, b=False, a2=True),
+        _banded_fill(rec, n, "XiZeta", expand=True, b=True, a2=False),
+    )
+
+
+def _even_gap_fill(mode: str, n: int, value) -> TriangularTable:
+    """Zero at odd row - col, one on the diagonal, ``value(row, col, k)`` at
+    row - col = 2k > 0."""
+    rows = []
+    for row in range(n + 1):
+        out = []
+        for col in range(row + 1):
+            k, odd = divmod(row - col, 2)
+            out.append(zero(mode) if odd else one(mode) if k == 0 else value(row, col, k))
+        rows.append(out)
     return TriangularTable(role="XiZeta", mode=mode, rows=rows)
 
 
-def _xi2_recursion(rec, n):
-    mode = rec.mode
-    rows = [[one(mode)]]
-    for m in range(n):
-        row = []
-        for j in range(m + 2):
-            v = _get(rows, m, j - 1, mode)
-            t = _get(rows, m, j, mode)
-            if t:
-                v = v - rec.b[m] * t
-            row.append(v)
-        rows.append(row)
-    return TriangularTable(role="XiZeta", mode=mode, rows=rows)
+def _xi1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
+    """Gap-constrained products of a^2: entry (row, row - 2k) is (-1)^k times
+    the sum over 1 <= j_1 < ... < j_k <= row-1 with j_{m+1} - j_m >= 2 of
+    prod a_{j_m}^2; zero for odd row - col.
 
-
-def _zeta1_recursion(rec, n):
-    mode = rec.mode
-    rows = [[one(mode)]]
-    for m in range(n):
-        row = []
-        for j in range(m + 2):
-            v = _get(rows, m, j - 1, mode)
-            t = _get(rows, m, j + 1, mode)
-            if t:
-                v = v + rec.a2[j + 1] * t
-            row.append(v)
-        rows.append(row)
-    return TriangularTable(role="XiZeta", mode=mode, rows=rows)
-
-
-def _zeta2_recursion(rec, n):
-    mode = rec.mode
-    rows = [[one(mode)]]
-    for m in range(n):
-        row = []
-        for j in range(m + 2):
-            v = _get(rows, m, j - 1, mode)
-            t = _get(rows, m, j, mode)
-            if t:
-                v = v + rec.b[j] * t
-            row.append(v)
-        rows.append(row)
-    return TriangularTable(role="XiZeta", mode=mode, rows=rows)
-
-
-def closed_xi1(rec: RecurrenceCoefficients, row: int, col: int):
-    """Gap-constrained products of a^2: (-1)^k * sum over 1 <= j_1 < ... < j_k
-    <= row-1 with j_{m+1} - j_m >= 2 of prod a_{j_m}^2, where row - col = 2k;
-    zero for odd row - col.  Evaluated by the loop-friendly nested-sum form.
+    Evaluated by the nested-sum form: with r factors left after the current
+    one, the index runs lo..row-2r-1 and the next starts at index + 2.  That
+    depends on the row and (r, lo) but not on k, so every k of a row shares
+    the memo entries of that row.
     """
-    gap = row - col
-    if gap < 0:
-        return zero(rec.mode)
-    if gap % 2 == 1:
-        return zero(rec.mode)
-    k = gap // 2
-    if k == 0:
-        return one(rec.mode)
-    # m-th index ranges lo..row-2k+2m-1 with lo = previous index + 2
+    mode = rec.mode
     memo: dict = {}
 
-    def nested(m: int, lo: int):
-        if m > k:
-            return one(rec.mode)
-        key = (m, lo)
+    def nested(row: int, r: int, lo: int):
+        if r < 0:
+            return one(mode)
+        key = (row, r, lo)
         if key not in memo:
-            hi = row - 2 * k + 2 * m - 1
-            total = zero(rec.mode)
-            for j in range(lo, hi + 1):
-                total = total + rec.a2[j] * nested(m + 1, j + 2)
+            total = zero(mode)
+            for j in range(lo, row - 2 * r):
+                total = total + rec.a2[j] * nested(row, r - 1, j + 2)
             memo[key] = total
         return memo[key]
 
-    value = nested(1, 1)
-    return -value if k % 2 == 1 else value
+    def signed(row, col, k):
+        value = nested(row, k - 1, 1)
+        return -value if k % 2 == 1 else value
+
+    return _even_gap_fill(mode, n, signed)
 
 
-def closed_xi2(rec: RecurrenceCoefficients, row: int, col: int):
-    """Signed elementary symmetric sums: (-1)^j e_j(b_0..b_{row-1}), j = row - col."""
-    j = row - col
-    if j < 0:
-        return zero(rec.mode)
-    e = [one(rec.mode)] + [zero(rec.mode)] * j
-    for x in rec.b[:row]:
-        for t in range(j, 0, -1):
-            e[t] = e[t] + e[t - 1] * x
-    return -e[j] if j % 2 == 1 else e[j]
+def _xi2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
+    """Signed elementary symmetric sums: entry (row, col) is
+    (-1)^j e_j(b_0..b_{row-1}), j = row - col.
+
+    One pass of the e_j recurrence over b_0..b_{row-1} gives every column of
+    a row; each row starts afresh from the b values.
+    """
+    mode = rec.mode
+    rows = []
+    for row in range(n + 1):
+        e = [one(mode)] + [zero(mode)] * row
+        for x in rec.b[:row]:
+            for t in range(row, 0, -1):
+                e[t] = e[t] + e[t - 1] * x
+        rows.append([-e[row - col] if (row - col) % 2 == 1 else e[row - col]
+                     for col in range(row + 1)])
+    return TriangularTable(role="XiZeta", mode=mode, rows=rows)
 
 
-def closed_zeta1(rec: RecurrenceCoefficients, row: int, col: int):
-    """Nested a^2 sums: sum_{j_1=1}^{col+1} a_{j_1}^2 sum_{j_2=1}^{j_1+1} ...
-    with row - col = 2k factors; zero for odd row - col."""
-    gap = row - col
-    if gap < 0:
-        return zero(rec.mode)
-    if gap % 2 == 1:
-        return zero(rec.mode)
-    k = gap // 2
-    if k == 0:
-        return one(rec.mode)
+def _zeta1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
+    """Nested a^2 sums: entry (col + 2k, col) is sum_{j_1=1}^{col+1} a_{j_1}^2
+    sum_{j_2=1}^{j_1+1} a_{j_2}^2 ... over k factors; zero for odd row - col.
+
+    With r factors left after the current one, a level sums j = 1..hi and
+    hands hi = j + 1 down; that depends on (r, hi) only, so one memo serves
+    the whole table.
+    """
+    mode = rec.mode
     memo: dict = {}
 
-    def nested(m: int, hi: int):
-        if m > k:
-            return one(rec.mode)
-        key = (m, hi)
+    def nested(r: int, hi: int):
+        if r < 0:
+            return one(mode)
+        key = (r, hi)
         if key not in memo:
-            total = zero(rec.mode)
+            total = zero(mode)
             for j in range(1, hi + 1):
-                total = total + rec.a2[j] * nested(m + 1, j + 1)
+                total = total + rec.a2[j] * nested(r - 1, j + 1)
             memo[key] = total
         return memo[key]
 
-    return nested(1, col + 1)
+    return _even_gap_fill(mode, n, lambda row, col, k: nested(k - 1, col + 1))
 
 
-def closed_zeta2(rec: RecurrenceCoefficients, row: int, col: int):
-    """Monotone multi-indexed b products: the complete homogeneous symmetric
-    sum h_j(b_0..b_col) with j = row - col."""
-    j = row - col
-    if j < 0:
-        return zero(rec.mode)
-    h = [one(rec.mode)] + [zero(rec.mode)] * j
-    for x in rec.b[: col + 1]:
-        for t in range(1, j + 1):
-            h[t] = h[t] + h[t - 1] * x
-    return h[j]
+def _zeta2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
+    """Monotone multi-indexed b products: entry (col + j, col) is the complete
+    homogeneous symmetric sum h_j(b_0..b_col).
+
+    One pass of the h_j recurrence over b_0..b_col, for j = 0..n-col, gives
+    every row of a column; each column starts afresh from the b values.
+    """
+    mode = rec.mode
+    rows = [[None] * (row + 1) for row in range(n + 1)]
+    for col in range(n + 1):
+        top = n - col
+        h = [one(mode)] + [zero(mode)] * top
+        for x in rec.b[: col + 1]:
+            for t in range(1, top + 1):
+                h[t] = h[t] + h[t - 1] * x
+        for j in range(top + 1):
+            rows[col + j][col] = h[j]
+    return TriangularTable(role="XiZeta", mode=mode, rows=rows)
 
 
 @dataclass
@@ -336,24 +324,21 @@ class AuxTables:
 
 
 def aux_tables(rec: RecurrenceCoefficients, n: int) -> AuxTables:
-    """Build the four auxiliary tables twice: by recursion and by closed form."""
-    if n > 0:
-        _require(rec, min(n, len(rec.a2) - 1), n - 1)
-    mode = rec.mode
+    """Build the four auxiliary tables twice: by recursion and by closed form.
 
-    def closed_fill(fn):
-        rows = [[fn(rec, i, j) for j in range(i + 1)] for i in range(n + 1)]
-        return TriangularTable(role="XiZeta", mode=mode, rows=rows)
-
+    The closed fills read only a^2 and b, never the recursion fills they are
+    compared against.
+    """
+    xi1, xi2, zeta1, zeta2 = _aux_recursions(rec, n)
     return AuxTables(
-        xi1=_xi1_recursion(rec, n),
-        xi2=_xi2_recursion(rec, n),
-        zeta1=_zeta1_recursion(rec, n),
-        zeta2=_zeta2_recursion(rec, n),
-        xi1_closed=closed_fill(closed_xi1),
-        xi2_closed=closed_fill(closed_xi2),
-        zeta1_closed=closed_fill(closed_zeta1),
-        zeta2_closed=closed_fill(closed_zeta2),
+        xi1=xi1,
+        xi2=xi2,
+        zeta1=zeta1,
+        zeta2=zeta2,
+        xi1_closed=_xi1_closed(rec, n),
+        xi2_closed=_xi2_closed(rec, n),
+        zeta1_closed=_zeta1_closed(rec, n),
+        zeta2_closed=_zeta2_closed(rec, n),
     )
 
 
@@ -390,12 +375,11 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     documented outcome.  The formulas that cannot be read verbatim as written
     are evaluated under the only type-correct reading, stated in the note.
     """
+    _check_order(rec, n)
     top = n + 4
     eta = eta_table(rec, top)
     tau = tau_table(rec, top)
-    aux = aux_tables(rec, top)
-    x1, x2 = aux.xi1, aux.xi2
-    z1, z2 = aux.zeta1, aux.zeta2
+    x1, x2, z1, z2 = _aux_recursions(rec, top)
     mode = rec.mode
 
     def run(name, pairs, note=""):

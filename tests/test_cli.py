@@ -165,6 +165,27 @@ class TestRecurrence:
     def test_no_action_exits_one(self, files):
         assert run_cli("recurrence", files["gauss_rec"]).returncode == 1
 
+    def test_negative_closed_form_order_exits_one(self):
+        res = run_cli("recurrence", "--verify-closed-forms", "-1")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("draws", ["0", "-2"])
+    def test_draw_count_below_one_exits_one(self, draws):
+        res = run_cli("recurrence", "--verify-closed-forms", "3", "--draws", draws)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert res.stdout == ""
+
+    def test_short_rec_file_for_closed_forms_exits_one(self, tmp_path):
+        short = tmp_path / "rec.json"
+        short.write_text('{"a2": ["1", "2"], "b": ["0", "0", "0", "0", "0", "0", "0"]}')
+        res = run_cli("recurrence", str(short), "--verify-closed-forms", "4")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
 
 class TestConnect:
     def test_identity_table(self, files):

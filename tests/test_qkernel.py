@@ -168,6 +168,44 @@ class TestKernelIdentity:
         assert high > low
 
 
+def pm_series_per_term(x, y, p, tol=1e-12):
+    """pm_series as first written: [j]_q and [j-1]_q recomputed per term."""
+    q, rho = float(p.q), float(p.rho)
+    hx_prev, hx = 0.0, 1.0
+    hy_prev, hy = 0.0, 1.0
+    total = magnitude = 1.0
+    rho_pow = 1.0
+    fact = 1.0
+    small_run = 0
+    for j in range(1, 10**4):
+        bracket = q_bracket(j, q)
+        hx_prev, hx = hx, x * hx - q_bracket(j - 1, q) * hx_prev
+        hy_prev, hy = hy, y * hy - q_bracket(j - 1, q) * hy_prev
+        rho_pow *= rho
+        fact *= bracket
+        term = rho_pow / fact * hx * hy
+        total += term
+        magnitude += abs(term)
+        small_run = small_run + 1 if abs(term) < tol else 0
+        if small_run >= 4 and j >= 4:
+            return total, j + 1, magnitude
+    raise AssertionError("reference series did not converge")
+
+
+@pytest.mark.parametrize("q, rho, x, y", [
+    (0.5, 0.3, 1.0, 1.0),
+    (0.9, 0.9, 6.0, -6.0),
+    (-0.5, 0.9, 1.2, 0.4),
+    (0.0, -0.4, 1.9, -1.1),
+    (0.8, 0.8, -3.5, 2.25),
+    (0.3, 0.6, 0.0, 0.0),
+])
+def test_series_matches_per_term_brackets(q, rho, x, y):
+    ser = pm_series(x, y, QParams(q=q, rho=rho))
+    assert (ser.value, ser.terms, ser.magnitude) == pm_series_per_term(
+        x, y, QParams(q=q, rho=rho))
+
+
 class TestConditionalMeasure:
     def test_norms_match_pochhammer_product(self):
         q, rho, y = Fraction(1, 2), Fraction(3, 10), Fraction(1)

@@ -1,11 +1,14 @@
 """Monic tables, auxiliary closed forms, near-diagonal reports, moment recovery."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpoly import (
     FamilySpec,
@@ -19,9 +22,15 @@ from momentpoly import (
     tau_table,
     tri_multiply,
 )
-from momentpoly.scalars import RATIONAL
+from momentpoly import cli as cli_module
+from momentpoly import recurrence as recurrence_module
+from momentpoly.scalars import FLOAT, RATIONAL
 
+from closed_forms_oracle import closed_xi1, closed_xi2, closed_zeta1, closed_zeta2
 from conftest import CATALOG, random_recurrence
+
+positive_fractions = st.builds(Fraction, st.integers(1, 9), st.integers(1, 5))
+signed_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
 
 GAUSSIAN_REC = RecurrenceCoefficients(
     tuple(Fraction(k) for k in range(9)), tuple([Fraction(0)] * 9), RATIONAL, "gaussian"
@@ -176,6 +185,73 @@ class TestAuxiliaryTables:
                 if (row - col) % 2 == 1:
                     assert aux.xi1.rows[row][col] == 0
                     assert aux.zeta1.rows[row][col] == 0
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(positive_fractions, min_size=n + 1, max_size=n + 1),
+            st.lists(signed_fractions, min_size=n + 1, max_size=n + 1),
+        )),
+        st.booleans(),
+        st.sampled_from([RATIONAL, FLOAT]),
+    )
+    def test_closed_fills_equal_per_entry_oracle(self, drawn, symmetric, mode):
+        n, a2, b = drawn
+        if symmetric:
+            b = [Fraction(0)] * (n + 1)
+        rec = RecurrenceCoefficients((Fraction(0), *a2), tuple(b), RATIONAL)
+        if mode == FLOAT:
+            rec = rec.to_floats()
+        aux = aux_tables(rec, n)
+        for name, oracle in (("xi1_closed", closed_xi1), ("xi2_closed", closed_xi2),
+                             ("zeta1_closed", closed_zeta1),
+                             ("zeta2_closed", closed_zeta2)):
+            rows = getattr(aux, name).rows
+            assert len(rows) == n + 1, name
+            for row in range(n + 1):
+                expect = [oracle(rec, row, col) for col in range(row + 1)]
+                assert rows[row] == expect, (name, row)
+
+    @pytest.mark.parametrize("build", [aux_tables, partial_solutions, eta_table, tau_table])
+    def test_negative_order_rejected(self, build):
+        rec = random_recurrence(random.Random(15), 6)
+        with pytest.raises(ValueError, match="non-negative"):
+            build(rec, -1)
+
+    def test_short_a2_rejected(self):
+        rec = RecurrenceCoefficients(
+            (Fraction(0), Fraction(1), Fraction(2)), (Fraction(0),) * 8, RATIONAL
+        )
+        with pytest.raises(ValueError, match="a_k\\^2 up to k = 2"):
+            aux_tables(rec, 4)
+
+
+class TestAuxBuildCounts:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = recurrence_module.aux_tables
+
+        def counting(rec, n):
+            calls.append(n)
+            return real(rec, n)
+
+        monkeypatch.setattr(recurrence_module, "aux_tables", counting)
+        monkeypatch.setattr(cli_module, "aux_tables", counting)
+        return calls
+
+    def test_partial_solutions_builds_no_closed_fills(self, calls):
+        rec = random_recurrence(random.Random(17), 12)
+        assert partial_solutions(rec, 6).checks
+        assert calls == []
+
+    def test_cli_builds_closed_fills_once_per_draw(self, calls, capsys):
+        argv = ["recurrence", "--verify-closed-forms", "8", "--draws", "2"]
+        assert cli_module.main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["draws"]) == 2
+        assert calls == [8, 8]
 
 
 class TestNearDiagonalReport:
