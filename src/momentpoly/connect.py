@@ -142,6 +142,8 @@ def ribbon_check(
     polynomial this matrix is an r-ribbon; the converse is not checkable from
     finitely many moments and is the caller's responsibility.
     """
+    if r < 0:
+        raise ValueError(f"ribbon width must be non-negative, got {r}")
     if alpha_sys.order < n:
         raise ValueError(f"alpha system order {alpha_sys.order} below requested {n}")
     hank = hankel_matrix(delta_moments, n)
@@ -231,6 +233,8 @@ def rn_expansion(
     Parseval partial sums of omega_j^2 increase toward the integral of the
     squared density ratio when the caller can supply it independently.
     """
+    if n < 0:
+        raise ValueError(f"expansion order must be non-negative, got {n}")
     if delta_sys.order < n:
         raise ValueError(f"delta system order {delta_sys.order} below requested {n}")
     alpha_moments.require(n)

@@ -39,6 +39,8 @@ def linearization_table(
 ) -> LinearizationTable:
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}")
+    if n < 0 or m < 0:
+        raise ValueError(f"degrees must be non-negative, got n = {n}, m = {m}")
     if sys_.order < n + m:
         raise ValueError(
             f"product of degrees {n} and {m} needs system order {n + m}, "

@@ -187,7 +187,7 @@ class HankelMoments:
 
     @property
     def factor(self) -> TriangularTable:
-        """Cholesky factor L of the matrix, computed on first use and cached."""
+        """Cholesky factor L, computed on first use unless ``build_system`` supplied it."""
         if self._factor is None:
             self._factor = cholesky_decompose(self)
         return self._factor

@@ -1,19 +1,21 @@
 """Orthonormal polynomial system of a measure given by finitely many moments.
 
-The coefficient table of the orthonormal polynomials is the inverse of the
-Cholesky factor of the moment matrix; everything else -- recurrence
-coefficients, evaluation, associated polynomials, the reproducing kernel and
-the finite-order spectral identities -- is derived from that pair of tables.
+The system is the Cholesky factor L of the moment matrix, Pi = L^-1 and the
+three-term recurrence.  Rational mode builds the recurrence first, by the
+Chebyshev algorithm, and scales the monic tables eta, tau by the monic norms
+d_k = l_kk^2 = Delta_k / Delta_{k-1}; float mode factors, inverts and reads
+the recurrence off Pi.  Evaluation, associated polynomials, the reproducing
+kernel and the finite-order spectral identities are derived from the tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cholesky import TriangularTable, invert_lower_triangular
+from .cholesky import NotPositiveDefinite, TriangularTable, invert_lower_triangular
 from .moments import HankelMoments, MomentSequence, hankel_matrix
 from .recurrence import RecurrenceCoefficients, eta_table, tau_table
-from .scalars import RATIONAL, one, zero
+from .scalars import RATIONAL, one, scalar_sqrt, zero
 
 
 @dataclass
@@ -50,13 +52,64 @@ class PolynomialSystem:
 
 
 def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
-    """Assemble the order-n system from m_0..m_{2n}."""
+    """Assemble the order-n system from m_0..m_{2n}.
+
+    Rational mode runs :func:`_chebyshev`, then sets ``Pi[i][j] =
+    eta[i][j] / sqrt(d_i)`` and ``L[i][j] = tau[i][j] * sqrt(d_j)`` and hands
+    L to the Hankel matrix as its factor, so ``deltas`` is the running product
+    of the d_k.  A d_k <= 0 raises :class:`NotPositiveDefinite` at the same
+    order and with the same pivot as the Cholesky factorization.
+    """
     hank = hankel_matrix(m, n)
-    L = hank.factor
-    Pi = invert_lower_triangular(L, role="Pi")
-    sys_ = PolynomialSystem(moments=m, hankel=hank, L=L, Pi=Pi, rec=None)  # type: ignore[arg-type]
-    sys_.rec = recurrence_from_tables(sys_)
-    return sys_
+    if m.mode != RATIONAL:
+        # the Chebyshev route is not bit-identical in floats; this branch
+        # goes once a change of the float output is accepted
+        L = hank.factor
+        Pi = invert_lower_triangular(L, role="Pi")
+        sys_ = PolynomialSystem(moments=m, hankel=hank, L=L, Pi=Pi, rec=None)  # type: ignore[arg-type]
+        sys_.rec = recurrence_from_tables(sys_)
+        return sys_
+    rec, norms = _chebyshev(m, n)
+    roots = [scalar_sqrt(d, RATIONAL) for d in norms]
+    inv = [1 / r for r in roots]
+    Pi = [[v * inv[i] for v in row] for i, row in enumerate(eta_table(rec, n).rows)]
+    L = [[v * roots[j] for j, v in enumerate(row)] for row in tau_table(rec, n).rows]
+    hank._factor = TriangularTable(role="L", mode=RATIONAL, rows=L)
+    return PolynomialSystem(moments=m, hankel=hank, L=hank._factor,
+                            Pi=TriangularTable(role="Pi", mode=RATIONAL, rows=Pi), rec=rec)
+
+
+def _chebyshev(m: MomentSequence, n: int):
+    """Recurrence and monic norms d_0..d_n from m_0..m_{2n} in O(n^2) steps.
+
+    The Chebyshev algorithm (Gautschi, *Orthogonal Polynomials*, 2004,
+    section 2.1.7) runs the monic recurrence on s_k[l] = <ptilde_k, x^l>,
+    starting from s_0[l] = m_l; then d_k = s_k[k], a_k^2 = d_k / d_{k-1} and
+    b_k = s_k[k+1] / d_k - s_{k-1}[k] / d_{k-1}.
+    """
+    z = zero(m.mode)
+    prev, cur = [z] * (2 * n + 1), list(m.moments[: 2 * n + 1])
+    a2, b, norms = [z], [], []
+    for k in range(n + 1):
+        d = cur[k]
+        if d <= 0:
+            raise NotPositiveDefinite(k, d)
+        norms.append(d)
+        if k:
+            a2.append(d / norms[k - 1])
+        if k == n:
+            break
+        b.append(cur[k + 1] / d - (prev[k] / norms[k - 1] if k else z))
+        nxt = [z] * (2 * n + 1)
+        for l in range(k + 1, 2 * n - k):  # s_{k+1}[l], zero terms skipped
+            v = cur[l + 1]
+            if b[k] and cur[l]:
+                v = v - b[k] * cur[l]
+            if k and prev[l]:
+                v = v - a2[k] * prev[l]
+            nxt[l] = v
+        prev, cur = cur, nxt
+    return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms
 
 
 def recurrence_from_tables(sys_: PolynomialSystem) -> RecurrenceCoefficients:
@@ -78,30 +131,6 @@ def recurrence_from_tables(sys_: PolynomialSystem) -> RecurrenceCoefficients:
         lead = pi[k][k - 1] / pi[k][k] if k >= 1 else zero(mode)
         b.append(lead - pi[k + 1][k] / pi[k + 1][k + 1])
     return RecurrenceCoefficients(tuple(a2), tuple(b), mode, label=sys_.label)
-
-
-def recurrence_delta_form(sys_: PolynomialSystem):
-    """Same coefficients from determinant ratios and L entries (cross-check)."""
-    deltas = sys_.deltas
-    L = sys_.L.rows
-    n = sys_.order
-    mode = sys_.mode
-
-    def delta(k):
-        return deltas[k] if k >= 0 else one(mode)
-
-    a2 = [zero(mode)]
-    for k in range(1, n + 1):
-        a2.append(delta(k) * delta(k - 2) / (delta(k - 1) * delta(k - 1)))
-    b = []
-    for k in range(n):
-        first = (delta(k - 1) / delta(k)) * L[k + 1][k] * L[k][k]
-        if k >= 1:
-            second = (delta(k - 2) / delta(k - 1)) * L[k][k - 1] * L[k - 1][k - 1]
-        else:
-            second = zero(mode)
-        b.append(first - second)
-    return tuple(a2), tuple(b)
 
 
 def recurrence_from_moments(m: MomentSequence) -> RecurrenceCoefficients:
@@ -251,26 +280,6 @@ def inverse_moment_matrix(sys_: PolynomialSystem) -> list:
                 s = s + pi[k][i] * pi[k][j]
             row.append(s)
         out.append(row)
-    return out
-
-
-def kernel_inverse_form(sys_: PolynomialSystem, x, y):
-    """X^T M^{-1} Y evaluated against the monomial vectors (kernel cross-check)."""
-    mu = inverse_moment_matrix(sys_)
-    n = sys_.order
-    xs = _powers(x, n, sys_.mode)
-    ys = xs if y == x else _powers(y, n, sys_.mode)
-    total = zero(sys_.mode)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            total = total + xs[i] * mu[i][j] * ys[j]
-    return total
-
-
-def _powers(x, n, mode):
-    out = [one(mode)]
-    for _ in range(n):
-        out.append(out[-1] * x)
     return out
 
 

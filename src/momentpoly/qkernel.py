@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .recurrence import RecurrenceCoefficients
-from .scalars import FLOAT, RATIONAL, one, zero
+from .scalars import FLOAT, RATIONAL, one, scalar_sqrt, zero
 
 MAX_PM_TERMS = 10**4
 
@@ -120,13 +120,13 @@ def q_hermite_values(n: int, x, q, orthonormal: bool = False) -> list:
         bracket = bracket * qv + 1
     if not orthonormal:
         return vals
-    from .scalars import scalar_sqrt
-
+    # [j]_q! grows by the same Horner step as q_bracket, so values match it
     out = []
-    fact = one(mode)
+    fact, bracket = one(mode), zero(mode)
     for j, v in enumerate(vals):
         if j >= 1:
-            fact = fact * q_bracket(j, qv)
+            bracket = bracket * qv + 1
+            fact = fact * bracket
         out.append(v / scalar_sqrt(fact, mode))
     return out
 

@@ -6,14 +6,22 @@ with no triangular factorization, so it is an independent ground truth for
 coefficient tables and recurrence coefficients.
 """
 
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from momentpoly import FamilySpec, RecurrenceCoefficients, make_moments
 from momentpoly.scalars import RATIONAL, exact_sqrt
 
 CATALOG = ("gaussian", "uniform", "semicircle", "chebyshev1")
+
+# HYPOTHESIS_PROFILE=ci replays the same examples on every run, so a CI
+# failure of a property test reproduces; local runs stay randomized
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def poly_inner(c1, c2, moments):
@@ -64,6 +72,11 @@ def gram_schmidt_recurrence(moments, n):
         shifted = [Fraction(0)] + polys[k]
         b.append(poly_inner(shifted, polys[k], moments) / norms[k])
     return a2, b
+
+
+#: hypothesis strategies for small rational coefficients
+positive_fractions = st.builds(Fraction, st.integers(1, 9), st.integers(1, 5))
+signed_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
 
 
 def random_fraction(rng, lo=-4, hi=4, maxden=5):

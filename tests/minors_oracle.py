@@ -1,7 +1,7 @@
 """Leading principal minors by elimination, independent of the Cholesky factor.
 
-The library takes Delta_k from the running product of its squared Cholesky
-pivots; these routines compute the same minors by fraction-free (Bareiss)
+The library takes Delta_k from the running product of the squared diagonal of
+its factor L; these routines compute the same minors by fraction-free (Bareiss)
 elimination and by plain pivoted Gaussian elimination, so the tests can check
 Delta against a derivation that shares no code with the factorization.
 """

@@ -210,6 +210,20 @@ class TestConnect:
         assert data["ribbon"]["is_ribbon"] is True
         assert data["ribbon"]["max_off_ribbon"] == 0.0
 
+    def test_negative_rn_order_exits_one(self, files):
+        res = run_cli("connect", files["semicircle"], files["uniform"], "-n", "3",
+                      "--rn", "-2")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert res.stdout == ""
+
+    def test_negative_ribbon_width_exits_one(self, files):
+        res = run_cli("connect", files["rib_alpha"], files["rib_delta"], "-n", "8",
+                      "--ribbon", "-1")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert res.stdout == ""
+
     def test_ribbon_negative_control(self, files):
         res = run_cli("connect", files["rib_alpha"], files["rib_delta"], "-n", "8",
                       "--ribbon", "1")
@@ -229,6 +243,14 @@ class TestLinearize:
     def test_insufficient_moments_exits_two(self, files):
         res = run_cli("linearize", files["gauss"], "-n", "3", "-m", "3")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("n, m", [("2", "-1"), ("-3", "5")])
+    def test_negative_degree_exits_one(self, files, n, m):
+        res = run_cli("linearize", files["gauss"], "-n", n, "-m", m)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
 
 
 class TestVerifyPM:

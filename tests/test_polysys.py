@@ -4,9 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpoly import (
     FamilySpec,
+    MomentSequence,
+    NotPositiveDefinite,
+    RecurrenceCoefficients,
     associated_polys,
     build_system,
     christoffel,
@@ -16,23 +21,29 @@ from momentpoly import (
     kernel,
     make_moments,
     moment_inner_product,
+    moments_from_recurrence,
     monic_tables,
     recurrence_from_moments,
 )
+from momentpoly.cholesky import cholesky_decompose, invert_lower_triangular
+from momentpoly.moments import hankel_matrix
 from momentpoly.polysys import (
+    PolynomialSystem,
     eval_row,
     inverse_moment_matrix,
-    kernel_inverse_form,
-    recurrence_delta_form,
+    recurrence_from_tables,
 )
-from momentpoly.scalars import FLOAT, RATIONAL, exact_sqrt
+from momentpoly.scalars import FLOAT, RATIONAL, exact_sqrt, format_scalar
 
 from conftest import (
     CATALOG,
     gram_schmidt_recurrence,
     orthonormal_gram_schmidt,
+    positive_fractions,
     random_recurrence,
+    signed_fractions,
 )
+from polysys_oracle import kernel_inverse_form, recurrence_delta_form
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +107,66 @@ class TestBuild:
             assert got == unit
 
 
+@st.composite
+def rational_recurrences(draw):
+    """(rec, n): a random order n and a_1^2..a_n^2, b_0..b_{n-1}, with b = 0
+    or not."""
+    n = draw(st.integers(0, 9))
+    a2 = draw(st.lists(positive_fractions, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        b = [Fraction(0)] * n
+    else:
+        b = draw(st.lists(signed_fractions, min_size=n, max_size=n))
+    return RecurrenceCoefficients((Fraction(0),) + tuple(a2), tuple(b), RATIONAL), n
+
+
+def cholesky_route(m, n):
+    """The factor-then-invert build that float mode still runs."""
+    hank = hankel_matrix(m, n)
+    L = hank.factor  # runs cholesky_decompose
+    sys_ = PolynomialSystem(m, hank, L, invert_lower_triangular(L), rec=None)
+    sys_.rec = recurrence_from_tables(sys_)
+    return sys_
+
+
+def as_strings(table):
+    return [[format_scalar(v) for v in row] for row in table.rows]
+
+
+class TestChebyshevBuild:
+    @settings(max_examples=40, deadline=None)
+    @given(rational_recurrences())
+    def test_equals_cholesky_route(self, drawn):
+        rec, n = drawn
+        m = moments_from_recurrence(rec, 2 * n + 1)
+        got, want = build_system(m, n), cholesky_route(m, n)
+        assert got.rec.a2 == want.rec.a2 == rec.a2
+        assert got.rec.b == want.rec.b == rec.b
+        assert got.deltas == want.deltas
+        assert as_strings(got.Pi) == as_strings(want.Pi)
+        assert as_strings(got.L) == as_strings(want.L)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+        st.lists(signed_fractions, min_size=k, max_size=k, unique=True),
+        st.lists(positive_fractions, min_size=k, max_size=k),
+        st.integers(k, k + 3),
+    )))
+    def test_finite_measure_fails_like_cholesky(self, drawn):
+        # a k-atom measure has a singular moment matrix from order k on
+        atoms, weights, n = drawn
+        total = sum(weights)
+        m = MomentSequence(tuple(
+            sum(w * x**j for x, w in zip(atoms, weights)) / total for j in range(2 * n + 1)
+        ), RATIONAL)
+        with pytest.raises(NotPositiveDefinite) as got:
+            build_system(m, n)
+        with pytest.raises(NotPositiveDefinite) as want:
+            cholesky_decompose(hankel_matrix(m, n))
+        assert got.value.order == want.value.order == len(atoms)
+        assert str(got.value) == str(want.value)
+
+
 class TestRecurrence:
     def test_gaussian_squares_count_up(self, systems):
         rec = systems["gaussian"].rec
@@ -129,8 +200,6 @@ class TestRecurrence:
 
     def test_nonsymmetric_delta_form_cross_check(self):
         rng = random.Random(21)
-        from momentpoly import moments_from_recurrence
-
         rec = random_recurrence(rng, 8)
         m = moments_from_recurrence(rec, 15)
         sys_ = build_system(m, 7)
@@ -144,8 +213,6 @@ class TestRecurrence:
 
     def test_extraction_recovers_final_odd_coefficient(self):
         rng = random.Random(5)
-        from momentpoly import moments_from_recurrence
-
         rec = random_recurrence(rng, 10)
         m = moments_from_recurrence(rec, 12)  # even count: top moment is odd order
         back = recurrence_from_moments(m)
@@ -284,8 +351,6 @@ class TestDiagnostics:
 
     def test_nonsymmetric_exact_identities(self):
         rng = random.Random(33)
-        from momentpoly import moments_from_recurrence
-
         rec = random_recurrence(rng, 8)
         sys_ = build_system(moments_from_recurrence(rec, 17), 8)
         d = diagnostics(sys_)

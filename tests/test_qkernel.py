@@ -24,7 +24,7 @@ from momentpoly import (
     rn_expansion,
 )
 from momentpoly.qkernel import q_hermite_values
-from momentpoly.scalars import exact_sqrt
+from momentpoly.scalars import FLOAT, RATIONAL, exact_sqrt, one, scalar_sqrt
 
 
 class TestBrackets:
@@ -96,6 +96,27 @@ class TestQHermite:
         raw = q_hermite_values(4, Fraction(1, 3), q)
         for n in range(5):
             assert vals[n] == raw[n] / exact_sqrt(q_factorial(n, q))
+
+    @pytest.mark.parametrize("n, x, q", [
+        (0, Fraction(1, 3), Fraction(1, 2)),
+        (9, Fraction(1, 3), Fraction(1, 2)),
+        (8, Fraction(-2, 5), Fraction(-3, 4)),
+        (7, Fraction(3, 2), 1),
+        (6, Fraction(1, 2), 0.4),
+        (60, 0.7, 0.5),
+        (40, -1.3, Fraction(1, 3)),
+        (30, 1.1, 1.0),
+    ])
+    def test_orthonormal_values_equal_per_degree_brackets(self, n, x, q):
+        # the running [j]_q! must reproduce q_bracket's values exactly
+        mode = FLOAT if isinstance(x, float) or isinstance(q, float) else RATIONAL
+        qv = float(q) if mode == FLOAT else q
+        fact, expect = one(mode), []
+        for j, v in enumerate(q_hermite_values(n, x, q)):
+            if j:
+                fact = fact * q_bracket(j, qv)
+            expect.append(v / scalar_sqrt(fact, mode))
+        assert q_hermite_values(n, x, q, orthonormal=True) == expect
 
     def test_orthonormality_under_moment_functional(self):
         q = Fraction(2, 5)

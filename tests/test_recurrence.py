@@ -27,10 +27,7 @@ from momentpoly import recurrence as recurrence_module
 from momentpoly.scalars import FLOAT, RATIONAL
 
 from closed_forms_oracle import closed_xi1, closed_xi2, closed_zeta1, closed_zeta2
-from conftest import CATALOG, random_recurrence
-
-positive_fractions = st.builds(Fraction, st.integers(1, 9), st.integers(1, 5))
-signed_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+from conftest import CATALOG, positive_fractions, random_recurrence, signed_fractions
 
 GAUSSIAN_REC = RecurrenceCoefficients(
     tuple(Fraction(k) for k in range(9)), tuple([Fraction(0)] * 9), RATIONAL, "gaussian"
