@@ -141,6 +141,9 @@ def _cmd_recurrence(args) -> int:
               "--verify-closed-forms", file=sys.stderr)
         return 1
 
+    if recs[0].mode != RATIONAL:
+        raise ValueError("--verify-closed-forms compares exact identities; "
+                         "run it in rational mode")
     n = args.verify_closed_forms
     draws_report = []
     genuine_failure = False

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .cholesky import TriangularTable, tri_multiply
 from .moments import MomentSequence, hankel_matrix
-from .polysys import PolynomialSystem, monic_tables
-from .recurrence import RecurrenceCoefficients
+from .polysys import PolynomialSystem
+from .recurrence import RecurrenceCoefficients, eta_table, tau_table
 from .scalars import RATIONAL, one, to_float, zero
 
 BASES = ("orthonormal", "monic")
@@ -66,9 +66,7 @@ def connection_table(
         left = _truncate(target.Pi, n)
         right = _truncate(source.Lambda, n)
     else:
-        eta_t, _ = monic_tables(target, n)
-        _, tau_s = monic_tables(source, n)
-        left, right = eta_t, tau_s
+        left, right = eta_table(target.rec, n), tau_table(source.rec, n)
     prod = tri_multiply(left, right, role=left.role)
     return ConnectionTable(
         table=prod,

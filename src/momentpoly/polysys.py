@@ -144,30 +144,11 @@ def recurrence_from_moments(m: MomentSequence) -> RecurrenceCoefficients:
     sys_ = build_system(m, n)
     rec = sys_.rec
     if m.top_order == 2 * n + 1 and n >= 0:
-        eta = eta_table(_extended(rec), n)
-        num = zero(m.mode)
-        den = zero(m.mode)
-        row = eta.rows[n]
-        for i in range(n + 1):
-            if not row[i]:
-                continue
-            for j in range(n + 1):
-                if not row[j]:
-                    continue
-                num = num + row[i] * row[j] * m.m(i + j + 1)
-                den = den + row[i] * row[j] * m.m(i + j)
-        rec = RecurrenceCoefficients(
-            rec.a2, rec.b + (num / den,), rec.mode, rec.label
-        )
+        row = eta_table(rec, n).rows[n]
+        x_row = [zero(m.mode)] + row
+        b_n = moment_inner_product(m, row, x_row) / moment_inner_product(m, row, row)
+        rec = RecurrenceCoefficients(rec.a2, rec.b + (b_n,), rec.mode, rec.label)
     return rec
-
-
-def _extended(rec: RecurrenceCoefficients) -> RecurrenceCoefficients:
-    # eta rows to order n need b_0..b_{n-1}; the extracted rec already has them,
-    # but guard the degenerate order-0 case
-    if rec.b:
-        return rec
-    return RecurrenceCoefficients(rec.a2, (zero(rec.mode),), rec.mode, rec.label)
 
 
 def monic_tables(sys_: PolynomialSystem, n: int | None = None):

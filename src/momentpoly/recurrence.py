@@ -8,8 +8,9 @@ and this module builds, by recursion, the table ``eta`` of their monomial
 coefficients, the inverse table ``tau`` expanding x^n back in the monic
 polynomials, the four auxiliary tables that solve the pure-a^2 / pure-b parts
 of those recursions in closed form, and the moment sequence of the underlying
-measure.  The recursion tables are the ground truth; the printed closed forms
-near the diagonal are evaluated verbatim and reported against them.
+measure, which is the first column of ``tau``.  The recursion tables are the
+ground truth; the printed closed forms near the diagonal are evaluated
+verbatim and reported against them.
 """
 
 from __future__ import annotations
@@ -575,57 +576,15 @@ def _padded(rec: RecurrenceCoefficients, count: int) -> RecurrenceCoefficients:
 def moments_from_recurrence(rec: RecurrenceCoefficients, count: int, label: str = ""):
     """Moments m_0..m_{count-1} of the measure with the given recurrence.
 
-    Uses the row identity sum_k eta[j][k] * m_k = 0 (the monic polynomial of
-    degree j >= 1 integrates to zero), solved for m_j.  When all b vanish the
-    even-moment shortcut recursion is evaluated as a consistency cross-check.
+    m_j = tau[j][0]: integrating x^j = sum_k tau[j][k] * ptilde_k against the
+    measure (normalized to m_0 = 1) leaves only the k = 0 term, because every
+    monic polynomial of degree k >= 1 integrates to zero.  The first column of
+    ``tau`` is a sum of nonnegative terms when b = 0, so float mode loses no
+    accuracy to cancellation there.
     """
     from .moments import MomentSequence
 
     if count < 1:
         raise ValueError("count must be at least 1")
-    mode = rec.mode
-    out = [one(mode)]
-    if count == 1:
-        return MomentSequence(tuple(out), mode, label or rec.label)
-
-    padded = _padded(rec, count)
-    eta = eta_table(padded, count - 1)
-    for j in range(1, count):
-        s = zero(mode)
-        for k in range(j):
-            t = eta.rows[j][k]
-            if t:
-                s = s + t * out[k]
-        out.append(-s)
-
-    if all(v == 0 for v in rec.b):
-        _check_symmetric_shortcut(padded, eta, out)
-
-    return MomentSequence(tuple(out), mode, label or rec.label)
-
-
-def _check_symmetric_shortcut(rec, eta, moments) -> None:
-    """Cross-check the even-moment recursion printed for the all-b-zero case."""
-    tol = 0.0 if rec.mode == RATIONAL else 1e-9
-    for j in range(1, len(moments), 2):
-        if not (moments[j] == 0 if tol == 0.0 else abs(moments[j]) <= tol):
-            raise ArithmeticError(f"odd moment m_{j} nonzero for symmetric recurrence")
-    for k in range(1, (len(moments) - 1) // 2 + 1):
-        if k == 1:
-            expect = rec.a2[1]
-        elif k == 2:
-            expect = rec.a2[1] * (rec.a2[1] + rec.a2[2])
-        else:
-            acc = zero(rec.mode)
-            for j in range(1, 2 * k - 1):
-                acc = acc + rec.a2[j]
-            expect = acc * moments[2 * k - 2]
-            for j in range(2, k):
-                expect = expect - eta.rows[2 * k - 1][2 * k - 1 - 2 * j] * moments[2 * k - 2 * j]
-        got = moments[2 * k]
-        ok = expect == got if tol == 0.0 else abs(expect - got) <= tol * max(1.0, abs(got))
-        if not ok:
-            raise ArithmeticError(
-                f"symmetric even-moment shortcut disagrees at m_{2 * k}: "
-                f"{expect} vs {got}"
-            )
+    tau = tau_table(_padded(rec, count), count - 1)
+    return MomentSequence(tuple(row[0] for row in tau.rows), rec.mode, label or rec.label)

@@ -178,6 +178,22 @@ class TestRecurrence:
         assert res.stderr.startswith("error:")
         assert res.stdout == ""
 
+    def test_float_hermite_moments_to_count_121(self, tmp_path):
+        rec = tmp_path / "herm.json"
+        rec.write_text(json.dumps({"a2": [str(k) for k in range(61)], "b": ["0"] * 61}))
+        res = run_cli("recurrence", str(rec), "--moments", "121", "--mode", "float")
+        assert res.returncode == 0, res.stderr
+        moments = json.loads(res.stdout)["moments"]
+        assert moments[120] == pytest.approx(math.prod(range(1, 120, 2)), rel=1e-13)
+
+    def test_float_closed_form_verification_refused(self, files):
+        res = run_cli("recurrence", files["gauss_rec"], "--verify-closed-forms", "2",
+                      "--mode", "float")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "rational mode" in res.stderr
+        assert res.stdout == ""
+
     def test_short_rec_file_for_closed_forms_exits_one(self, tmp_path):
         short = tmp_path / "rec.json"
         short.write_text('{"a2": ["1", "2"], "b": ["0", "0", "0", "0", "0", "0", "0"]}')

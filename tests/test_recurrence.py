@@ -4,7 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,8 @@ from momentpoly import (
 )
 from momentpoly import cli as cli_module
 from momentpoly import recurrence as recurrence_module
-from momentpoly.scalars import FLOAT, RATIONAL
+from momentpoly.recurrence import _padded
+from momentpoly.scalars import FLOAT, RATIONAL, zero
 
 from closed_forms_oracle import closed_xi1, closed_xi2, closed_zeta1, closed_zeta2
 from conftest import CATALOG, positive_fractions, random_recurrence, signed_fractions
@@ -77,6 +78,49 @@ def motzkin_moment(rec, j):
         return total
 
     return walk(j, 0)
+
+
+def _check_symmetric_shortcut(rec, eta, moments) -> None:
+    """Cross-check the even-moment recursion printed for the all-b-zero case."""
+    tol = 0.0 if rec.mode == RATIONAL else 1e-9
+    for j in range(1, len(moments), 2):
+        if not (moments[j] == 0 if tol == 0.0 else abs(moments[j]) <= tol):
+            raise ArithmeticError(f"odd moment m_{j} nonzero for symmetric recurrence")
+    for k in range(1, (len(moments) - 1) // 2 + 1):
+        if k == 1:
+            expect = rec.a2[1]
+        elif k == 2:
+            expect = rec.a2[1] * (rec.a2[1] + rec.a2[2])
+        else:
+            acc = zero(rec.mode)
+            for j in range(1, 2 * k - 1):
+                acc = acc + rec.a2[j]
+            expect = acc * moments[2 * k - 2]
+            for j in range(2, k):
+                expect = expect - eta.rows[2 * k - 1][2 * k - 1 - 2 * j] * moments[2 * k - 2 * j]
+        got = moments[2 * k]
+        ok = expect == got if tol == 0.0 else abs(expect - got) <= tol * max(1.0, abs(got))
+        if not ok:
+            raise ArithmeticError(
+                f"symmetric even-moment shortcut disagrees at m_{2 * k}: "
+                f"{expect} vs {got}"
+            )
+
+
+def _drawn_recurrence(drawn, symmetric):
+    count, a2, b = drawn
+    if symmetric:
+        b = [Fraction(0)] * len(b)
+    return count, RecurrenceCoefficients((Fraction(0), *a2), tuple(b), RATIONAL)
+
+
+def _recurrence_draws(max_count):
+    """(count, a2, b) long enough for the first ``count`` moments."""
+    return st.integers(1, max_count).flatmap(lambda c: st.tuples(
+        st.just(c),
+        st.lists(positive_fractions, min_size=c // 2, max_size=c // 2),
+        st.lists(signed_fractions, min_size=(c + 1) // 2, max_size=(c + 1) // 2),
+    ))
 
 
 class TestMonicTables:
@@ -359,6 +403,39 @@ class TestMomentsFromRecurrence:
         rec = RecurrenceCoefficients((Fraction(0), Fraction(1)), (Fraction(0),), RATIONAL)
         with pytest.raises(ValueError):
             moments_from_recurrence(rec, 6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_recurrence_draws(10), st.booleans())
+    def test_equals_lattice_path_oracle_property(self, drawn, symmetric):
+        count, rec = _drawn_recurrence(drawn, symmetric)
+        m = moments_from_recurrence(rec, count)
+        assert list(m.moments) == [motzkin_moment(rec, j) for j in range(count)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_recurrence_draws(30))
+    def test_symmetric_shortcut_oracle_holds(self, drawn):
+        count, rec = _drawn_recurrence(drawn, symmetric=True)
+        padded = _padded(rec, count)
+        moments = moments_from_recurrence(rec, count).moments
+        _check_symmetric_shortcut(padded, eta_table(padded, count - 1), moments)
+
+    def test_float_hermite_to_count_121(self):
+        rec = RecurrenceCoefficients(
+            tuple(float(k) for k in range(61)), (0.0,) * 61, FLOAT
+        )
+        m = moments_from_recurrence(rec, 121)
+        for k in range(61):
+            # m_2k = (2k - 1)!!, and every odd moment vanishes
+            assert m.m(2 * k) == pytest.approx(prod(range(1, 2 * k, 2)), rel=1e-13)
+            if k < 60:
+                assert m.m(2 * k + 1) == 0
+
+    def test_float_q_hermite_to_count_121(self):
+        exact = make_moments(FamilySpec("q-hermite", 121, {"q": Fraction(1, 2)}))
+        approx = make_moments(FamilySpec("q-hermite", 121, {"q": 0.5}), FLOAT)
+        assert approx.mode == FLOAT
+        for e, f in zip(exact.moments, approx.moments):
+            assert f == pytest.approx(float(e), rel=1e-13, abs=0.0)
 
     def test_q_hermite_family_uses_recurrence(self):
         m = make_moments(FamilySpec("q-hermite", 7, {"q": Fraction(1, 2)}))
