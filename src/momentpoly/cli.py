@@ -38,8 +38,6 @@ EXPECTED_MISPRINTS = frozenset({"eta_offdiag3_printed", "eta_offdiag4_printed"})
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=["rational", "float"], default=None,
                         help="override the numeric mode of the input files")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="comparison tolerance in float mode")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized verification inputs")
@@ -285,6 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expand d(alpha)/d(delta) in the delta system to order N")
     p.add_argument("--ribbon", type=int, default=None, metavar="R",
                    help="test the band structure for a degree-R density ratio")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="tolerance of the --ribbon test in float mode")
     _common(p)
     p.set_defaults(func=_cmd_connect)
 

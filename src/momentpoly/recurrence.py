@@ -11,12 +11,18 @@ of those recursions in closed form, and the moment sequence of the underlying
 measure, which is the first column of ``tau``.  The recursion tables are the
 ground truth; the printed closed forms near the diagonal are evaluated
 verbatim and reported against them.
+
+Every recursion table comes from one banded fill.  In rational mode it steps
+integer numerators: row m is held as D^m times its entries, D the lcm of the
+coefficient denominators, and each entry is reduced to a ``Fraction`` once.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cholesky import TriangularTable
 from .scalars import FLOAT, RATIONAL, as_scalar, check_mode, one, scalar_sqrt, to_float, zero
@@ -114,24 +120,46 @@ def _banded_fill(rec: RecurrenceCoefficients, n: int, role: str, *, expand: bool
     ``+ b_j * row_m[j]`` and ``+ a_{j+1}^2 * row_m[j+1]``.  Zero source
     entries are skipped, so a coefficient is read only where a nonzero entry
     forces its index into 0..n-1.
+
+    The loop runs on integer numerators over a common denominator.  D is the
+    lcm of the denominators of the coefficients read (b_0..b_{n-1} if ``b``,
+    a_1^2..a_{n-1}^2 if ``a2``), B = b*D and A = a^2*D are integers, and row m
+    holds N_m = D^m times its entries:
+
+        expansion: N_{m+1}[j] = D*N_m[j-1] + B_j*N_m[j] + A_{j+1}*N_m[j+1]
+        monic:     N_{m+1}[j] = D*N_m[j-1] - B_m*N_m[j] - D*A_m*N_{m-1}[j]
+
+    so no step normalizes a fraction; each entry becomes ``Fraction(N, D^m)``
+    once, at the end.  Float mode runs the same loop with D = 1.0, where every
+    product by D is exact.
     """
     _check_order(rec, n)
     mode = rec.mode
-    z = zero(mode)
+    exact = mode == RATIONAL
+    bs, a2s = (rec.b[:n] if b else ()), (rec.a2[:n] if a2 else ())
+    if exact:
+        d = math.lcm(*(v.denominator for v in (*bs, *a2s)))
+        B = [v.numerator * (d // v.denominator) for v in bs]
+        A = [v.numerator * (d // v.denominator) for v in a2s]
+        z, unit = 0, 1
+    else:
+        d, B, A = one(mode), bs, a2s
+        z, unit = zero(mode), d
     if expand:
         step, a2_shift = operator.add, 2
-        b_at, a2_at = (lambda m, j: rec.b[j]), (lambda m, j: rec.a2[j + 1])
+        b_at, a2_at = (lambda m, j: B[j]), (lambda m, j: A[j + 1])
     else:
         step, a2_shift = operator.sub, 1
-        b_at, a2_at = (lambda m, j: rec.b[m]), (lambda m, j: rec.a2[m])
-    rows = [[one(mode)]]
+        A = [d * v for v in A]
+        b_at, a2_at = (lambda m, j: B[m]), (lambda m, j: A[m])
+    rows = [[unit]]
     before = [z] * 4  # padded row -1
     for m in range(n):
         above = [z] + rows[m] + [z, z]  # above[j + 1] = row_m[j]
         a2_src = above if expand else before
         row = []
         for j in range(m + 2):
-            v = above[j]
+            v = d * above[j]
             if b:
                 t = above[j + 1]
                 if t:
@@ -143,6 +171,11 @@ def _banded_fill(rec: RecurrenceCoefficients, n: int, role: str, *, expand: bool
             row.append(v)
         rows.append(row)
         before = above
+    if exact:
+        scale, nil = 1, zero(mode)
+        for m, row in enumerate(rows):
+            rows[m] = [Fraction(v, scale) if v else nil for v in row]
+            scale *= d
     return TriangularTable(role=role, mode=mode, rows=rows)
 
 
@@ -225,18 +258,19 @@ def _xi2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     """Signed elementary symmetric sums: entry (row, col) is
     (-1)^j e_j(b_0..b_{row-1}), j = row - col.
 
-    One pass of the e_j recurrence over b_0..b_{row-1} gives every column of
-    a row; each row starts afresh from the b values.
+    One running e vector serves every row: row r reads e_j(b_0..b_{r-1}),
+    then one pass of the e_j recurrence folds in b_r for the next row.
     """
     mode = rec.mode
+    e = [one(mode)] + [zero(mode)] * n
     rows = []
     for row in range(n + 1):
-        e = [one(mode)] + [zero(mode)] * row
-        for x in rec.b[:row]:
-            for t in range(row, 0, -1):
-                e[t] = e[t] + e[t - 1] * x
         rows.append([-e[row - col] if (row - col) % 2 == 1 else e[row - col]
                      for col in range(row + 1)])
+        if row < n:
+            x = rec.b[row]
+            for t in range(row + 1, 0, -1):
+                e[t] = e[t] + e[t - 1] * x
     return TriangularTable(role="XiZeta", mode=mode, rows=rows)
 
 
@@ -269,15 +303,17 @@ def _zeta2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     """Monotone multi-indexed b products: entry (col + j, col) is the complete
     homogeneous symmetric sum h_j(b_0..b_col).
 
-    One pass of the h_j recurrence over b_0..b_col, for j = 0..n-col, gives
-    every row of a column; each column starts afresh from the b values.
+    One running h vector serves every column: column c folds b_c into
+    h_1..h_{n-c}, the entries that it and the later columns read, and b_n is
+    never read.
     """
     mode = rec.mode
     rows = [[None] * (row + 1) for row in range(n + 1)]
+    h = [one(mode)] + [zero(mode)] * n
     for col in range(n + 1):
         top = n - col
-        h = [one(mode)] + [zero(mode)] * top
-        for x in rec.b[: col + 1]:
+        if top:
+            x = rec.b[col]
             for t in range(1, top + 1):
                 h[t] = h[t] + h[t - 1] * x
         for j in range(top + 1):
@@ -366,6 +402,36 @@ class PartialSolutionsReport:
         return all(c.passed for c in self.checks)
 
 
+def _eta3_printed(rec: RecurrenceCoefficients, x2: TriangularTable, t: int):
+    """Printed eta_{t+3,t}: the xi2 term at column 3 exactly as printed, plus
+    sum_{j=1}^{t+2} a_j^2 times the sum of b_k over k = 0..t+2 with k not in
+    {j - 1, j}, which is e1 - b_{j-1} - b_j with e1 = b_0 + ... + b_{t+2}."""
+    e1 = zero(rec.mode)
+    for x in rec.b[: t + 3]:
+        e1 = e1 + x
+    s = zero(rec.mode)
+    for j in range(1, t + 3):
+        s = s + rec.a2[j] * (e1 - rec.b[j - 1] - rec.b[j])
+    return x2.rows[t + 3][3] + s
+
+
+def _eta4_printed(rec: RecurrenceCoefficients, x1: TriangularTable, x2: TriangularTable,
+                  t: int):
+    """Printed eta_{t+4,t}: xi1 + xi2, plus sum_{k=1}^{t+3} a_k^2 times the sum
+    of b_i*b_j over 0 <= i < j <= t+3 with neither index in {k - 1, k}.  With
+    x = b_{k-1}, y = b_k and e1, e2 the elementary symmetric sums of
+    b_0..b_{t+3}, that sum is e2 - (x + y)*(e1 - x - y) - x*y."""
+    e1 = e2 = zero(rec.mode)
+    for v in rec.b[: t + 4]:
+        e2 = e2 + e1 * v
+        e1 = e1 + v
+    s = zero(rec.mode)
+    for k in range(1, t + 4):
+        x, y = rec.b[k - 1], rec.b[k]
+        s = s + rec.a2[k] * (e2 - (x + y) * (e1 - x - y) - x * y)
+    return x1.rows[t + 4][t] + x2.rows[t + 4][t] + s
+
+
 def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsReport:
     """Evaluate the printed near-diagonal closed forms for eta and tau.
 
@@ -375,6 +441,12 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     degree-3/4 formulas are known misprints and their FAIL status is the
     documented outcome.  The formulas that cannot be read verbatim as written
     are evaluated under the only type-correct reading, stated in the note.
+
+    The sums over indices other than {j - 1, j} in the printed eta forms are
+    taken as the full elementary symmetric sum minus the excluded terms (see
+    ``_eta3_printed`` and ``_eta4_printed``), so each base index costs O(t).
+    The values are exact in rational mode; in float mode they round
+    differently from the term-by-term sums.
     """
     _check_order(rec, n)
     top = n + 4
@@ -443,44 +515,20 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
         )
     )
 
-    def eta3(t):
-        # verbatim: the xi2 term is indexed (t+3, 3) as printed
-        s = zero(mode)
-        for j in range(1, t + 3):
-            inner = zero(mode)
-            for k in range(0, t + 3):
-                if k != j and k != j - 1:
-                    inner = inner + rec.b[k]
-            s = s + rec.a2[j] * inner
-        return x2.rows[t + 3][3] + s
-
     checks.append(
         run(
             "eta_offdiag3_printed",
-            ((t, eta.rows[t + 3][t], eta3(t)) for t in range(top - 2)),
+            ((t, eta.rows[t + 3][t], _eta3_printed(rec, x2, t)) for t in range(top - 2)),
             note="xi2 term evaluated at column 3 exactly as printed",
         )
     )
 
     # l = 4 printed forms
-    def eta4(t):
-        s = zero(mode)
-        for k in range(1, t + 4):
-            inner = zero(mode)
-            for i in range(0, t + 4):
-                if i in (k, k - 1):
-                    continue
-                for j in range(i + 1, t + 4):
-                    if j in (k, k - 1):
-                        continue
-                    inner = inner + rec.b[i] * rec.b[j]
-            s = s + rec.a2[k] * inner
-        return x1.rows[t + 4][t] + x2.rows[t + 4][t] + s
-
     checks.append(
         run(
             "eta_offdiag4_printed",
-            ((t, eta.rows[t + 4][t], eta4(t)) for t in range(top - 3)),
+            ((t, eta.rows[t + 4][t], _eta4_printed(rec, x1, x2, t))
+             for t in range(top - 3)),
             note="the a^2 factor inside the outer sum is read as a_k^2",
         )
     )

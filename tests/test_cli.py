@@ -1,9 +1,11 @@
 """End-to-end CLI tests through a subprocess."""
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +108,12 @@ class TestDecompose:
         res = run_cli("decompose", str(bad), "-n", "1")
         assert res.returncode == 1
         assert res.stdout == ""
+
+    def test_tol_flag_rejected(self, files):
+        # --tol belongs to connect, whose --ribbon test is the only reader
+        res = run_cli("decompose", files["gauss"], "-n", "1", "--tol", "1e-6")
+        assert res.returncode == 2
+        assert "unrecognized arguments: --tol" in res.stderr
 
     def test_deterministic_output(self, files):
         a = run_cli("decompose", files["gauss"], "-n", "3").stdout
@@ -240,6 +248,15 @@ class TestConnect:
         assert res.stderr.startswith("error:")
         assert res.stdout == ""
 
+    def test_float_ribbon_reads_tol(self, files):
+        args = ("connect", files["rib_alpha"], files["rib_delta"], "-n", "8",
+                "--ribbon", "2", "--mode", "float")
+        loose = json.loads(run_cli(*args, "--tol", "1e-6").stdout)["ribbon"]
+        assert loose["is_ribbon"] is True
+        strict = json.loads(run_cli(*args, "--tol", "0").stdout)["ribbon"]
+        assert 0 < strict["max_off_ribbon"] == loose["max_off_ribbon"]
+        assert strict["is_ribbon"] is False
+
     def test_ribbon_negative_control(self, files):
         res = run_cli("connect", files["rib_alpha"], files["rib_delta"], "-n", "8",
                       "--ribbon", "1")
@@ -297,3 +314,31 @@ class TestVerifyPM:
         data = json.loads(res.stdout)
         assert len(data["points"]) == 2
         assert data["max_error"] < 1e-8
+
+
+GOLDEN_RECURRENCE = Path(__file__).with_name("data") / "golden_recurrence.json"
+
+
+class TestGoldenRecurrenceOutput:
+    """Pinned stdout of the recurrence tables and moments of a committed file,
+    with b != 0 and pairwise coprime denominators up to 101; the digests were
+    taken with the fill that steps in Fraction arithmetic."""
+
+    @pytest.mark.parametrize("mode, flag, order, digest", [
+        ("rational", "--eta", "40",
+         "ad359c0028085b9da63ba7a8f78ec73d43c56be14f291e4de7b6d5c3f8081981"),
+        ("rational", "--tau", "40",
+         "8a8ae5acb447460190364d146d60ccaaf932c79db6773b5c2fd8aaac4e3186b4"),
+        ("rational", "--moments", "41",
+         "64470911ca1ddbd874c0944a791dc5e6caab7c2b785e4b238b1f4cf5783a663e"),
+        ("float", "--eta", "40",
+         "bc6d88d5c23672ef76b7535ca68489fcab76b86027f5a4ec315eabf4191bd104"),
+        ("float", "--tau", "40",
+         "af39fea34be0b1bfb69ce1a6173c3aacdab44b1a0db5d9836a700c0e6ea3d466"),
+        ("float", "--moments", "41",
+         "d8ac3533a5a4135becbd5f5d743eb1a92f4793abe0d477e7471181408fdfdab7"),
+    ])
+    def test_stdout_digest(self, mode, flag, order, digest):
+        res = run_cli("recurrence", str(GOLDEN_RECURRENCE), flag, order, "--mode", mode)
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

@@ -24,9 +24,10 @@ from momentpoly import (
 )
 from momentpoly import cli as cli_module
 from momentpoly import recurrence as recurrence_module
-from momentpoly.recurrence import _padded
+from momentpoly.recurrence import _aux_recursions, _banded_fill, _padded
 from momentpoly.scalars import FLOAT, RATIONAL, zero
 
+import forward_oracle
 from closed_forms_oracle import closed_xi1, closed_xi2, closed_zeta1, closed_zeta2
 from conftest import CATALOG, positive_fractions, random_recurrence, signed_fractions
 
@@ -121,6 +122,52 @@ def _recurrence_draws(max_count):
         st.lists(positive_fractions, min_size=c // 2, max_size=c // 2),
         st.lists(signed_fractions, min_size=(c + 1) // 2, max_size=(c + 1) // 2),
     ))
+
+
+#: pairwise coprime small denominators next to large primes, so the common
+#: denominator of the integer fill ranges from 1 to about 2^70
+_denominators = st.sampled_from([1, 2, 3, 5, 7, 11, 13, 97, 65537, 2**31 - 1])
+
+
+def _fill_draws(max_n):
+    """(n, a2, b): a_1^2..a_{n+1}^2 and b_0..b_n, with b all zero or signed."""
+    def coefficients(n, lo):
+        return st.lists(st.builds(Fraction, st.integers(lo, 10**4), _denominators),
+                        min_size=n + 1, max_size=n + 1)
+    return st.integers(0, max_n).flatmap(lambda n: st.tuples(
+        st.just(n), coefficients(n, 1),
+        st.one_of(st.just([Fraction(0)] * (n + 1)), coefficients(n, -10**4))))
+
+
+class TestIntegerFill:
+    """The integer fill against the Fraction-stepping oracle."""
+
+    @pytest.mark.parametrize("expand", [False, True])
+    @pytest.mark.parametrize("b, a2", [(True, True), (False, True), (True, False)])
+    @settings(max_examples=25, deadline=None)
+    @given(_fill_draws(45))
+    def test_fill_equals_fraction_oracle(self, expand, b, a2, drawn):
+        n, a2s, bs = drawn
+        rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
+        for r in (rec, rec.to_floats()):
+            got = _banded_fill(r, n, "XiZeta", expand=expand, b=b, a2=a2).rows
+            expect = forward_oracle.banded_fill(r, n, "XiZeta", expand=expand, b=b, a2=a2).rows
+            assert got == expect
+            # repr pins the type and, in float mode, every bit
+            assert repr(got) == repr(expect)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_fill_draws(16))
+    def test_printed_eta_forms_equal_loop_oracle(self, drawn):
+        n, a2s, bs = drawn
+        rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
+        x1, x2, _, _ = _aux_recursions(rec, n)
+        for t in range(n - 2):
+            got = recurrence_module._eta3_printed(rec, x2, t)
+            assert got == forward_oracle._eta3_printed(rec, x2, t), t
+        for t in range(n - 3):
+            got = recurrence_module._eta4_printed(rec, x1, x2, t)
+            assert got == forward_oracle._eta4_printed(rec, x1, x2, t), t
 
 
 class TestMonicTables:
@@ -253,7 +300,7 @@ class TestAuxiliaryTables:
             assert len(rows) == n + 1, name
             for row in range(n + 1):
                 expect = [oracle(rec, row, col) for col in range(row + 1)]
-                assert rows[row] == expect, (name, row)
+                assert repr(rows[row]) == repr(expect), (name, row)
 
     @pytest.mark.parametrize("build", [aux_tables, partial_solutions, eta_table, tau_table])
     def test_negative_order_rejected(self, build):
