@@ -34,6 +34,17 @@ class NotPositiveDefinite(ArithmeticError):
         super().__init__(msg)
 
 
+def check_pivot(order: int, pivot, m_2k, mode: str) -> None:
+    """Raise :class:`NotPositiveDefinite` unless the order-k pivot passes.
+
+    The pivot d_k = Delta_k / Delta_{k-1} must exceed 0 in rational mode and
+    ``FLOAT_PIVOT_RELATIVE * m_2k`` in float mode.  The test is ``<=``, so a
+    NaN pivot passes; NaN moments are not refused at the boundary yet.
+    """
+    if pivot <= (0 if mode == RATIONAL else FLOAT_PIVOT_RELATIVE * m_2k):
+        raise NotPositiveDefinite(order, pivot)
+
+
 @dataclass
 class TriangularTable:
     """Lower-triangular coefficient table; ``rows[i]`` holds entries (i, 0..i)."""
@@ -105,8 +116,8 @@ def cholesky_decompose(hankel) -> TriangularTable:
 
     ``hankel`` needs ``order``, ``mode`` and ``moment(k)`` giving the entry
     value m_{i+j}; the first pivot is m_0 = 1, so l[0][0] = 1.  Raises
-    :class:`NotPositiveDefinite` as soon as a pivot fails: at or below zero in
-    rational mode, at or below ``FLOAT_PIVOT_RELATIVE * m_{2k}`` in float mode.
+    :class:`NotPositiveDefinite` at the first pivot that :func:`check_pivot`
+    refuses.
     """
     n = hankel.order
     mode = hankel.mode
@@ -122,12 +133,7 @@ def cholesky_decompose(hankel) -> TriangularTable:
         for j in range(i):
             s2 = row[j] * row[j]
             pivot = pivot - s2
-        if mode == RATIONAL:
-            if pivot <= 0:
-                raise NotPositiveDefinite(i, pivot)
-        else:
-            if pivot <= FLOAT_PIVOT_RELATIVE * hankel.moment(2 * i):
-                raise NotPositiveDefinite(i, pivot)
+        check_pivot(i, pivot, hankel.moment(2 * i), mode)
         row.append(scalar_sqrt(pivot, mode))
         rows.append(row)
     return TriangularTable(role="L", mode=mode, rows=rows)

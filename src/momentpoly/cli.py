@@ -35,13 +35,15 @@ from .scalars import RATIONAL, format_scalar
 EXPECTED_MISPRINTS = frozenset({"eta_offdiag3_printed", "eta_offdiag4_printed"})
 
 
+def _output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=["json", "csv"], default="json")
+    parser.add_argument("--out", default=None, help="write output here instead of stdout")
+
+
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=["rational", "float"], default=None,
                         help="override the numeric mode of the input files")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized verification inputs")
-    parser.add_argument("--out", default=None, help="write output here instead of stdout")
+    _output(parser)
 
 
 def _encode(obj):
@@ -270,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "up to base index N")
     p.add_argument("--draws", type=int, default=5,
                    help="random draws when no recfile is given")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random draws")
     _common(p)
     p.set_defaults(func=_cmd_recurrence)
 
@@ -307,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-error", dest="max_error", type=float, default=1e-8,
                    help="largest acceptable |product - series| over max(1, |product|, "
                         "sum of |series terms|)")
-    _common(p)
+    _output(p)
     p.set_defaults(func=_cmd_verify_pm)
 
     return parser

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cholesky import TriangularTable, tri_multiply
-from .moments import MomentSequence, hankel_matrix
-from .polysys import PolynomialSystem
+from .moments import MomentSequence
+from .polysys import PolynomialSystem, moment_inner_product
 from .recurrence import RecurrenceCoefficients, eta_table, tau_table
 from .scalars import RATIONAL, one, to_float, zero
 
@@ -142,26 +142,19 @@ def ribbon_check(
     """
     if r < 0:
         raise ValueError(f"ribbon width must be non-negative, got {r}")
+    if n < 0:
+        raise ValueError("order must be nonnegative")
     if alpha_sys.order < n:
         raise ValueError(f"alpha system order {alpha_sys.order} below requested {n}")
-    hank = hankel_matrix(delta_moments, n)
+    delta_moments.require(2 * n)
     pi = alpha_sys.Pi.rows
     mode = alpha_sys.mode
     worst = 0.0
     witness = None
     exact_ok = True
     for i in range(n + 1):
-        for j in range(i + 1):
-            if i - j <= r:
-                continue
-            v = zero(mode)
-            for kk in range(i + 1):
-                if not pi[i][kk]:
-                    continue
-                for ll in range(j + 1):
-                    if not pi[j][ll]:
-                        continue
-                    v = v + pi[i][kk] * hank.entry(kk, ll) * pi[j][ll]
+        for j in range(i - r):  # off the band: i - j > r
+            v = moment_inner_product(delta_moments, pi[i], pi[j])
             mag = abs(to_float(v))
             if mode == RATIONAL:
                 if v != 0:

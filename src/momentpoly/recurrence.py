@@ -445,9 +445,13 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     The sums over indices other than {j - 1, j} in the printed eta forms are
     taken as the full elementary symmetric sum minus the excluded terms (see
     ``_eta3_printed`` and ``_eta4_printed``), so each base index costs O(t).
-    The values are exact in rational mode; in float mode they round
-    differently from the term-by-term sums.
+
+    Raises ``ValueError`` on a float-mode recurrence: every check compares
+    with ``!=``, so rounding alone would fail identities that hold exactly.
     """
+    if rec.mode != RATIONAL:
+        raise ValueError("partial_solutions compares exact identities; "
+                         "pass a rational-mode recurrence")
     _check_order(rec, n)
     top = n + 4
     eta = eta_table(rec, top)

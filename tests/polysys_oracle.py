@@ -1,14 +1,26 @@
-"""Second derivations of the recurrence and of the reproducing kernel.
+"""Second derivations of the recurrence, the reproducing kernel and the
+quantities the library reads through the moment functional.
 
 The library reads a_k^2 and b_k from the Chebyshev algorithm (rational mode)
 or from ratios of Pi entries (float mode), and evaluates the kernel from the
 rows of Pi.  These routines take the recurrence from determinant ratios and
 L entries, and the kernel from the inverse moment matrix against monomial
 vectors, so the tests can require both routes to agree with ``==``.
+
+The last three are the library's earlier loops, kept as oracles: the ribbon
+matrix and the associated polynomials as explicit sums over Hankel entries,
+and ``recurrence_from_moments`` as a full system build plus two monic inner
+products for the final b_n.  The library's versions must reproduce them bit
+for bit in float mode and ``str`` for ``str`` in rational mode.
 """
 
-from momentpoly.polysys import inverse_moment_matrix
-from momentpoly.scalars import one, zero
+import dataclasses
+
+from momentpoly.connect import RibbonReport
+from momentpoly.moments import hankel_matrix
+from momentpoly.polysys import build_system, inverse_moment_matrix
+from momentpoly.recurrence import RecurrenceCoefficients, eta_table
+from momentpoly.scalars import RATIONAL, one, to_float, zero
 
 
 def recurrence_delta_form(sys_):
@@ -53,3 +65,84 @@ def _powers(x, n, mode):
     for _ in range(n):
         out.append(out[-1] * x)
     return out
+
+
+def as_text(obj):
+    """repr of each float and str of each exact scalar, through lists, tuples
+    and dataclasses: equal texts mean equal float bits, and exact values that
+    are equal and written alike."""
+    if dataclasses.is_dataclass(obj):
+        return [as_text(getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [as_text(v) for v in obj]
+    return repr(obj) if isinstance(obj, float) else str(obj)
+
+
+def ribbon_loop(alpha_sys, delta_moments, r, n, tol=1e-10):
+    """Ribbon test as the quadruple sum pi[i][k] * m_{k+l} * pi[j][l]."""
+    hank = hankel_matrix(delta_moments, n)
+    pi = alpha_sys.Pi.rows
+    mode = alpha_sys.mode
+    worst = 0.0
+    witness = None
+    exact_ok = True
+    for i in range(n + 1):
+        for j in range(i + 1):
+            if i - j <= r:
+                continue
+            v = zero(mode)
+            for kk in range(i + 1):
+                if not pi[i][kk]:
+                    continue
+                for ll in range(j + 1):
+                    if not pi[j][ll]:
+                        continue
+                    v = v + pi[i][kk] * hank.entry(kk, ll) * pi[j][ll]
+            mag = abs(to_float(v))
+            if mode == RATIONAL:
+                if v != 0:
+                    exact_ok = False
+            elif mag > tol:
+                exact_ok = False
+            if mag > worst:
+                worst = mag
+                witness = (i, j, v)
+    return RibbonReport(is_ribbon=exact_ok, ribbon_width=r, order=n,
+                        max_off_ribbon=worst, witness=witness)
+
+
+def associated_loop(sys_):
+    """Rows q_n[k] = sum_{j>k} pi[n][j] * m_{j-1-k}, one term at a time."""
+    pi = sys_.Pi.rows
+    m = sys_.moments
+    rows = [[]]
+    for n in range(1, sys_.order + 1):
+        row = []
+        for k in range(n):
+            s = zero(sys_.mode)
+            for j in range(k + 1, n + 1):
+                s = s + pi[n][j] * m.m(j - 1 - k)
+            row.append(s)
+        rows.append(row)
+    return rows
+
+
+def _functional(m, c1, c2):
+    total = zero(m.mode)
+    for i, a in enumerate(c1):
+        for j, b in enumerate(c2):
+            if a and b:
+                total = total + a * b * m.m(i + j)
+    return total
+
+
+def recurrence_via_system(m):
+    """Recurrence of the order-n system, plus b_n = <x ptilde_n, ptilde_n> /
+    <ptilde_n, ptilde_n> when the top moment m_{2n+1} is odd."""
+    n = m.max_matrix_order()
+    rec = build_system(m, n).rec
+    if m.top_order == 2 * n + 1:
+        row = eta_table(rec, n).rows[n]
+        b_n = _functional(m, row, [zero(m.mode)] + row) / _functional(m, row, row)
+        rec = RecurrenceCoefficients(rec.a2, rec.b + (b_n,), rec.mode, rec.label)
+    return rec

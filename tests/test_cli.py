@@ -115,6 +115,12 @@ class TestDecompose:
         assert res.returncode == 2
         assert "unrecognized arguments: --tol" in res.stderr
 
+    def test_seed_flag_rejected(self, files):
+        # --seed belongs to recurrence, whose random draws are its only reader
+        res = run_cli("decompose", files["gauss"], "-n", "1", "--seed", "3")
+        assert res.returncode == 2
+        assert "unrecognized arguments: --seed 3" in res.stderr
+
     def test_deterministic_output(self, files):
         a = run_cli("decompose", files["gauss"], "-n", "3").stdout
         b = run_cli("decompose", files["gauss"], "-n", "3").stdout
@@ -199,7 +205,8 @@ class TestRecurrence:
                       "--mode", "float")
         assert res.returncode == 1
         assert res.stderr.startswith("error:")
-        assert "rational mode" in res.stderr
+        assert res.stderr == ("error: --verify-closed-forms compares exact "
+                              "identities; run it in rational mode\n")
         assert res.stdout == ""
 
     def test_short_rec_file_for_closed_forms_exits_one(self, tmp_path):
@@ -304,6 +311,12 @@ class TestVerifyPM:
         res = run_cli("verify-pm", "--q", "0.9", "--rho", "0.9")
         assert res.returncode == 0
         assert json.loads(res.stdout)["max_error"] > 1e-8
+
+    def test_mode_flag_rejected(self):
+        # the kernel identity is evaluated in floats only
+        res = run_cli("verify-pm", "--q", "0.5", "--rho", "0.3", "--mode", "rational")
+        assert res.returncode == 2
+        assert "unrecognized arguments: --mode rational" in res.stderr
 
     def test_invalid_q_exits_one(self):
         assert run_cli("verify-pm", "--q", "1.5", "--rho", "0.3").returncode == 1

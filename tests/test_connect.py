@@ -8,6 +8,7 @@ import pytest
 
 from momentpoly import (
     FamilySpec,
+    InsufficientMoments,
     build_system,
     builtin_ribbon_pair,
     closed_form_gamma,
@@ -17,9 +18,10 @@ from momentpoly import (
     ribbon_check,
     rn_expansion,
 )
-from momentpoly.scalars import FLOAT
+from momentpoly.scalars import FLOAT, RATIONAL
 
 from conftest import CATALOG, random_recurrence
+from polysys_oracle import as_text, ribbon_loop
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +158,27 @@ class TestRibbon:
         alpha, delta = builtin_ribbon_pair(17, FLOAT)
         rep = ribbon_check(build_system(alpha, 8), delta, 2, 8, tol=1e-10)
         assert rep.is_ribbon
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_equals_hankel_loop(self, mode):
+        alpha, delta = builtin_ribbon_pair(17, mode)
+        gauss = make_moments(FamilySpec("gaussian", 17), mode)
+        alpha_sys = build_system(alpha, 8)
+        for other in (delta, gauss):
+            for r in range(4):
+                got = ribbon_check(alpha_sys, other, r, 8)
+                assert as_text(got) == as_text(ribbon_loop(alpha_sys, other, r, 8))
+
+    def test_negative_order_rejected(self, systems):
+        sys_ = systems["uniform"]
+        with pytest.raises(ValueError, match="nonnegative"):
+            ribbon_check(sys_, sys_.moments, 0, -1)
+
+    def test_short_delta_rejected(self, systems):
+        # order 8 reads m_0..m_16 of delta; this one stops at m_15
+        delta = make_moments(FamilySpec("gaussian", 16))
+        with pytest.raises(InsufficientMoments):
+            ribbon_check(systems["uniform"], delta, 1, 8)
 
 
 class TestRadonNikodym:

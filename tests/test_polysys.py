@@ -25,6 +25,7 @@ from momentpoly import (
     monic_tables,
     recurrence_from_moments,
 )
+from momentpoly import polysys as polysys_module
 from momentpoly.cholesky import cholesky_decompose, invert_lower_triangular
 from momentpoly.moments import hankel_matrix
 from momentpoly.polysys import (
@@ -43,7 +44,16 @@ from conftest import (
     random_recurrence,
     signed_fractions,
 )
-from polysys_oracle import kernel_inverse_form, recurrence_delta_form
+from polysys_oracle import (
+    as_text,
+    associated_loop,
+    kernel_inverse_form,
+    recurrence_delta_form,
+    recurrence_via_system,
+)
+
+#: the catalog plus one family whose moments come from a recurrence
+FAMILIES = [(fam, {}) for fam in CATALOG] + [("q-hermite", {"q": Fraction(1, 2)})]
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +230,61 @@ class TestRecurrence:
         assert back.b == rec.b[:6]  # includes b_5, beyond the order-5 system
 
 
+class TestOnePassRecurrence:
+    """recurrence_from_moments is one Chebyshev pass over every moment."""
+
+    @pytest.mark.parametrize("count", [41, 42])  # top moment even, odd
+    @pytest.mark.parametrize("family, params", FAMILIES)
+    def test_catalog_equals_system_route(self, family, params, count):
+        m = make_moments(FamilySpec(family, count, params))
+        got = recurrence_from_moments(m)
+        assert got == recurrence_via_system(m)
+        assert len(got.b) == count // 2
+
+    @pytest.mark.parametrize("count", [19, 20])  # top moment even, odd
+    def test_random_equals_system_route(self, count):
+        rng = random.Random(60 + count)
+        for _ in range(5):
+            m = moments_from_recurrence(random_recurrence(rng, count), count)
+            assert recurrence_from_moments(m) == recurrence_via_system(m)
+
+    def test_builds_no_system_and_no_eta(self, monkeypatch):
+        calls = []
+        for name in ("build_system", "eta_table"):
+            real = getattr(polysys_module, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(polysys_module, name, counting)
+        m = make_moments(FamilySpec("uniform", 42))
+        assert len(recurrence_from_moments(m).b) == 21
+        assert len(recurrence_from_moments(m.to_floats()).b) == 21
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+        st.lists(signed_fractions, min_size=k, max_size=k, unique=True),
+        st.lists(positive_fractions, min_size=k, max_size=k),
+        st.integers(k, k + 3),
+        st.booleans(),
+    )))
+    def test_float_fails_at_the_build_order(self, drawn):
+        # a k-atom measure has a singular moment matrix from order k on
+        atoms, weights, n, odd_top = drawn
+        total = sum(weights)
+        m = MomentSequence(tuple(
+            float(sum(w * x**j for x, w in zip(atoms, weights)) / total)
+            for j in range(2 * n + 1 + odd_top)
+        ), FLOAT)
+        with pytest.raises(NotPositiveDefinite) as got:
+            recurrence_from_moments(m)
+        with pytest.raises(NotPositiveDefinite) as want:
+            build_system(m, n)
+        assert got.value.order == want.value.order
+
+
 class TestEvaluation:
     def test_degree_zero(self, systems):
         assert eval_poly(systems["uniform"], 0, Fraction(7)) == 1
@@ -283,6 +348,12 @@ class TestMonicTables:
 
 
 class TestAssociated:
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize("family, params", FAMILIES)
+    def test_equals_term_loop(self, family, params, mode):
+        sys_ = build_system(make_moments(FamilySpec(family, 25, params), mode), 12)
+        assert as_text(associated_polys(sys_)) == as_text(associated_loop(sys_))
+
     def test_initial_values(self, systems):
         rows = associated_polys(systems["uniform"])
         assert rows[0] == []  # q_0 = 0

@@ -343,6 +343,12 @@ class TestAuxBuildCounts:
 
 
 class TestNearDiagonalReport:
+    def test_float_recurrence_refused(self):
+        # exact identities compared with != would fail on rounding alone
+        rec = random_recurrence(random.Random(31), 12).to_floats()
+        with pytest.raises(ValueError, match="exact identities"):
+            partial_solutions(rec, 6)
+
     def test_exact_identities_pass_and_misprints_fail(self):
         rng = random.Random(16)
         rec = random_recurrence(rng, 12)
