@@ -1,11 +1,17 @@
 """Linearization coefficients of products of orthogonal polynomials.
 
-p_n * p_m = sum_s c[n][m][s] * p_s with
+p_n * p_m = sum_s c[n][m][s] * p_s, read straight off the three-term
+recurrence: starting from g_0 = ptilde_n, the monic recurrence
 
-    c_{n,m,s} = sum_{j<=n, k<=m, j+k>=s} pi[n][j] * pi[m][k] * lambda[j+k][s]
+    g_{k+1} = (x - b_k) * g_k - a_k^2 * g_{k-1}
 
-in the orthonormal basis; the monic variant replaces (pi, lambda) by
-(eta, tau).  Tables need the system built to order n + m.
+gives g_k = ptilde_n * ptilde_k, and multiplying by x stays in the monic
+basis through x * ptilde_j = ptilde_{j+1} + b_j * ptilde_j + a_j^2 * ptilde_{j-1}.
+So the monic table is row m of the banded fill of ``recurrence`` with the
+recurrence as both target and source, started at row n.  The orthonormal
+table rescales it: p_k = pi[k][k] * ptilde_k and ptilde_s = lambda[s][s] * p_s
+give c_s = c~_s * pi[n][n] * pi[m][m] * lambda[s][s].  Tables need the system
+built to order n + m.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polysys import PolynomialSystem, monic_tables
-from .recurrence import RecurrenceCoefficients
+from .polysys import PolynomialSystem
+from .recurrence import RecurrenceCoefficients, _banded_fill
 from .scalars import RATIONAL, zero
 
 BASES = ("orthonormal", "monic")
@@ -46,28 +52,11 @@ def linearization_table(
             f"product of degrees {n} and {m} needs system order {n + m}, "
             f"have {sys_.order}"
         )
+    mode, rec = sys_.mode, sys_.rec
+    coeffs = _banded_fill(mode, m, target=(rec.a2, rec.b), source=(rec.a2, rec.b), start=n)[m]
     if basis == "orthonormal":
-        upper = sys_.Pi.rows
-        lower = sys_.Lambda.rows
-    else:
-        eta, tau = monic_tables(sys_)
-        upper, lower = eta.rows, tau.rows
-    mode = sys_.mode
-    coeffs = []
-    for s in range(n + m + 1):
-        total = zero(mode)
-        for j in range(n + 1):
-            cj = upper[n][j]
-            if not cj:
-                continue
-            for k in range(m + 1):
-                if j + k < s:
-                    continue
-                ck = upper[m][k]
-                if not ck:
-                    continue
-                total = total + cj * ck * lower[j + k][s]
-        coeffs.append(total)
+        scale, lam = sys_.Pi.rows[n][n] * sys_.Pi.rows[m][m], sys_.Lambda.rows
+        coeffs = [c * scale * lam[s][s] for s, c in enumerate(coeffs)]
     return LinearizationTable(n=n, m=m, coefficients=coeffs, basis=basis, mode=mode)
 
 

@@ -20,7 +20,6 @@ coefficient denominators, and each entry is reduced to a ``Fraction`` once.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,7 +68,7 @@ class RecurrenceCoefficients:
 
 def recurrence_from_dict(data: dict, mode: str = RATIONAL, label: str = "") -> RecurrenceCoefficients:
     """Parse the {"a2": [...], "b": [...]} file schema."""
-    if not isinstance(data, dict) or "a2" not in data or "b" not in data:
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("a2", "b")):
         raise ValueError("recurrence file must be an object with 'a2' and 'b' lists")
     a2 = tuple(as_scalar(v, mode) for v in data["a2"])
     b = tuple(as_scalar(v, mode) for v in data["b"])
@@ -109,65 +108,70 @@ def _check_order(rec: RecurrenceCoefficients, n: int) -> None:
         _require(rec, n - 1, n - 1)
 
 
-def _banded_fill(rec: RecurrenceCoefficients, n: int, role: str, *, expand: bool,
-                 b: bool, a2: bool) -> TriangularTable:
-    """Rows 0..n of the banded recursion that every table here shares.
+def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, None),
+                 start: int = 0) -> list:
+    """Rows 0..steps of the banded recursion that every monic table shares.
 
-    Row m+1 is row m shifted one column right, plus a b term if ``b`` and an
-    a^2 term if ``a2``.  In the monic direction (``expand`` false: eta, xi)
-    the terms are ``- b_m * row_m[j]`` and ``- a_m^2 * row_{m-1}[j]``; in the
-    expansion direction (``expand`` true: tau, zeta) they are
-    ``+ b_j * row_m[j]`` and ``+ a_{j+1}^2 * row_m[j+1]``.  Zero source
-    entries are skipped, so a coefficient is read only where a nonzero entry
-    forces its index into 0..n-1.
+    ``target`` and ``source`` are (a2, b) coefficient pairs, and a part given
+    as None is absent: its term is skipped, never read as zero.  Row 0 is the
+    unit vector at ``start``; row m+1 multiplies row m by (x - TB_m) and
+    subtracts TA_m times row m-1, with row m read in the monomial basis when
+    ``source`` is absent and in the source's monic basis otherwise:
+
+        g[m+1][j] = g[m][j-1] + SB_j*g[m][j] + SA_{j+1}*g[m][j+1]
+                    - TB_m*g[m][j] - TA_m*g[m-1][j]
+
+    Source terms come first, then target terms.  So eta is (rec, -), tau is
+    (-, rec), and (rec, rec) from row ``start`` = n expands ptilde_n times
+    ptilde_steps in the monic basis.  Zero entries of g are skipped, so a
+    coefficient is read only where a nonzero entry forces its index: source
+    indices below start + steps, target indices below steps.
 
     The loop runs on integer numerators over a common denominator.  D is the
-    lcm of the denominators of the coefficients read (b_0..b_{n-1} if ``b``,
-    a_1^2..a_{n-1}^2 if ``a2``), B = b*D and A = a^2*D are integers, and row m
-    holds N_m = D^m times its entries:
-
-        expansion: N_{m+1}[j] = D*N_m[j-1] + B_j*N_m[j] + A_{j+1}*N_m[j+1]
-        monic:     N_{m+1}[j] = D*N_m[j-1] - B_m*N_m[j] - D*A_m*N_{m-1}[j]
-
-    so no step normalizes a fraction; each entry becomes ``Fraction(N, D^m)``
-    once, at the end.  Float mode runs the same loop with D = 1.0, where every
-    product by D is exact.
+    lcm of the denominators of the coefficients read, B = b*D and A = a^2*D
+    are integers, and row m holds N_m = D^m times its entries, so the target
+    a^2 term reads D*A_m*N_{m-1}[j].  No step normalizes a fraction; each
+    entry becomes ``Fraction(N, D^m)`` once, at the end.  Float mode runs the
+    same loop with D = 1.0, where every product by D is exact.
     """
-    _check_order(rec, n)
-    mode = rec.mode
     exact = mode == RATIONAL
-    bs, a2s = (rec.b[:n] if b else ()), (rec.a2[:n] if a2 else ())
+    reach = (start + steps, start + steps, steps, steps)
+    coeffs = [None if seq is None else seq[:top]
+              for seq, top in zip((*source, *target), reach)]
     if exact:
-        d = math.lcm(*(v.denominator for v in (*bs, *a2s)))
-        B = [v.numerator * (d // v.denominator) for v in bs]
-        A = [v.numerator * (d // v.denominator) for v in a2s]
+        d = math.lcm(*(v.denominator for seq in coeffs if seq for v in seq))
+        coeffs = [None if seq is None else [v.numerator * (d // v.denominator) for v in seq]
+                  for seq in coeffs]
         z, unit = 0, 1
     else:
-        d, B, A = one(mode), bs, a2s
+        d = one(mode)
         z, unit = zero(mode), d
-    if expand:
-        step, a2_shift = operator.add, 2
-        b_at, a2_at = (lambda m, j: B[j]), (lambda m, j: A[j + 1])
-    else:
-        step, a2_shift = operator.sub, 1
-        A = [d * v for v in A]
-        b_at, a2_at = (lambda m, j: B[m]), (lambda m, j: A[m])
-    rows = [[unit]]
-    before = [z] * 4  # padded row -1
-    for m in range(n):
+    SA, SB, TA, TB = coeffs
+    rows = [[z] * start + [unit]]
+    before = [z] * (start + 3)  # padded row -1
+    for m in range(steps):
         above = [z] + rows[m] + [z, z]  # above[j + 1] = row_m[j]
-        a2_src = above if expand else before
+        tb = None if TB is None else TB[m]
+        ta = None if TA is None else d * TA[m]
         row = []
-        for j in range(m + 2):
+        for j in range(start + m + 2):
             v = d * above[j]
-            if b:
+            if SB is not None:
                 t = above[j + 1]
                 if t:
-                    v = step(v, b_at(m, j) * t)
-            if a2:
-                t = a2_src[j + a2_shift]
+                    v = v + SB[j] * t
+            if SA is not None:
+                t = above[j + 2]
                 if t:
-                    v = step(v, a2_at(m, j) * t)
+                    v = v + SA[j + 1] * t
+            if TB is not None:
+                t = above[j + 1]
+                if t:
+                    v = v - tb * t
+            if TA is not None:
+                t = before[j + 1]
+                if t:
+                    v = v - ta * t
             row.append(v)
         rows.append(row)
         before = above
@@ -176,7 +180,7 @@ def _banded_fill(rec: RecurrenceCoefficients, n: int, role: str, *, expand: bool
         for m, row in enumerate(rows):
             rows[m] = [Fraction(v, scale) if v else nil for v in row]
             scale *= d
-    return TriangularTable(role=role, mode=mode, rows=rows)
+    return rows
 
 
 def eta_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
@@ -185,7 +189,8 @@ def eta_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     Rows extend by ``eta[n+1][j] = eta[n][j-1] - b_n*eta[n][j] - a_n^2*eta[n-1][j]``
     from eta[0][0] = 1, so every diagonal entry is 1.
     """
-    return _banded_fill(rec, n, "Eta", expand=False, b=True, a2=True)
+    _check_order(rec, n)
+    return TriangularTable("Eta", rec.mode, _banded_fill(rec.mode, n, target=(rec.a2, rec.b)))
 
 
 def tau_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
@@ -193,7 +198,8 @@ def tau_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
 
     Rows extend by ``tau[n+1][j] = tau[n][j-1] + b_j*tau[n][j] + a_{j+1}^2*tau[n][j+1]``.
     """
-    return _banded_fill(rec, n, "Tau", expand=True, b=True, a2=True)
+    _check_order(rec, n)
+    return TriangularTable("Tau", rec.mode, _banded_fill(rec.mode, n, source=(rec.a2, rec.b)))
 
 
 # -- auxiliary tables: recursion fills and closed forms ---------------------
@@ -202,12 +208,11 @@ def tau_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
 def _aux_recursions(rec: RecurrenceCoefficients, n: int) -> tuple:
     """xi1, xi2, zeta1, zeta2 by recursion: the pure-a^2 and pure-b parts of
     the eta and tau recursions."""
-    return (
-        _banded_fill(rec, n, "XiZeta", expand=False, b=False, a2=True),
-        _banded_fill(rec, n, "XiZeta", expand=False, b=True, a2=False),
-        _banded_fill(rec, n, "XiZeta", expand=True, b=False, a2=True),
-        _banded_fill(rec, n, "XiZeta", expand=True, b=True, a2=False),
-    )
+    _check_order(rec, n)
+    sides = ({"target": (rec.a2, None)}, {"target": (None, rec.b)},
+             {"source": (rec.a2, None)}, {"source": (None, rec.b)})
+    return tuple(TriangularTable("XiZeta", rec.mode, _banded_fill(rec.mode, n, **side))
+                 for side in sides)
 
 
 def _even_gap_fill(mode: str, n: int, value) -> TriangularTable:
@@ -342,30 +347,30 @@ class AuxTables:
             ("zeta2", self.zeta2, self.zeta2_closed),
         )
 
-    def first_mismatch(self, tol: float = 0.0):
+    def first_mismatch(self):
         """First (table, row, col, recursion, closed) disagreement, or None."""
         for name, rec_t, closed_t in self.pairs():
             for i in range(rec_t.order + 1):
                 for j in range(i + 1):
                     a, b = rec_t.rows[i][j], closed_t.rows[i][j]
-                    if tol == 0.0:
-                        bad = a != b
-                    else:
-                        bad = abs(a - b) > tol
-                    if bad:
+                    if a != b:
                         return (name, i, j, a, b)
         return None
 
-    def agree(self, tol: float = 0.0) -> bool:
-        return self.first_mismatch(tol) is None
+    def agree(self) -> bool:
+        return self.first_mismatch() is None
 
 
 def aux_tables(rec: RecurrenceCoefficients, n: int) -> AuxTables:
     """Build the four auxiliary tables twice: by recursion and by closed form.
 
     The closed fills read only a^2 and b, never the recursion fills they are
-    compared against.
+    compared against.  Raises ``ValueError`` on a float-mode recurrence, as
+    :func:`partial_solutions` does: the fills are compared with ``!=``.
     """
+    if rec.mode != RATIONAL:
+        raise ValueError("aux_tables compares exact identities; "
+                         "pass a rational-mode recurrence")
     xi1, xi2, zeta1, zeta2 = _aux_recursions(rec, n)
     return AuxTables(
         xi1=xi1,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from momentpoly import FamilySpec, builtin_ribbon_pair, make_moments, save_moment_file
+from momentpoly.cli import main as cli_main
 from momentpoly.scalars import FLOAT, RATIONAL
 
 
@@ -175,6 +176,19 @@ class TestRecurrence:
         bad = tmp_path / "rec.json"
         bad.write_text('{"b": ["1"]}')
         assert run_cli("recurrence", str(bad), "--moments", "3").returncode == 1
+
+    @pytest.mark.parametrize("body", ['{"a2": "123", "b": "4567"}',
+                                      '{"a2": ["1", "2"], "b": 7}',
+                                      '{"a2": {"1": "2"}, "b": ["0"]}'])
+    def test_non_list_coefficients_exit_one(self, tmp_path, body):
+        # a string would otherwise be read character by character
+        bad = tmp_path / "rec.json"
+        bad.write_text(body)
+        res = run_cli("recurrence", str(bad), "--moments", "4")
+        assert res.returncode == 1
+        assert res.stderr == ("error: recurrence file must be an object with "
+                              "'a2' and 'b' lists\n")
+        assert res.stdout == ""
 
     def test_no_action_exits_one(self, files):
         assert run_cli("recurrence", files["gauss_rec"]).returncode == 1
@@ -355,3 +369,26 @@ class TestGoldenRecurrenceOutput:
         res = run_cli("recurrence", str(GOLDEN_RECURRENCE), flag, order, "--mode", mode)
         assert res.returncode == 0, res.stderr
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+GOLDEN_PRODUCTS = json.loads(GOLDEN_RECURRENCE.with_name("golden_products.json").read_text())
+
+
+class TestGoldenProductOutput:
+    """Pinned stdout of ``linearize`` and ``connect`` on catalog families and
+    on a b != 0 moment file, in both bases; ``connect`` also in float mode."""
+
+    @pytest.fixture(scope="class")
+    def moment_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden")
+        paths = {"skew": str(GOLDEN_RECURRENCE.with_name("golden_skew_moments.json"))}
+        for fam in ("gaussian", "semicircle", "uniform"):
+            paths[fam] = str(root / f"{fam}.json")
+            save_moment_file(make_moments(FamilySpec(fam, 21), RATIONAL), paths[fam])
+        return paths
+
+    @pytest.mark.parametrize("case", GOLDEN_PRODUCTS["cases"], ids=lambda c: c["args"])
+    def test_stdout_digest(self, case, moment_files, capsys):
+        # in-process: thirty subprocess starts would dominate the suite's time
+        assert cli_main([a.format(**moment_files) for a in case["args"].split()]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == case["sha256"]

@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpoly import (
     FamilySpec,
     InsufficientMoments,
+    RecurrenceCoefficients,
     build_system,
     builtin_ribbon_pair,
     closed_form_gamma,
@@ -20,7 +23,7 @@ from momentpoly import (
 )
 from momentpoly.scalars import FLOAT, RATIONAL
 
-from conftest import CATALOG, random_recurrence
+from conftest import CATALOG, positive_fractions, random_recurrence, signed_fractions
 from polysys_oracle import as_text, ribbon_loop
 
 
@@ -32,6 +35,25 @@ def systems(catalog_moments):
 def random_system(rng, order, symmetric=False):
     rec = random_recurrence(rng, 2 * order + 2, symmetric=symmetric)
     return build_system(moments_from_recurrence(rec, 2 * order + 1), order)
+
+
+#: the order of a drawn system, and rational systems of that order: a_1^2..a_6^2,
+#: b_0..b_5 with b either all zero or signed
+_ORDER = 6
+_drawn_systems = st.tuples(
+    st.lists(positive_fractions, min_size=_ORDER, max_size=_ORDER),
+    st.one_of(st.just([Fraction(0)] * _ORDER),
+              st.lists(signed_fractions, min_size=_ORDER, max_size=_ORDER)),
+).map(lambda ab: build_system(moments_from_recurrence(
+    RecurrenceCoefficients((Fraction(0), *ab[0]), tuple(ab[1]), RATIONAL),
+    2 * _ORDER + 1), _ORDER))
+
+
+def compose(first, second):
+    """Row i of the product of two connection tables, lower-triangular."""
+    n = first.order
+    return [[sum((first.entry(i, k) * second.entry(k, j) for k in range(j, i + 1)),
+                 Fraction(0)) for j in range(i + 1)] for i in range(n + 1)]
 
 
 class TestConnectionTable:
@@ -84,6 +106,22 @@ class TestConnectionTable:
                     for k in range(j, i + 1):
                         s = s + ab.entry(i, k) * bc.entry(k, j)
                     assert s == ac.entry(i, j)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_drawn_systems, _drawn_systems, st.sampled_from(["orthonormal", "monic"]))
+    def test_inverse_property(self, a, b, basis):
+        ab = connection_table(a, b, _ORDER, basis=basis)
+        ba = connection_table(b, a, _ORDER, basis=basis)
+        assert compose(ab, ba) == [[int(i == j) for j in range(i + 1)]
+                                   for i in range(_ORDER + 1)]
+
+    @settings(max_examples=15, deadline=None)
+    @given(_drawn_systems, _drawn_systems, _drawn_systems,
+           st.sampled_from(["orthonormal", "monic"]))
+    def test_transitivity_property(self, a, b, c, basis):
+        ab = connection_table(a, b, _ORDER, basis=basis)
+        bc = connection_table(b, c, _ORDER, basis=basis)
+        assert compose(ab, bc) == connection_table(a, c, _ORDER, basis=basis).rows
 
     def test_order_mismatch_rejected(self, systems):
         with pytest.raises(ValueError):

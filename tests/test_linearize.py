@@ -4,24 +4,53 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpoly import (
+    FamilySpec,
+    RecurrenceCoefficients,
     build_system,
     closed_form_linearization,
     linearization_table,
+    make_moments,
     moment_inner_product,
     moments_from_recurrence,
     monic_tables,
     verify_linearization_closed_forms,
 )
-from momentpoly.scalars import exact_sqrt
+from momentpoly.scalars import FLOAT, RATIONAL, exact_sqrt, zero
 
-from conftest import CATALOG, random_recurrence
+from conftest import CATALOG, positive_fractions, random_recurrence, signed_fractions
 
 
 @pytest.fixture(scope="module")
 def systems(catalog_moments):
     return {fam: build_system(catalog_moments[fam], 12) for fam in CATALOG}
+
+
+def triple_sum_oracle(sys_, n, m, basis):
+    """c_s = sum over j <= n, k <= m, j + k >= s of
+    pi[n][j] * pi[m][k] * lambda[j+k][s], or the same with (eta, tau) in the
+    monic basis: the product expanded through the coefficient tables."""
+    if basis == "orthonormal":
+        upper, lower = sys_.Pi.rows, sys_.Lambda.rows
+    else:
+        eta, tau = monic_tables(sys_)
+        upper, lower = eta.rows, tau.rows
+    coeffs = []
+    for s in range(n + m + 1):
+        total = zero(sys_.mode)
+        for j in range(n + 1):
+            cj = upper[n][j]
+            if not cj:
+                continue
+            for k in range(max(s - j, 0), m + 1):
+                ck = upper[m][k]
+                if ck:
+                    total = total + cj * ck * lower[j + k][s]
+        coeffs.append(total)
+    return coeffs
 
 
 def expand_product_oracle(sys_, n, m, basis):
@@ -118,6 +147,37 @@ class TestTables:
         for n, m in ((1, 1), (2, 3), (4, 4), (3, 5)):
             table = linearization_table(sys_, n, m, basis=basis)
             assert table.coefficients == expand_product_oracle(sys_, n, m, basis)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 8),
+           st.lists(positive_fractions, min_size=16, max_size=16),
+           st.one_of(st.just(None), st.lists(signed_fractions, min_size=16, max_size=16)))
+    def test_equals_triple_sum_oracle(self, n, m, a2, b):
+        # b is None for a symmetric measure
+        rec = RecurrenceCoefficients((Fraction(0), *a2), tuple(b or [Fraction(0)] * 16),
+                                     RATIONAL)
+        sys_ = build_system(moments_from_recurrence(rec, 2 * (n + m) + 1), n + m)
+        for basis in ("orthonormal", "monic"):
+            table = linearization_table(sys_, n, m, basis=basis)
+            # str pins the surd representation, which is what the CLI prints
+            assert [str(v) for v in table.coefficients] == \
+                [str(v) for v in triple_sum_oracle(sys_, n, m, basis)]
+
+    @pytest.mark.parametrize("family", CATALOG)
+    def test_float_tables_close_to_exact(self, systems, family):
+        # order 12 errs by at most 2.2e-13 (gaussian) to 1.3e-10 (uniform)
+        # relative to the largest entry; the float Cholesky factor sets it
+        floats = build_system(make_moments(FamilySpec(family, 25), FLOAT), 12)
+        for n in range(13):
+            for m in range(13 - n):
+                for basis in ("orthonormal", "monic"):
+                    exact = linearization_table(systems[family], n, m, basis=basis)
+                    got = linearization_table(floats, n, m, basis=basis)
+                    assert got.mode == FLOAT
+                    expect = [float(v) for v in exact.coefficients]
+                    top = max(abs(v) for v in expect)
+                    assert max(abs(a - b) for a, b in zip(got.coefficients, expect)) \
+                        <= 1e-8 * top, (n, m, basis)
 
     def test_monic_orthonormal_ratio(self, systems):
         # c_monic[s] = c_ortho[s] * (prod a)_n (prod a)_m / (prod a)_s
