@@ -53,7 +53,7 @@ def linearization_table(
             f"have {sys_.order}"
         )
     mode, rec = sys_.mode, sys_.rec
-    coeffs = _banded_fill(mode, m, target=(rec.a2, rec.b), source=(rec.a2, rec.b), start=n)[m]
+    coeffs = _banded_fill(mode, m, target=(rec.a2, rec.b), source=(rec.a2, rec.b), start=n).row(m)
     if basis == "orthonormal":
         scale, lam = sys_.Pi.rows[n][n] * sys_.Pi.rows[m][m], sys_.Lambda.rows
         coeffs = [c * scale * lam[s][s] for s, c in enumerate(coeffs)]

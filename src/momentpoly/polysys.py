@@ -11,11 +11,12 @@ kernel and the finite-order spectral identities are derived from the tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cholesky import TriangularTable, check_pivot, invert_lower_triangular
 from .moments import HankelMoments, MomentSequence, hankel_matrix
-from .recurrence import RecurrenceCoefficients, eta_table, tau_table
-from .scalars import RATIONAL, one, scalar_sqrt, zero
+from .recurrence import RecurrenceCoefficients, _banded_fill, eta_table, tau_table
+from .scalars import RATIONAL, Surd, exact_sqrt, one, zero
 
 
 @dataclass
@@ -57,8 +58,11 @@ def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
     Rational mode runs :func:`_chebyshev`, then sets ``Pi[i][j] =
     eta[i][j] / sqrt(d_i)`` and ``L[i][j] = tau[i][j] * sqrt(d_j)`` and hands
     L to the Hankel matrix as its factor, so ``deltas`` is the running product
-    of the d_k.  A d_k <= 0 raises :class:`NotPositiveDefinite` at the same
-    order and with the same pivot as the Cholesky factorization.
+    of the d_k.  Each nonzero entry is built as it is, from the fill's integer
+    numerator: ``Surd(eta[i][j] / d_i, {d_i})`` and ``Surd(tau[i][j], {d_j})``,
+    or a plain ``Fraction`` when the d_k is a perfect square (see
+    :func:`_scaled`).  A d_k <= 0 raises :class:`NotPositiveDefinite` at the
+    same order and with the same pivot as the Cholesky factorization.
     """
     hank = hankel_matrix(m, n)
     if m.mode != RATIONAL:
@@ -70,13 +74,39 @@ def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
         sys_.rec = recurrence_from_tables(sys_)
         return sys_
     rec, norms = _chebyshev(m, 2 * n)
-    roots = [scalar_sqrt(d, RATIONAL) for d in norms]
-    inv = [1 / r for r in roots]
-    Pi = [[v * inv[i] for v in row] for i, row in enumerate(eta_table(rec, n).rows)]
-    L = [[v * roots[j] for j, v in enumerate(row)] for row in tau_table(rec, n).rows]
+    roots = [exact_sqrt(d) for d in norms]
+    Pi = _scaled(_banded_fill(RATIONAL, n, target=(rec.a2, rec.b)), [1 / r for r in roots],
+                 by_row=True)
+    L = _scaled(_banded_fill(RATIONAL, n, source=(rec.a2, rec.b)), roots, by_row=False)
     hank._factor = TriangularTable(role="L", mode=RATIONAL, rows=L)
     return PolynomialSystem(moments=m, hankel=hank, L=hank._factor,
                             Pi=TriangularTable(role="Pi", mode=RATIONAL, rows=Pi), rec=rec)
+
+
+def _scaled(fill, scales, by_row: bool) -> list:
+    """Rows of a rational fill with entry (i, j) multiplied by ``scales[i]``
+    (``by_row``) or ``scales[j]``.
+
+    A scale is a Fraction or a one-radical :class:`Surd` c * sqrt(r).  Entry
+    (i, j) is N / D^i times it, so its coefficient is one
+    ``Fraction(N * c.numerator, D^i * c.denominator)`` and the entry is
+    ``Surd(coef, {r})``: the normalized value that generic surd arithmetic
+    would reach.  Zero numerators give ``Fraction(0)``.
+    """
+    parts = [(s.coef, s.radicals) if isinstance(s, Surd) else (s, None) for s in scales]
+    out, power = [], 1
+    for i, row in enumerate(fill.rows):
+        new = []
+        for j, v in enumerate(row):
+            if not v:
+                new.append(Fraction(0))
+                continue
+            c, radicals = parts[i if by_row else j]
+            coef = Fraction(v * c.numerator, power * c.denominator)
+            new.append(Surd(coef, radicals) if radicals else coef)
+        out.append(new)
+        power *= fill.d
+    return out
 
 
 def _chebyshev(m: MomentSequence, top: int):

@@ -14,11 +14,15 @@ verbatim and reported against them.
 
 Every recursion table comes from one banded fill.  In rational mode it steps
 integer numerators: row m is held as D^m times its entries, D the lcm of the
-coefficient denominators, and each entry is reduced to a ``Fraction`` once.
+coefficient denominators.  The fill hands the numerators on, and each consumer
+reduces to ``Fraction(N, D^m)`` only the entries it reads: the printed tables
+every entry, the moments column 0, a linearization one row, and the
+orthonormal build scales the numerators into ``Pi`` and ``L`` itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,8 +112,44 @@ def _check_order(rec: RecurrenceCoefficients, n: int) -> None:
         _require(rec, n - 1, n - 1)
 
 
+_ZERO = Fraction(0)
+
+
+@dataclass(frozen=True)
+class _Numerators:
+    """Rows of a banded fill over the common denominator ``d``.
+
+    In rational mode row m holds the integers D^m times its entries; float
+    mode holds the entries themselves, with D = 1.0.  Each reader reduces to
+    ``Fraction(N, D^m)`` only the entries it returns, and float mode returns
+    them as they are.
+    """
+
+    rows: list
+    d: int | float
+
+    def row(self, m: int) -> list:
+        if isinstance(self.d, float):
+            return self.rows[m]
+        scale = self.d**m
+        return [Fraction(v, scale) if v else _ZERO for v in self.rows[m]]
+
+    def column(self, j: int) -> list:
+        if isinstance(self.d, float):
+            return [row[j] for row in self.rows[j:]]
+        scale, out = self.d**j, []
+        for row in self.rows[j:]:
+            v = row[j]
+            out.append(Fraction(v, scale) if v else _ZERO)
+            scale *= self.d
+        return out
+
+    def table(self) -> list:
+        return [self.row(m) for m in range(len(self.rows))]
+
+
 def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, None),
-                 start: int = 0) -> list:
+                 start: int = 0) -> _Numerators:
     """Rows 0..steps of the banded recursion that every monic table shares.
 
     ``target`` and ``source`` are (a2, b) coefficient pairs, and a part given
@@ -130,9 +170,10 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
     The loop runs on integer numerators over a common denominator.  D is the
     lcm of the denominators of the coefficients read, B = b*D and A = a^2*D
     are integers, and row m holds N_m = D^m times its entries, so the target
-    a^2 term reads D*A_m*N_{m-1}[j].  No step normalizes a fraction; each
-    entry becomes ``Fraction(N, D^m)`` once, at the end.  Float mode runs the
-    same loop with D = 1.0, where every product by D is exact.
+    a^2 term reads D*A_m*N_{m-1}[j].  No step normalizes a fraction: the
+    rows come back as :class:`_Numerators`, whose readers reduce an entry to
+    ``Fraction(N, D^m)`` only when it is read.  Float mode runs the same loop
+    with D = 1.0, where every product by D is exact.
     """
     exact = mode == RATIONAL
     reach = (start + steps, start + steps, steps, steps)
@@ -175,12 +216,7 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
             row.append(v)
         rows.append(row)
         before = above
-    if exact:
-        scale, nil = 1, zero(mode)
-        for m, row in enumerate(rows):
-            rows[m] = [Fraction(v, scale) if v else nil for v in row]
-            scale *= d
-    return rows
+    return _Numerators(rows, d)
 
 
 def eta_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
@@ -190,7 +226,8 @@ def eta_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     from eta[0][0] = 1, so every diagonal entry is 1.
     """
     _check_order(rec, n)
-    return TriangularTable("Eta", rec.mode, _banded_fill(rec.mode, n, target=(rec.a2, rec.b)))
+    return TriangularTable("Eta", rec.mode,
+                           _banded_fill(rec.mode, n, target=(rec.a2, rec.b)).table())
 
 
 def tau_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
@@ -199,7 +236,8 @@ def tau_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     Rows extend by ``tau[n+1][j] = tau[n][j-1] + b_j*tau[n][j] + a_{j+1}^2*tau[n][j+1]``.
     """
     _check_order(rec, n)
-    return TriangularTable("Tau", rec.mode, _banded_fill(rec.mode, n, source=(rec.a2, rec.b)))
+    return TriangularTable("Tau", rec.mode,
+                           _banded_fill(rec.mode, n, source=(rec.a2, rec.b)).table())
 
 
 # -- auxiliary tables: recursion fills and closed forms ---------------------
@@ -211,7 +249,7 @@ def _aux_recursions(rec: RecurrenceCoefficients, n: int) -> tuple:
     _check_order(rec, n)
     sides = ({"target": (rec.a2, None)}, {"target": (None, rec.b)},
              {"source": (rec.a2, None)}, {"source": (None, rec.b)})
-    return tuple(TriangularTable("XiZeta", rec.mode, _banded_fill(rec.mode, n, **side))
+    return tuple(TriangularTable("XiZeta", rec.mode, _banded_fill(rec.mode, n, **side).table())
                  for side in sides)
 
 
@@ -407,34 +445,45 @@ class PartialSolutionsReport:
         return all(c.passed for c in self.checks)
 
 
-def _eta3_printed(rec: RecurrenceCoefficients, x2: TriangularTable, t: int):
-    """Printed eta_{t+3,t}: the xi2 term at column 3 exactly as printed, plus
-    sum_{j=1}^{t+2} a_j^2 times the sum of b_k over k = 0..t+2 with k not in
-    {j - 1, j}, which is e1 - b_{j-1} - b_j with e1 = b_0 + ... + b_{t+2}."""
-    e1 = zero(rec.mode)
-    for x in rec.b[: t + 3]:
-        e1 = e1 + x
-    s = zero(rec.mode)
-    for j in range(1, t + 3):
-        s = s + rec.a2[j] * (e1 - rec.b[j - 1] - rec.b[j])
-    return x2.rows[t + 3][3] + s
+def _prefix_sums(rec: RecurrenceCoefficients, first: int):
+    """Yield (e1, e2, A, P, Q) for K = first, first + 1, ..., lazily.
+
+    e1 and e2 are the elementary symmetric sums of b_0..b_K; with x = b_{k-1}
+    and y = b_k, A, P and Q sum a_k^2, a_k^2*(x + y) and
+    a_k^2*(x^2 + x*y + y^2) over k = 1..K.  Each K costs O(1).
+    """
+    e1 = e2 = A = P = Q = zero(rec.mode)
+    for K in itertools.count():
+        y = rec.b[K]
+        e2 = e2 + e1 * y
+        e1 = e1 + y
+        if K:
+            x, w = rec.b[K - 1], rec.a2[K]
+            A = A + w
+            P = P + w * (x + y)
+            Q = Q + w * (x * x + x * y + y * y)
+        if K >= first:
+            yield e1, e2, A, P, Q
+
+
+def _eta3_printed(rec: RecurrenceCoefficients, x2: TriangularTable, count: int):
+    """Yield printed eta_{t+3,t} for t < count: the xi2 term at column 3 exactly
+    as printed, plus sum_{j=1}^{t+2} a_j^2 times the sum of b_k over
+    k = 0..t+2 with k not in {j - 1, j}.  That inner sum is
+    e1 - b_{j-1} - b_j, so the outer sum is e1*A - P (see ``_prefix_sums``)."""
+    for t, (e1, _, A, P, _) in zip(range(count), _prefix_sums(rec, 2)):
+        yield x2.rows[t + 3][3] + (e1 * A - P)
 
 
 def _eta4_printed(rec: RecurrenceCoefficients, x1: TriangularTable, x2: TriangularTable,
-                  t: int):
-    """Printed eta_{t+4,t}: xi1 + xi2, plus sum_{k=1}^{t+3} a_k^2 times the sum
-    of b_i*b_j over 0 <= i < j <= t+3 with neither index in {k - 1, k}.  With
-    x = b_{k-1}, y = b_k and e1, e2 the elementary symmetric sums of
-    b_0..b_{t+3}, that sum is e2 - (x + y)*(e1 - x - y) - x*y."""
-    e1 = e2 = zero(rec.mode)
-    for v in rec.b[: t + 4]:
-        e2 = e2 + e1 * v
-        e1 = e1 + v
-    s = zero(rec.mode)
-    for k in range(1, t + 4):
-        x, y = rec.b[k - 1], rec.b[k]
-        s = s + rec.a2[k] * (e2 - (x + y) * (e1 - x - y) - x * y)
-    return x1.rows[t + 4][t] + x2.rows[t + 4][t] + s
+                  count: int):
+    """Yield printed eta_{t+4,t} for t < count: xi1 + xi2, plus
+    sum_{k=1}^{t+3} a_k^2 times the sum of b_i*b_j over 0 <= i < j <= t+3 with
+    neither index in {k - 1, k}.  With x = b_{k-1} and y = b_k that inner sum
+    is e2 - (x + y)*(e1 - x - y) - x*y, so the outer sum is e2*A - e1*P + Q
+    (see ``_prefix_sums``)."""
+    for t, (e1, e2, A, P, Q) in zip(range(count), _prefix_sums(rec, 3)):
+        yield x1.rows[t + 4][t] + x2.rows[t + 4][t] + (e2 * A - e1 * P + Q)
 
 
 def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsReport:
@@ -448,8 +497,10 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     are evaluated under the only type-correct reading, stated in the note.
 
     The sums over indices other than {j - 1, j} in the printed eta forms are
-    taken as the full elementary symmetric sum minus the excluded terms (see
-    ``_eta3_printed`` and ``_eta4_printed``), so each base index costs O(t).
+    taken as the full elementary symmetric sum minus the excluded terms, and
+    the a^2-weighted sums of the printed forms run as prefix sums (see
+    ``_prefix_sums``), so each base index costs O(1).  The values are made
+    lazily: a failing check stops at its first mismatch.
 
     Raises ``ValueError`` on a float-mode recurrence: every check compares
     with ``!=``, so rounding alone would fail identities that hold exactly.
@@ -510,24 +561,21 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
         )
     )
 
-    # l = 3 printed forms
-    def tau3(t):
-        s = zero(mode)
-        for j in range(1, t + 2):
-            s = s + rec.a2[j] * (rec.b[j - 1] + rec.b[j])
-        return z2.rows[t + 3][t] + z1.rows[t + 2][t] * z2.rows[t + 1][t] + s
+    # l = 3 printed forms; the a^2 sum over j = 1..t+1 is P of _prefix_sums
+    tau3 = (z2.rows[t + 3][t] + z1.rows[t + 2][t] * z2.rows[t + 1][t] + P
+            for t, (_, _, _, P, _) in zip(range(top - 2), _prefix_sums(rec, 1)))
 
     checks.append(
         run(
             "tau_offdiag3_printed",
-            ((t, tau.rows[t + 3][t], tau3(t)) for t in range(top - 2)),
+            ((t, tau.rows[t + 3][t], v) for t, v in enumerate(tau3)),
         )
     )
 
     checks.append(
         run(
             "eta_offdiag3_printed",
-            ((t, eta.rows[t + 3][t], _eta3_printed(rec, x2, t)) for t in range(top - 2)),
+            ((t, eta.rows[t + 3][t], v) for t, v in enumerate(_eta3_printed(rec, x2, top - 2))),
             note="xi2 term evaluated at column 3 exactly as printed",
         )
     )
@@ -536,8 +584,8 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     checks.append(
         run(
             "eta_offdiag4_printed",
-            ((t, eta.rows[t + 4][t], _eta4_printed(rec, x1, x2, t))
-             for t in range(top - 3)),
+            ((t, eta.rows[t + 4][t], v)
+             for t, v in enumerate(_eta4_printed(rec, x1, x2, top - 3))),
             note="the a^2 factor inside the outer sum is read as a_k^2",
         )
     )
@@ -637,11 +685,13 @@ def moments_from_recurrence(rec: RecurrenceCoefficients, count: int, label: str 
     measure (normalized to m_0 = 1) leaves only the k = 0 term, because every
     monic polynomial of degree k >= 1 integrates to zero.  The first column of
     ``tau`` is a sum of nonnegative terms when b = 0, so float mode loses no
-    accuracy to cancellation there.
+    accuracy to cancellation there.  Only that column of the fill is reduced
+    to fractions.
     """
     from .moments import MomentSequence
 
     if count < 1:
         raise ValueError("count must be at least 1")
-    tau = tau_table(_padded(rec, count), count - 1)
-    return MomentSequence(tuple(row[0] for row in tau.rows), rec.mode, label or rec.label)
+    padded = _padded(rec, count)
+    column = _banded_fill(rec.mode, count - 1, source=(padded.a2, padded.b)).column(0)
+    return MomentSequence(tuple(column), rec.mode, label or rec.label)

@@ -376,7 +376,9 @@ GOLDEN_PRODUCTS = json.loads(GOLDEN_RECURRENCE.with_name("golden_products.json")
 
 class TestGoldenProductOutput:
     """Pinned stdout of ``linearize`` and ``connect`` on catalog families and
-    on a b != 0 moment file, in both bases; ``connect`` also in float mode."""
+    on a b != 0 moment file, in both bases; ``connect`` also in float mode.
+    Rational ``decompose`` pins the surd entries of ``Pi`` and ``L``, with
+    semicircle (every d_k a perfect square) for the plain-Fraction entries."""
 
     @pytest.fixture(scope="class")
     def moment_files(self, tmp_path_factory):

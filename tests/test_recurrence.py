@@ -152,11 +152,15 @@ class TestIntegerFill:
         for r in (rec, rec.to_floats()):
             # the oracle's flags name one side, (a2, b), with absent parts
             side = (r.a2 if a2 else None, r.b if b else None)
-            got = _banded_fill(r.mode, n, **{"source" if expand else "target": side})
+            fill = _banded_fill(r.mode, n, **{"source" if expand else "target": side})
+            got = fill.table()
             expect = forward_oracle.banded_fill(r, n, "XiZeta", expand=expand, b=b, a2=a2).rows
             assert got == expect
             # repr pins the type and, in float mode, every bit
             assert repr(got) == repr(expect)
+            # a column reader reduces only the entries it returns
+            for j in range(n + 1):
+                assert repr(fill.column(j)) == repr([row[j] for row in expect[j:]]), j
 
     @settings(max_examples=40, deadline=None)
     @given(_fill_draws(16))
@@ -164,12 +168,10 @@ class TestIntegerFill:
         n, a2s, bs = drawn
         rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
         x1, x2, _, _ = _aux_recursions(rec, n)
-        for t in range(n - 2):
-            got = recurrence_module._eta3_printed(rec, x2, t)
-            assert got == forward_oracle._eta3_printed(rec, x2, t), t
-        for t in range(n - 3):
-            got = recurrence_module._eta4_printed(rec, x1, x2, t)
-            assert got == forward_oracle._eta4_printed(rec, x1, x2, t), t
+        got = list(recurrence_module._eta3_printed(rec, x2, n - 2))
+        assert got == [forward_oracle._eta3_printed(rec, x2, t) for t in range(n - 2)]
+        got = list(recurrence_module._eta4_printed(rec, x1, x2, n - 3))
+        assert got == [forward_oracle._eta4_printed(rec, x1, x2, t) for t in range(n - 3)]
 
 
 class TestMonicTables:
@@ -446,6 +448,21 @@ class TestMomentsFromRecurrence:
             extracted = recurrence_from_moments(m)
             regenerated = moments_from_recurrence(extracted, count)
             assert regenerated.moments == m.moments
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(positive_fractions, min_size=n + 1, max_size=n + 1),
+        st.lists(signed_fractions, min_size=n + 1, max_size=n + 1))), st.booleans())
+    def test_round_trip_property(self, drawn, symmetric):
+        # 2n + 2 moments pin a_1..a_n and b_0..b_n; a_{n+1} is drawn but not pinned
+        n, a2, b = drawn
+        if symmetric:
+            b = [Fraction(0)] * (n + 1)
+        rec = RecurrenceCoefficients((Fraction(0), *a2), tuple(b), RATIONAL)
+        back = recurrence_from_moments(moments_from_recurrence(rec, 2 * n + 2))
+        assert back.a2 == rec.a2[: n + 1]
+        assert back.b == rec.b[: n + 1]
 
     def test_minimal_prefix_suffices(self):
         # m_0..m_8 depend on a_1..a_4 and b_0..b_3 only
