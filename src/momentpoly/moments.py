@@ -196,11 +196,12 @@ class HankelMoments:
     def deltas(self) -> list:
         """Leading principal minors Delta_0..Delta_n.
 
-        Each pivot is a ratio of minors, l[k][k]^2 = Delta_k / Delta_{k-1},
-        so Delta_k is the running product of the squared pivots of
-        :attr:`factor`.  In rational mode a surd pivot squares to an exact
-        Fraction.  Raises :class:`NotPositiveDefinite` at the first failing
-        order, as the factorization does.
+        Each pivot is a ratio of minors, d_k = l[k][k]^2 = Delta_k / Delta_{k-1},
+        so Delta_k is the running product of the d_k.  Rational
+        ``build_system`` sets them from its Chebyshev norms; otherwise they
+        are the squared pivots of :attr:`factor`, where a surd pivot squares
+        to an exact Fraction.  Raises :class:`NotPositiveDefinite` at the
+        first failing order, as the factorization does.
         """
         if self._deltas is None:
             out, acc = [], one(self.mode)

@@ -2,14 +2,18 @@
 
 The system is the Cholesky factor L of the moment matrix, Pi = L^-1 and the
 three-term recurrence.  Rational mode builds the recurrence first, by the
-Chebyshev algorithm, and scales the monic tables eta, tau by the monic norms
-d_k = l_kk^2 = Delta_k / Delta_{k-1}; float mode factors, inverts and reads
-the recurrence off Pi.  Evaluation, associated polynomials, the reproducing
-kernel and the finite-order spectral identities are derived from the tables.
+Chebyshev algorithm on integer rows, and scales the monic tables eta, tau by
+the monic norms d_k = l_kk^2 = Delta_k / Delta_{k-1}, whose running product
+is Delta; float mode factors, inverts and reads the recurrence off Pi.
+Evaluation, associated polynomials, the reproducing kernel and the
+finite-order spectral identities are derived from the tables.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,14 +59,16 @@ class PolynomialSystem:
 def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
     """Assemble the order-n system from m_0..m_{2n}.
 
-    Rational mode runs :func:`_chebyshev`, then sets ``Pi[i][j] =
-    eta[i][j] / sqrt(d_i)`` and ``L[i][j] = tau[i][j] * sqrt(d_j)`` and hands
-    L to the Hankel matrix as its factor, so ``deltas`` is the running product
-    of the d_k.  Each nonzero entry is built as it is, from the fill's integer
-    numerator: ``Surd(eta[i][j] / d_i, {d_i})`` and ``Surd(tau[i][j], {d_j})``,
-    or a plain ``Fraction`` when the d_k is a perfect square (see
-    :func:`_scaled`).  A d_k <= 0 raises :class:`NotPositiveDefinite` at the
-    same order and with the same pivot as the Cholesky factorization.
+    Rational mode runs :func:`_chebyshev`, whose rows are integers over one
+    row denominator, then sets ``Pi[i][j] = eta[i][j] / sqrt(d_i)`` and
+    ``L[i][j] = tau[i][j] * sqrt(d_j)``.  It hands L to the Hankel matrix as
+    its factor and the running product of the d_k as its ``deltas``, so no
+    pivot of L is squared.  Each nonzero entry is built as it is, from the
+    fill's integer numerator: ``Surd(eta[i][j] / d_i, {d_i})`` and
+    ``Surd(tau[i][j], {d_j})``, or a plain ``Fraction`` when the d_k is a
+    perfect square (see :func:`_scaled`).  A d_k <= 0 raises
+    :class:`NotPositiveDefinite` at the same order and with the same pivot as
+    the Cholesky factorization.
     """
     hank = hankel_matrix(m, n)
     if m.mode != RATIONAL:
@@ -79,6 +85,7 @@ def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
                  by_row=True)
     L = _scaled(_banded_fill(RATIONAL, n, source=(rec.a2, rec.b)), roots, by_row=False)
     hank._factor = TriangularTable(role="L", mode=RATIONAL, rows=L)
+    hank._deltas = list(itertools.accumulate(norms, operator.mul))
     return PolynomialSystem(moments=m, hankel=hank, L=hank._factor,
                             Pi=TriangularTable(role="Pi", mode=RATIONAL, rows=Pi), rec=rec)
 
@@ -117,31 +124,69 @@ def _chebyshev(m: MomentSequence, top: int):
     starting from s_0[l] = m_l; then d_k = s_k[k], a_k^2 = d_k / d_{k-1} and
     b_k = s_k[k+1] / d_k - s_{k-1}[k] / d_{k-1}.  Row s_k is known for
     l <= top - k, so an odd ``top = 2n + 1`` also gives b_n.  Each d_k goes
-    through :func:`check_pivot` against m_{2k}, in either mode.  O(top^2)
-    steps.
+    through :func:`check_pivot` against m_{2k}, in either mode, before any
+    division by it.  O(top^2) steps.
+
+    In rational mode row s_k is held as integer numerators N_k over one row
+    denominator E_k, as :func:`_banded_fill` holds its rows.  N_0 is m times
+    E_0, the lcm of the moment denominators.  With b_k = p/q and
+    a_k^2 = r/t, the next row has E = lcm(E_k q, E_{k-1} t) and
+
+        N_{k+1}[l] = (E/E_k) N_k[l+1] - p (E/(E_k q)) N_k[l]
+                     - r (E/(E_{k-1} t)) N_{k-1}[l],
+
+    all plain ints; the row and E are then divided by their common gcd,
+    without which the rows of q-hermite grow without bound.  Only d_k, a_k^2
+    and b_k are made as ``Fraction``s: d_k = N_k[k] / E_k and
+    s_k[k+1] / d_k = N_k[k+1] / N_k[k].  Float mode runs the same loop with
+    E = 1.0 and the factors (1.0, b_k, a_k^2), whose products are the plain
+    floats bit for bit.
     """
+    exact = m.mode == RATIONAL
     z = zero(m.mode)
     n = top // 2
-    prev, cur = [z] * (top + 1), list(m.moments[: top + 1])
-    a2, b, norms = [z], [], []
+    moments = m.moments[: top + 1]
+    if exact:
+        e = math.lcm(*(v.denominator for v in moments))
+        cur = [v.numerator * (e // v.denominator) for v in moments]
+        ratio, blank = Fraction, 0
+    else:
+        e, cur, ratio, blank = one(m.mode), list(moments), operator.truediv, z
+    prev, e_prev = [blank] * (top + 1), e
+    a2, b, norms, lead = [z], [], [], z
     for k in range(n + 1):
-        d = cur[k]
+        d = ratio(cur[k], e)
         check_pivot(k, d, m.m(2 * k), m.mode)
         norms.append(d)
         if k:
             a2.append(d / norms[k - 1])
         if 2 * k == top:
             break
-        b.append(cur[k + 1] / d - (prev[k] / norms[k - 1] if k else z))
-        nxt = [z] * (top + 1)
+        quotient = ratio(cur[k + 1], cur[k])  # s_k[k+1] / d_k
+        b.append(quotient - lead)
+        lead = quotient
+        if exact:
+            q, t = b[k].denominator, a2[k].denominator
+            e_next = math.lcm(e * q, e_prev * t)
+            c0 = e_next // e
+            cb = b[k].numerator * (c0 // q)
+            ca = a2[k].numerator * (e_next // (e_prev * t))
+        else:
+            e_next, c0, cb, ca = e, e, b[k], a2[k]
+        nxt = [blank] * (top + 1)
         for l in range(k + 1, top - k):  # s_{k+1}[l], zero terms skipped
-            v = cur[l + 1]
-            if b[k] and cur[l]:
-                v = v - b[k] * cur[l]
+            v = c0 * cur[l + 1]
+            if cb and cur[l]:
+                v = v - cb * cur[l]
             if k and prev[l]:
-                v = v - a2[k] * prev[l]
+                v = v - ca * prev[l]
             nxt[l] = v
-        prev, cur = cur, nxt
+        if exact:
+            g = math.gcd(e_next, *nxt[k + 1: top - k])
+            if g > 1:
+                nxt = [v // g for v in nxt]
+                e_next //= g
+        prev, cur, e_prev, e = cur, nxt, e, e_next
     return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms
 
 

@@ -122,7 +122,8 @@ class _Numerators:
     In rational mode row m holds the integers D^m times its entries; float
     mode holds the entries themselves, with D = 1.0.  Each reader reduces to
     ``Fraction(N, D^m)`` only the entries it returns, and float mode returns
-    them as they are.
+    them as they are.  :meth:`table` reads every row and releases each one as
+    it goes, so it is the last read of a fill.
     """
 
     rows: list
@@ -145,7 +146,11 @@ class _Numerators:
         return out
 
     def table(self) -> list:
-        return [self.row(m) for m in range(len(self.rows))]
+        out = []
+        for m in range(len(self.rows)):
+            out.append(self.row(m))
+            self.rows[m] = None  # a printed table is never held twice
+        return out
 
 
 def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, None),

@@ -7,10 +7,11 @@ rows of Pi.  These routines take the recurrence from determinant ratios and
 L entries, and the kernel from the inverse moment matrix against monomial
 vectors, so the tests can require both routes to agree with ``==``.
 
-The last three are the library's earlier loops, kept as oracles: the ribbon
+The last four are the library's earlier loops, kept as oracles: the ribbon
 matrix and the associated polynomials as explicit sums over Hankel entries,
-and ``recurrence_from_moments`` as a full system build plus two monic inner
-products for the final b_n.  The library's versions must reproduce them bit
+``recurrence_from_moments`` as a full system build plus two monic inner
+products for the final b_n, and the Chebyshev algorithm stepping every entry
+of every row as a scalar.  The library's versions must reproduce them bit
 for bit in float mode and ``str`` for ``str`` in rational mode.
 """
 
@@ -20,6 +21,7 @@ from momentpoly.connect import RibbonReport
 from momentpoly.moments import hankel_matrix
 from momentpoly.polysys import build_system, inverse_moment_matrix
 from momentpoly.recurrence import RecurrenceCoefficients, eta_table
+from momentpoly.cholesky import check_pivot
 from momentpoly.scalars import RATIONAL, one, to_float, zero
 
 
@@ -146,3 +148,31 @@ def recurrence_via_system(m):
         b_n = _functional(m, row, [zero(m.mode)] + row) / _functional(m, row, row)
         rec = RecurrenceCoefficients(rec.a2, rec.b + (b_n,), rec.mode, rec.label)
     return rec
+
+
+def chebyshev_fraction_oracle(m, top):
+    """(recurrence, norms) of the Chebyshev algorithm with every s_k[l] a
+    scalar of the mode: a Fraction in rational mode, so each step normalizes."""
+    z = zero(m.mode)
+    n = top // 2
+    prev, cur = [z] * (top + 1), list(m.moments[: top + 1])
+    a2, b, norms = [z], [], []
+    for k in range(n + 1):
+        d = cur[k]
+        check_pivot(k, d, m.m(2 * k), m.mode)
+        norms.append(d)
+        if k:
+            a2.append(d / norms[k - 1])
+        if 2 * k == top:
+            break
+        b.append(cur[k + 1] / d - (prev[k] / norms[k - 1] if k else z))
+        nxt = [z] * (top + 1)
+        for l in range(k + 1, top - k):  # s_{k+1}[l], zero terms skipped
+            v = cur[l + 1]
+            if b[k] and cur[l]:
+                v = v - b[k] * cur[l]
+            if k and prev[l]:
+                v = v - a2[k] * prev[l]
+            nxt[l] = v
+        prev, cur = cur, nxt
+    return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms

@@ -5,12 +5,20 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from momentpoly import FamilySpec, builtin_ribbon_pair, make_moments, save_moment_file
+from momentpoly import (
+    FamilySpec,
+    builtin_ribbon_pair,
+    make_moments,
+    moments_from_recurrence,
+    save_moment_file,
+)
 from momentpoly.cli import main as cli_main
+from momentpoly.recurrence import recurrence_from_dict
 from momentpoly.scalars import FLOAT, RATIONAL
 
 
@@ -378,15 +386,23 @@ class TestGoldenProductOutput:
     """Pinned stdout of ``linearize`` and ``connect`` on catalog families and
     on a b != 0 moment file, in both bases; ``connect`` also in float mode.
     Rational ``decompose`` pins the surd entries of ``Pi`` and ``L``, with
-    semicircle (every d_k a perfect square) for the plain-Fraction entries."""
+    semicircle (every d_k a perfect square) for the plain-Fraction entries,
+    and at n = 20 on q-hermite, whose moment denominators have a 700-bit lcm,
+    on uniform and on a b != 0 sequence."""
 
     @pytest.fixture(scope="class")
     def moment_files(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("golden")
         paths = {"skew": str(GOLDEN_RECURRENCE.with_name("golden_skew_moments.json"))}
-        for fam in ("gaussian", "semicircle", "uniform"):
-            paths[fam] = str(root / f"{fam}.json")
-            save_moment_file(make_moments(FamilySpec(fam, 21), RATIONAL), paths[fam])
+        specs = {fam: FamilySpec(fam, 21) for fam in ("gaussian", "semicircle", "uniform")}
+        specs["qhermite41"] = FamilySpec("q-hermite", 41, {"q": Fraction(1, 2)})
+        specs["uniform41"] = FamilySpec("uniform", 41)
+        for name, spec in specs.items():
+            paths[name] = str(root / f"{name}.json")
+            save_moment_file(make_moments(spec, RATIONAL), paths[name])
+        golden = recurrence_from_dict(json.loads(GOLDEN_RECURRENCE.read_text()), mode=RATIONAL)
+        paths["skew41"] = str(root / "skew41.json")
+        save_moment_file(moments_from_recurrence(golden, 41), paths["skew41"])
         return paths
 
     @pytest.mark.parametrize("case", GOLDEN_PRODUCTS["cases"], ids=lambda c: c["args"])

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentpoly import (
@@ -47,6 +47,7 @@ from conftest import (
 from polysys_oracle import (
     as_text,
     associated_loop,
+    chebyshev_fraction_oracle,
     kernel_inverse_form,
     recurrence_delta_form,
     recurrence_via_system,
@@ -54,6 +55,10 @@ from polysys_oracle import (
 
 #: the catalog plus one family whose moments come from a recurrence
 FAMILIES = [(fam, {}) for fam in CATALOG] + [("q-hermite", {"q": Fraction(1, 2)})]
+
+#: a b != 0 recurrence for the "from-recurrence" family
+_SKEW = random_recurrence(random.Random(3), 20)
+SKEW_PARAMS = {"a2": _SKEW.a2, "b": _SKEW.b}
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +160,18 @@ class TestChebyshevBuild:
         assert got.deltas == want.deltas
         assert as_strings(got.Pi) == as_strings(want.Pi)
         assert as_strings(got.L) == as_strings(want.L)
+
+    @pytest.mark.parametrize("family, params", FAMILIES + [("from-recurrence", SKEW_PARAMS)])
+    def test_deltas_equal_squared_cholesky_pivots(self, family, params):
+        m = make_moments(FamilySpec(family, 33, params))
+        sys_ = build_system(m, 16)
+        assert sys_.hankel._deltas is not None  # seeded by the build from the norms
+        want, acc = [], Fraction(1)
+        for d in cholesky_decompose(hankel_matrix(m, 16)).diagonal():
+            acc *= d * d
+            want.append(acc)
+        assert sys_.deltas == want
+        assert [type(v) for v in sys_.deltas] == [type(v) for v in want]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
@@ -283,6 +300,118 @@ class TestOnePassRecurrence:
         with pytest.raises(NotPositiveDefinite) as want:
             build_system(m, n)
         assert got.value.order == want.value.order
+
+
+#: pairwise coprime, up to the 31-bit Mersenne prime
+_coprime_denominators = st.sampled_from([1, 2, 3, 5, 7, 11, 13, 97, 65537, 2**31 - 1])
+
+
+@st.composite
+def chebyshev_moments(draw):
+    """(m, top): the moments m_0..m_top of a random recurrence with b = 0 or
+    signed b, n = top // 2 in 0..25, and top even or odd."""
+    n = draw(st.integers(0, 25))
+    top = 2 * n + draw(st.integers(0, 1))
+
+    def coefficients(lo):
+        return st.lists(st.builds(Fraction, st.integers(lo, 10**4), _coprime_denominators),
+                        min_size=n + 1, max_size=n + 1)
+
+    a2 = draw(coefficients(1))
+    b = draw(st.one_of(st.just([Fraction(0)] * (n + 1)), coefficients(-10**4)))
+    rec = RecurrenceCoefficients((Fraction(0), *a2), tuple(b), RATIONAL)
+    return moments_from_recurrence(rec, top + 1), top
+
+
+def chebyshev_outcome(run, m, top):
+    """repr of (a2, b, norms), or the order and message of the failure."""
+    try:
+        rec, norms = run(m, top)
+    except NotPositiveDefinite as exc:
+        return "fails", exc.order, str(exc)
+    return repr(rec.a2), repr(rec.b), repr(norms)
+
+
+class TestChebyshevRows:
+    """The integer-row Chebyshev pass against the Fraction-stepping oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(chebyshev_moments())
+    def test_rational_equals_fraction_oracle(self, drawn):
+        m, top = drawn
+        rec, norms = polysys_module._chebyshev(m, top)
+        want_rec, want_norms = chebyshev_fraction_oracle(m, top)
+        assert (rec.a2, rec.b, norms) == (want_rec.a2, want_rec.b, want_norms)
+        assert chebyshev_outcome(polysys_module._chebyshev, m, top) == \
+            chebyshev_outcome(chebyshev_fraction_oracle, m, top)
+
+    @settings(max_examples=30, deadline=None)
+    @given(chebyshev_moments())
+    def test_float_equals_fraction_oracle_bit_for_bit(self, drawn):
+        m, top = drawn
+        m = m.to_floats()
+        assert chebyshev_outcome(polysys_module._chebyshev, m, top) == \
+            chebyshev_outcome(chebyshev_fraction_oracle, m, top)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize("count", [41, 42])  # top moment even, odd
+    @pytest.mark.parametrize("family, params", FAMILIES)
+    def test_catalog_equals_fraction_oracle(self, family, params, count, mode):
+        m = make_moments(FamilySpec(family, count, params), mode)
+        for top in (count - 2, count - 1):
+            assert chebyshev_outcome(polysys_module._chebyshev, m, top) == \
+                chebyshev_outcome(chebyshev_fraction_oracle, m, top)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+        st.lists(signed_fractions, min_size=k, max_size=k, unique=True),
+        st.lists(positive_fractions, min_size=k, max_size=k),
+        st.integers(k, k + 3),
+        st.booleans(),
+    )))
+    def test_rational_fails_like_the_oracle(self, drawn):
+        # a k-atom measure has a zero pivot at order k
+        atoms, weights, n, odd_top = drawn
+        total = sum(weights)
+        m = MomentSequence(tuple(
+            sum(w * x**j for x, w in zip(atoms, weights)) / total
+            for j in range(2 * n + 1 + odd_top)
+        ), RATIONAL)
+        got = chebyshev_outcome(polysys_module._chebyshev, m, m.top_order)
+        assert got == chebyshev_outcome(chebyshev_fraction_oracle, m, m.top_order)
+        assert got[:2] == ("fails", len(atoms))
+
+    @settings(max_examples=30, deadline=None)
+    @given(chebyshev_moments(), st.data())
+    def test_negative_minor_fails_like_the_oracle(self, drawn, data):
+        # m_2j enters d_j with coefficient 1, so lowering it by d_j + excess
+        # makes Delta_j negative and the order-j pivot -excess
+        m, top = drawn
+        assume(top >= 2)  # m_0 = 1 is fixed
+        j = data.draw(st.integers(1, top // 2))
+        excess = data.draw(positive_fractions)
+        moments = list(m.moments)
+        moments[2 * j] -= chebyshev_fraction_oracle(m, top)[1][j] + excess
+        bad = MomentSequence(tuple(moments), RATIONAL)
+        for mode in (RATIONAL, FLOAT):
+            seq = bad if mode == RATIONAL else bad.to_floats()
+            got = chebyshev_outcome(polysys_module._chebyshev, seq, top)
+            assert got == chebyshev_outcome(chebyshev_fraction_oracle, seq, top)
+            if mode == RATIONAL:
+                assert got == ("fails", j, str(NotPositiveDefinite(j, -excess)))
+
+    @pytest.mark.parametrize("moments", [
+        (1, 0, -1),
+        (1, 2, 3, 4, 5),
+        (1, 0, 1, 0, Fraction(1, 2)),
+        (1, Fraction(1, 3), Fraction(1, 2), Fraction(1, 7), Fraction(1, 4), Fraction(-1, 5)),
+    ])
+    def test_explicit_negative_minor_fails_like_the_oracle(self, moments):
+        m = MomentSequence(tuple(Fraction(v) for v in moments), RATIONAL)
+        for seq in (m, m.to_floats()):
+            got = chebyshev_outcome(polysys_module._chebyshev, seq, seq.top_order)
+            assert got[0] == "fails"
+            assert got == chebyshev_outcome(chebyshev_fraction_oracle, seq, seq.top_order)
 
 
 class TestEvaluation:

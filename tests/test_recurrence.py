@@ -153,14 +153,15 @@ class TestIntegerFill:
             # the oracle's flags name one side, (a2, b), with absent parts
             side = (r.a2 if a2 else None, r.b if b else None)
             fill = _banded_fill(r.mode, n, **{"source" if expand else "target": side})
-            got = fill.table()
             expect = forward_oracle.banded_fill(r, n, "XiZeta", expand=expand, b=b, a2=a2).rows
-            assert got == expect
-            # repr pins the type and, in float mode, every bit
-            assert repr(got) == repr(expect)
             # a column reader reduces only the entries it returns
             for j in range(n + 1):
                 assert repr(fill.column(j)) == repr([row[j] for row in expect[j:]]), j
+            got = fill.table()  # the last read: it releases the integer rows
+            assert got == expect
+            # repr pins the type and, in float mode, every bit
+            assert repr(got) == repr(expect)
+            assert fill.rows == [None] * (n + 1)
 
     @settings(max_examples=40, deadline=None)
     @given(_fill_draws(16))
