@@ -8,6 +8,7 @@ verification failure (a verified identity exceeded its tolerance).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -317,9 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser that :func:`main` reuses: built on the first call, not at
+    import, since building it costs about twenty times one parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotPositiveDefinite as exc:

@@ -16,8 +16,11 @@ Every recursion table comes from one banded fill.  In rational mode it steps
 integer numerators: row m is held as D^m times its entries, D the lcm of the
 coefficient denominators.  The fill hands the numerators on, and each consumer
 reduces to ``Fraction(N, D^m)`` only the entries it reads: the printed tables
-every entry, the moments column 0, a linearization one row, and the
-orthonormal build scales the numerators into ``Pi`` and ``L`` itself.
+every entry, the moments column 0, the near-diagonal report the band it
+compares, a linearization one row, and the orthonormal build scales the
+numerators into ``Pi`` and ``L`` itself.  The four closed-form fills run on
+integer numerators too: an entry with k coefficient factors is summed as an
+integer over D^k and reduced once.
 """
 
 from __future__ import annotations
@@ -115,6 +118,32 @@ def _check_order(rec: RecurrenceCoefficients, n: int) -> None:
 _ZERO = Fraction(0)
 
 
+def _common_scale(mode: str, *seqs) -> tuple:
+    """(D, seqs scaled by D): in rational mode D is the lcm of the
+    denominators and each sequence becomes the integers D*v; float mode keeps
+    the sequences as they are, with D = 1.0.  A sequence given as None stays
+    None."""
+    if mode != RATIONAL:
+        return one(mode), seqs
+    d = math.lcm(*(v.denominator for seq in seqs if seq for v in seq))
+    return d, tuple(None if seq is None else [v.numerator * (d // v.denominator) for v in seq]
+                    for seq in seqs)
+
+
+def _units(d) -> tuple:
+    """Zero and one in the type of the numerators over D: ints over an
+    integer D, floats over float mode's D = 1.0."""
+    return (0.0, 1.0) if isinstance(d, float) else (0, 1)
+
+
+def _over(v, scale):
+    """``Fraction(v, scale)`` for an integer numerator; a float scale is
+    float mode's D^k = 1.0, whose entries are read as they are."""
+    if isinstance(scale, float):
+        return v
+    return Fraction(v, scale) if v else _ZERO
+
+
 @dataclass(frozen=True)
 class _Numerators:
     """Rows of a banded fill over the common denominator ``d``.
@@ -142,6 +171,20 @@ class _Numerators:
         for row in self.rows[j:]:
             v = row[j]
             out.append(Fraction(v, scale) if v else _ZERO)
+            scale *= self.d
+        return out
+
+    def band(self, width: int, columns=()) -> list:
+        """Rows with entry (m, j) read where m - j <= width or j is one of
+        ``columns``; every other entry is None."""
+        out, scale = [], self.d**0
+        for m, row in enumerate(self.rows):
+            lo = max(m - width, 0)
+            got = [None] * lo + [_over(v, scale) for v in row[lo:]]
+            for j in columns:
+                if j < lo:
+                    got[j] = _over(row[j], scale)
+            out.append(got)
             scale *= self.d
         return out
 
@@ -180,19 +223,10 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
     ``Fraction(N, D^m)`` only when it is read.  Float mode runs the same loop
     with D = 1.0, where every product by D is exact.
     """
-    exact = mode == RATIONAL
     reach = (start + steps, start + steps, steps, steps)
-    coeffs = [None if seq is None else seq[:top]
-              for seq, top in zip((*source, *target), reach)]
-    if exact:
-        d = math.lcm(*(v.denominator for seq in coeffs if seq for v in seq))
-        coeffs = [None if seq is None else [v.numerator * (d // v.denominator) for v in seq]
-                  for seq in coeffs]
-        z, unit = 0, 1
-    else:
-        d = one(mode)
-        z, unit = zero(mode), d
-    SA, SB, TA, TB = coeffs
+    d, (SA, SB, TA, TB) = _common_scale(mode, *(None if seq is None else seq[:top]
+                                                for seq, top in zip((*source, *target), reach)))
+    z, unit = _units(d)
     rows = [[z] * start + [unit]]
     before = [z] * (start + 3)  # padded row -1
     for m in range(steps):
@@ -248,14 +282,22 @@ def tau_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
 # -- auxiliary tables: recursion fills and closed forms ---------------------
 
 
-def _aux_recursions(rec: RecurrenceCoefficients, n: int) -> tuple:
-    """xi1, xi2, zeta1, zeta2 by recursion: the pure-a^2 and pure-b parts of
-    the eta and tau recursions."""
+def _aux_fills(rec: RecurrenceCoefficients, n: int) -> tuple:
+    """xi1, xi2, zeta1, zeta2 by recursion, as fills: the pure-a^2 and pure-b
+    parts of the eta and tau recursions."""
     _check_order(rec, n)
     sides = ({"target": (rec.a2, None)}, {"target": (None, rec.b)},
              {"source": (rec.a2, None)}, {"source": (None, rec.b)})
-    return tuple(TriangularTable("XiZeta", rec.mode, _banded_fill(rec.mode, n, **side).table())
-                 for side in sides)
+    return tuple(_banded_fill(rec.mode, n, **side) for side in sides)
+
+
+def _aux_recursions(rec: RecurrenceCoefficients, n: int) -> tuple:
+    """xi1, xi2, zeta1, zeta2 by recursion, as printed tables."""
+    return tuple(TriangularTable("XiZeta", rec.mode, fill.table()) for fill in _aux_fills(rec, n))
+
+
+def _signed(v, k: int):
+    return -v if k % 2 == 1 else v
 
 
 def _even_gap_fill(mode: str, n: int, value) -> TriangularTable:
@@ -276,50 +318,58 @@ def _xi1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     the sum over 1 <= j_1 < ... < j_k <= row-1 with j_{m+1} - j_m >= 2 of
     prod a_{j_m}^2; zero for odd row - col.
 
-    Evaluated by the nested-sum form: with r factors left after the current
-    one, the index runs lo..row-2r-1 and the next starts at index + 2.  That
-    depends on the row and (r, lo) but not on k, so every k of a row shares
-    the memo entries of that row.
+    Evaluated by the nested-sum form, j_1 outermost: with r factors left
+    after the current one, the index runs lo..row-2r-1 in ascending order and
+    the next starts at index + 2.  That depends on the row and (r, lo) but not
+    on k, so one level per r serves every k of a row.  The sums run on the
+    integers A_j = D*a_j^2, D the lcm of their denominators; a k-factor sum is
+    an integer over D^k, reduced once.  Float mode runs the same loop with
+    D = 1.0.
     """
-    mode = rec.mode
-    memo: dict = {}
-
-    def nested(row: int, r: int, lo: int):
-        if r < 0:
-            return one(mode)
-        key = (row, r, lo)
-        if key not in memo:
-            total = zero(mode)
-            for j in range(lo, row - 2 * r):
-                total = total + rec.a2[j] * nested(row, r - 1, j + 2)
-            memo[key] = total
-        return memo[key]
-
-    def signed(row, col, k):
-        value = nested(row, k - 1, 1)
-        return -value if k % 2 == 1 else value
-
-    return _even_gap_fill(mode, n, signed)
+    d, (A,) = _common_scale(rec.mode, rec.a2[:n])
+    z, unit = _units(d)
+    scale = [d**k for k in range(n // 2 + 1)]
+    sums = []  # sums[row][k - 1]: D^k times the k-factor sum of the row
+    for row in range(n + 1):
+        level, out = [unit] * (row + 2), []  # r = -1: the empty product
+        for r in range(row // 2):
+            hi = row - 2 * r - 1
+            nxt = [z] * (hi + 1)
+            for lo in range(1, hi + 1):
+                total = z
+                for j in range(lo, hi + 1):
+                    total = total + A[j] * level[j + 2]
+                nxt[lo] = total
+            level = nxt
+            out.append(level[1])
+        sums.append(out)
+    return _even_gap_fill(rec.mode, n, lambda row, col, k:
+                          _signed(_over(sums[row][k - 1], scale[k]), k))
 
 
 def _xi2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     """Signed elementary symmetric sums: entry (row, col) is
     (-1)^j e_j(b_0..b_{row-1}), j = row - col.
 
-    One running e vector serves every row: row r reads e_j(b_0..b_{r-1}),
-    then one pass of the e_j recurrence folds in b_r for the next row.
+    One running vector serves every row: row r reads e_j(b_0..b_{r-1}), then
+    one pass of the e_j recurrence folds in b_r for the next row.  The vector
+    holds E_j = D^j e_j over the integers B = D*b, D the lcm of their
+    denominators, so the pass is E_t += E_{t-1}*B; each entry is reduced once.
+    Float mode runs the same loop with D = 1.0.
     """
-    mode = rec.mode
-    e = [one(mode)] + [zero(mode)] * n
+    d, (B,) = _common_scale(rec.mode, rec.b[:n])
+    z, unit = _units(d)
+    scale = [d**j for j in range(n + 1)]
+    e = [unit] + [z] * n
     rows = []
     for row in range(n + 1):
-        rows.append([-e[row - col] if (row - col) % 2 == 1 else e[row - col]
+        rows.append([_signed(_over(e[row - col], scale[row - col]), row - col)
                      for col in range(row + 1)])
         if row < n:
-            x = rec.b[row]
+            x = B[row]
             for t in range(row + 1, 0, -1):
                 e[t] = e[t] + e[t - 1] * x
-    return TriangularTable(role="XiZeta", mode=mode, rows=rows)
+    return TriangularTable(role="XiZeta", mode=rec.mode, rows=rows)
 
 
 def _zeta1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
@@ -327,46 +377,51 @@ def _zeta1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     sum_{j_2=1}^{j_1+1} a_{j_2}^2 ... over k factors; zero for odd row - col.
 
     With r factors left after the current one, a level sums j = 1..hi and
-    hands hi = j + 1 down; that depends on (r, hi) only, so one memo serves
-    the whole table.
+    hands hi = j + 1 down; that depends on (r, hi) only, so one level per r
+    serves the whole table, as the prefix sums
+    N(r, hi) = N(r, hi - 1) + A_hi*N(r - 1, hi + 1), j ascending.  They run on
+    the integers A_j = D*a_j^2, D the lcm of their denominators, so a k-factor
+    sum is an integer over D^k, reduced once.  Float mode runs the same loop
+    with D = 1.0.
     """
-    mode = rec.mode
-    memo: dict = {}
-
-    def nested(r: int, hi: int):
-        if r < 0:
-            return one(mode)
-        key = (r, hi)
-        if key not in memo:
-            total = zero(mode)
-            for j in range(1, hi + 1):
-                total = total + rec.a2[j] * nested(r - 1, j + 1)
-            memo[key] = total
-        return memo[key]
-
-    return _even_gap_fill(mode, n, lambda row, col, k: nested(k - 1, col + 1))
+    d, (A,) = _common_scale(rec.mode, rec.a2[:n])
+    z, unit = _units(d)
+    scale = [d**k for k in range(n // 2 + 1)]
+    levels, below = [], [unit] * (n + 1)  # r = -1: the empty product
+    for r in range(n // 2):
+        level = [z]
+        for hi in range(1, n - 2 * r):
+            level.append(level[hi - 1] + A[hi] * below[hi + 1])
+        levels.append(level)
+        below = level
+    return _even_gap_fill(rec.mode, n, lambda row, col, k:
+                          _over(levels[k - 1][col + 1], scale[k]))
 
 
 def _zeta2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     """Monotone multi-indexed b products: entry (col + j, col) is the complete
     homogeneous symmetric sum h_j(b_0..b_col).
 
-    One running h vector serves every column: column c folds b_c into
+    One running vector serves every column: column c folds b_c into
     h_1..h_{n-c}, the entries that it and the later columns read, and b_n is
-    never read.
+    never read.  The vector holds H_j = D^j h_j over the integers B = D*b, D
+    the lcm of their denominators, so the fold is H_t += H_{t-1}*B; each entry
+    is reduced once.  Float mode runs the same loop with D = 1.0.
     """
-    mode = rec.mode
+    d, (B,) = _common_scale(rec.mode, rec.b[:n])
+    z, unit = _units(d)
+    scale = [d**j for j in range(n + 1)]
     rows = [[None] * (row + 1) for row in range(n + 1)]
-    h = [one(mode)] + [zero(mode)] * n
+    h = [unit] + [z] * n
     for col in range(n + 1):
         top = n - col
         if top:
-            x = rec.b[col]
+            x = B[col]
             for t in range(1, top + 1):
                 h[t] = h[t] + h[t - 1] * x
         for j in range(top + 1):
-            rows[col + j][col] = h[j]
-    return TriangularTable(role="XiZeta", mode=mode, rows=rows)
+            rows[col + j][col] = _over(h[j], scale[j])
+    return TriangularTable(role="XiZeta", mode=rec.mode, rows=rows)
 
 
 @dataclass
@@ -471,24 +526,23 @@ def _prefix_sums(rec: RecurrenceCoefficients, first: int):
             yield e1, e2, A, P, Q
 
 
-def _eta3_printed(rec: RecurrenceCoefficients, x2: TriangularTable, count: int):
+def _eta3_printed(rec: RecurrenceCoefficients, x2: list, count: int):
     """Yield printed eta_{t+3,t} for t < count: the xi2 term at column 3 exactly
     as printed, plus sum_{j=1}^{t+2} a_j^2 times the sum of b_k over
     k = 0..t+2 with k not in {j - 1, j}.  That inner sum is
     e1 - b_{j-1} - b_j, so the outer sum is e1*A - P (see ``_prefix_sums``)."""
     for t, (e1, _, A, P, _) in zip(range(count), _prefix_sums(rec, 2)):
-        yield x2.rows[t + 3][3] + (e1 * A - P)
+        yield x2[t + 3][3] + (e1 * A - P)
 
 
-def _eta4_printed(rec: RecurrenceCoefficients, x1: TriangularTable, x2: TriangularTable,
-                  count: int):
+def _eta4_printed(rec: RecurrenceCoefficients, x1: list, x2: list, count: int):
     """Yield printed eta_{t+4,t} for t < count: xi1 + xi2, plus
     sum_{k=1}^{t+3} a_k^2 times the sum of b_i*b_j over 0 <= i < j <= t+3 with
     neither index in {k - 1, k}.  With x = b_{k-1} and y = b_k that inner sum
     is e2 - (x + y)*(e1 - x - y) - x*y, so the outer sum is e2*A - e1*P + Q
     (see ``_prefix_sums``)."""
     for t, (e1, e2, A, P, Q) in zip(range(count), _prefix_sums(rec, 3)):
-        yield x1.rows[t + 4][t] + x2.rows[t + 4][t] + (e2 * A - e1 * P + Q)
+        yield x1[t + 4][t] + x2[t + 4][t] + (e2 * A - e1 * P + Q)
 
 
 def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsReport:
@@ -505,7 +559,10 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     taken as the full elementary symmetric sum minus the excluded terms, and
     the a^2-weighted sums of the printed forms run as prefix sums (see
     ``_prefix_sums``), so each base index costs O(1).  The values are made
-    lazily: a failing check stops at its first mismatch.
+    lazily: a failing check stops at its first mismatch.  The six recursion
+    fills are read through :meth:`_Numerators.band`: only the entries with
+    row - col <= 4 are reduced to fractions, plus the two columns a check
+    names (xi2 column 3, and eta column 0 when every b_k is zero).
 
     Raises ``ValueError`` on a float-mode recurrence: every check compares
     with ``!=``, so rounding alone would fail identities that hold exactly.
@@ -515,10 +572,12 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
                          "pass a rational-mode recurrence")
     _check_order(rec, n)
     top = n + 4
-    eta = eta_table(rec, top)
-    tau = tau_table(rec, top)
-    x1, x2, z1, z2 = _aux_recursions(rec, top)
     mode = rec.mode
+    symmetric = all(v == 0 for v in rec.b)
+    x1, x2, z1, z2 = (fill.band(4, columns) for fill, columns in
+                      zip(_aux_fills(rec, top), ((), (3,), (), ())))
+    eta = _banded_fill(mode, top, target=(rec.a2, rec.b)).band(4, (0,) if symmetric else ())
+    tau = _banded_fill(mode, top, source=(rec.a2, rec.b)).band(4)
 
     def run(name, pairs, note=""):
         mism = None
@@ -536,13 +595,13 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     checks.append(
         run(
             "eta_offdiag1",
-            ((t, eta.rows[t + 1][t], x2.rows[t + 1][t]) for t in range(top)),
+            ((t, eta[t + 1][t], x2[t + 1][t]) for t in range(top)),
         )
     )
     checks.append(
         run(
             "tau_offdiag1",
-            ((t, tau.rows[t + 1][t], -x2.rows[t + 1][t]) for t in range(top)),
+            ((t, tau[t + 1][t], -x2[t + 1][t]) for t in range(top)),
         )
     )
 
@@ -551,7 +610,7 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
         run(
             "eta_offdiag2",
             (
-                (t, eta.rows[t + 2][t], x1.rows[t + 2][t] + x2.rows[t + 2][t])
+                (t, eta[t + 2][t], x1[t + 2][t] + x2[t + 2][t])
                 for t in range(top - 1)
             ),
         )
@@ -560,27 +619,27 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
         run(
             "tau_offdiag2",
             (
-                (t, tau.rows[t + 2][t], z1.rows[t + 2][t] + z2.rows[t + 2][t])
+                (t, tau[t + 2][t], z1[t + 2][t] + z2[t + 2][t])
                 for t in range(top - 1)
             ),
         )
     )
 
     # l = 3 printed forms; the a^2 sum over j = 1..t+1 is P of _prefix_sums
-    tau3 = (z2.rows[t + 3][t] + z1.rows[t + 2][t] * z2.rows[t + 1][t] + P
+    tau3 = (z2[t + 3][t] + z1[t + 2][t] * z2[t + 1][t] + P
             for t, (_, _, _, P, _) in zip(range(top - 2), _prefix_sums(rec, 1)))
 
     checks.append(
         run(
             "tau_offdiag3_printed",
-            ((t, tau.rows[t + 3][t], v) for t, v in enumerate(tau3)),
+            ((t, tau[t + 3][t], v) for t, v in enumerate(tau3)),
         )
     )
 
     checks.append(
         run(
             "eta_offdiag3_printed",
-            ((t, eta.rows[t + 3][t], v) for t, v in enumerate(_eta3_printed(rec, x2, top - 2))),
+            ((t, eta[t + 3][t], v) for t, v in enumerate(_eta3_printed(rec, x2, top - 2))),
             note="xi2 term evaluated at column 3 exactly as printed",
         )
     )
@@ -589,7 +648,7 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     checks.append(
         run(
             "eta_offdiag4_printed",
-            ((t, eta.rows[t + 4][t], v)
+            ((t, eta[t + 4][t], v)
              for t, v in enumerate(_eta4_printed(rec, x1, x2, top - 3))),
             note="the a^2 factor inside the outer sum is read as a_k^2",
         )
@@ -597,20 +656,20 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
 
     def tau4(t):
         return (
-            -eta.rows[t + 4][t]
-            - eta.rows[t + 4][t + 1] * tau.rows[t + 1][t]
-            - eta.rows[t + 4][t + 2] * tau.rows[t + 2][t]
-            - eta.rows[t + 4][t + 3] * tau.rows[t + 3][t]
+            -eta[t + 4][t]
+            - eta[t + 4][t + 1] * tau[t + 1][t]
+            - eta[t + 4][t + 2] * tau[t + 2][t]
+            - eta[t + 4][t + 3] * tau[t + 3][t]
         )
 
     checks.append(
         run(
             "tau_offdiag4_printed",
-            ((t, tau.rows[t + 4][t], tau4(t)) for t in range(top - 3)),
+            ((t, tau[t + 4][t], tau4(t)) for t in range(top - 3)),
         )
     )
 
-    if all(v == 0 for v in rec.b):
+    if symmetric:
         # pure-a^2 case: first column alternates signed odd-index products and
         # the whole near-diagonal band reduces to the xi1/zeta1 tables
         def col0(t):
@@ -625,14 +684,14 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
         checks.append(
             run(
                 "eta_column0_symmetric",
-                ((t, eta.rows[t][0], col0(t)) for t in range(1, top + 1)),
+                ((t, eta[t][0], col0(t)) for t in range(1, top + 1)),
             )
         )
         checks.append(
             run(
                 "eta_band_symmetric",
                 (
-                    ((t, l), eta.rows[t + l][t], x1.rows[t + l][t])
+                    ((t, l), eta[t + l][t], x1[t + l][t])
                     for l in range(5)
                     for t in range(top + 1 - l)
                 ),
@@ -642,7 +701,7 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
             run(
                 "tau_band_symmetric",
                 (
-                    ((t, l), tau.rows[t + l][t], z1.rows[t + l][t])
+                    ((t, l), tau[t + l][t], z1[t + l][t])
                     for l in range(5)
                     for t in range(top + 1 - l)
                 ),

@@ -5,13 +5,15 @@
 operation per term; the library runs it on integer numerators over a common
 denominator.  ``_eta3_printed`` and ``_eta4_printed`` evaluate the printed
 degree-3/4 closed forms for eta with their excluded-index sums written out as
-loops.  The tests require the library to equal these with ``==`` (and ``str``)
-in rational mode, and with ``repr`` in float mode where the arithmetic is the
-same.
+loops.  ``partial_solutions`` builds the near-diagonal report from the six
+recursion tables reduced in full.  The tests require the library to equal
+these with ``==`` (and ``str``) in rational mode, and with ``repr`` in float
+mode where the arithmetic is the same.
 """
 
 import operator
 
+import momentpoly.recurrence as rm
 from momentpoly.cholesky import TriangularTable
 from momentpoly.scalars import one, zero
 
@@ -76,3 +78,150 @@ def _eta4_printed(rec, x1, x2, t):
                 inner = inner + rec.b[i] * rec.b[j]
         s = s + rec.a2[k] * inner
     return x1.rows[t + 4][t] + x2.rows[t + 4][t] + s
+
+
+def partial_solutions(rec, n):
+    """The near-diagonal report of ``momentpoly.recurrence.partial_solutions``
+    with eta, tau and the four aux recursions reduced in full, as printed
+    tables; the library reduces only the band and the columns it compares."""
+    if rec.mode != rm.RATIONAL:
+        raise ValueError("partial_solutions compares exact identities; "
+                         "pass a rational-mode recurrence")
+    rm._check_order(rec, n)
+    top = n + 4
+    eta = rm.eta_table(rec, top)
+    tau = rm.tau_table(rec, top)
+    x1, x2, z1, z2 = rm._aux_recursions(rec, top)
+    mode = rec.mode
+
+    def run(name, pairs, note=""):
+        mism = None
+        count = 0
+        for idx, expected, got in pairs:
+            count += 1
+            if expected != got:
+                mism = (idx, expected, got)
+                break
+        return rm.IdentityCheck(name, mism is None, count, mism, note)
+
+    checks = []
+
+    # l = 1: eta_{t+1,t} = xi2_{t+1,t} = -tau_{t+1,t}
+    checks.append(
+        run(
+            "eta_offdiag1",
+            ((t, eta.rows[t + 1][t], x2.rows[t + 1][t]) for t in range(top)),
+        )
+    )
+    checks.append(
+        run(
+            "tau_offdiag1",
+            ((t, tau.rows[t + 1][t], -x2.rows[t + 1][t]) for t in range(top)),
+        )
+    )
+
+    # l = 2: eta = xi1 + xi2, tau = zeta1 + zeta2
+    checks.append(
+        run(
+            "eta_offdiag2",
+            (
+                (t, eta.rows[t + 2][t], x1.rows[t + 2][t] + x2.rows[t + 2][t])
+                for t in range(top - 1)
+            ),
+        )
+    )
+    checks.append(
+        run(
+            "tau_offdiag2",
+            (
+                (t, tau.rows[t + 2][t], z1.rows[t + 2][t] + z2.rows[t + 2][t])
+                for t in range(top - 1)
+            ),
+        )
+    )
+
+    # l = 3 printed forms; the a^2 sum over j = 1..t+1 is P of _prefix_sums
+    tau3 = (z2.rows[t + 3][t] + z1.rows[t + 2][t] * z2.rows[t + 1][t] + P
+            for t, (_, _, _, P, _) in zip(range(top - 2), rm._prefix_sums(rec, 1)))
+
+    checks.append(
+        run(
+            "tau_offdiag3_printed",
+            ((t, tau.rows[t + 3][t], v) for t, v in enumerate(tau3)),
+        )
+    )
+
+    checks.append(
+        run(
+            "eta_offdiag3_printed",
+            ((t, eta.rows[t + 3][t], v)
+             for t, v in enumerate(rm._eta3_printed(rec, x2.rows, top - 2))),
+            note="xi2 term evaluated at column 3 exactly as printed",
+        )
+    )
+
+    # l = 4 printed forms
+    checks.append(
+        run(
+            "eta_offdiag4_printed",
+            ((t, eta.rows[t + 4][t], v)
+             for t, v in enumerate(rm._eta4_printed(rec, x1.rows, x2.rows, top - 3))),
+            note="the a^2 factor inside the outer sum is read as a_k^2",
+        )
+    )
+
+    def tau4(t):
+        return (
+            -eta.rows[t + 4][t]
+            - eta.rows[t + 4][t + 1] * tau.rows[t + 1][t]
+            - eta.rows[t + 4][t + 2] * tau.rows[t + 2][t]
+            - eta.rows[t + 4][t + 3] * tau.rows[t + 3][t]
+        )
+
+    checks.append(
+        run(
+            "tau_offdiag4_printed",
+            ((t, tau.rows[t + 4][t], tau4(t)) for t in range(top - 3)),
+        )
+    )
+
+    if all(v == 0 for v in rec.b):
+        # pure-a^2 case: first column alternates signed odd-index products and
+        # the whole near-diagonal band reduces to the xi1/zeta1 tables
+        def col0(t):
+            if t % 2 == 1:
+                return zero(mode)
+            k = t // 2
+            out = one(mode)
+            for j in range(1, k + 1):
+                out = out * rec.a2[2 * j - 1]
+            return -out if k % 2 == 1 else out
+
+        checks.append(
+            run(
+                "eta_column0_symmetric",
+                ((t, eta.rows[t][0], col0(t)) for t in range(1, top + 1)),
+            )
+        )
+        checks.append(
+            run(
+                "eta_band_symmetric",
+                (
+                    ((t, l), eta.rows[t + l][t], x1.rows[t + l][t])
+                    for l in range(5)
+                    for t in range(top + 1 - l)
+                ),
+            )
+        )
+        checks.append(
+            run(
+                "tau_band_symmetric",
+                (
+                    ((t, l), tau.rows[t + l][t], z1.rows[t + l][t])
+                    for l in range(5)
+                    for t in range(top + 1 - l)
+                ),
+            )
+        )
+
+    return rm.PartialSolutionsReport(checks=checks)

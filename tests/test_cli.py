@@ -17,6 +17,8 @@ from momentpoly import (
     moments_from_recurrence,
     save_moment_file,
 )
+import momentpoly.cli as cli_module
+from momentpoly.cli import build_parser
 from momentpoly.cli import main as cli_main
 from momentpoly.recurrence import recurrence_from_dict
 from momentpoly.scalars import FLOAT, RATIONAL
@@ -354,10 +356,49 @@ class TestVerifyPM:
 GOLDEN_RECURRENCE = Path(__file__).with_name("data") / "golden_recurrence.json"
 
 
+class TestSharedParser:
+    """``main`` builds its parser on the first call and reuses it;
+    ``build_parser`` still hands each caller a parser of its own."""
+
+    def test_built_once_across_calls(self, files, monkeypatch, capsys):
+        built = []
+        real = cli_module.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli_module, "build_parser", counting)
+        cli_module._shared_parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert cli_main(["recurrence", files["gauss_rec"], "--moments", "3"]) == 0
+        finally:
+            cli_module._shared_parser.cache_clear()
+        assert built == [1]
+        assert build_parser() is not build_parser()
+
+    def test_reused_parser_keeps_calls_independent(self, files, capsys):
+        # a failed parse, then two calls with different options: nothing carries over
+        with pytest.raises(SystemExit):
+            cli_main(["recurrence", "--draws"])
+        capsys.readouterr()
+        assert cli_main(["recurrence", files["gauss_rec"], "--eta", "3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"eta": [["1"], ["0", "1"],
+                                                               ["-1", "0", "1"],
+                                                               ["0", "-3", "0", "1"]]}
+        assert cli_main(["recurrence", files["gauss_rec"], "--tau", "3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"tau": [["1"], ["0", "1"],
+                                                               ["1", "0", "1"],
+                                                               ["0", "3", "0", "1"]]}
+
+
 class TestGoldenRecurrenceOutput:
     """Pinned stdout of the recurrence tables and moments of a committed file,
     with b != 0 and pairwise coprime denominators up to 101; the digests were
-    taken with the fill that steps in Fraction arithmetic."""
+    taken with the fill that steps in Fraction arithmetic.  The closed-form
+    report digests were taken with the closed fills and the near-diagonal
+    checks that step in Fraction arithmetic."""
 
     @pytest.mark.parametrize("mode, flag, order, digest", [
         ("rational", "--eta", "40",
@@ -377,6 +418,17 @@ class TestGoldenRecurrenceOutput:
         res = run_cli("recurrence", str(GOLDEN_RECURRENCE), flag, order, "--mode", mode)
         assert res.returncode == 0, res.stderr
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, digest", [
+        ([str(GOLDEN_RECURRENCE), "--verify-closed-forms", "16"],
+         "d9bee289b80818126b4b28e8a2ef50dca92e603a46b520c124fd2659a700c1ed"),
+        (["--verify-closed-forms", "12", "--draws", "3", "--seed", "0"],
+         "c0d9c065520d08c8b07697b2f5bf4b840dd85b3f750e9af7c9c1feec88057b21"),
+    ], ids=["golden-file", "random-draws"])
+    def test_closed_form_report_digest(self, args, digest, capsys):
+        # the closed-form report: aux fills and every near-diagonal check
+        assert cli_main(["recurrence", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 GOLDEN_PRODUCTS = json.loads(GOLDEN_RECURRENCE.with_name("golden_products.json").read_text())

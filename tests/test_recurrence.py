@@ -129,12 +129,12 @@ def _recurrence_draws(max_count):
 _denominators = st.sampled_from([1, 2, 3, 5, 7, 11, 13, 97, 65537, 2**31 - 1])
 
 
-def _fill_draws(max_n):
+def _fill_draws(max_n, min_n=0):
     """(n, a2, b): a_1^2..a_{n+1}^2 and b_0..b_n, with b all zero or signed."""
     def coefficients(n, lo):
         return st.lists(st.builds(Fraction, st.integers(lo, 10**4), _denominators),
                         min_size=n + 1, max_size=n + 1)
-    return st.integers(0, max_n).flatmap(lambda n: st.tuples(
+    return st.integers(min_n, max_n).flatmap(lambda n: st.tuples(
         st.just(n), coefficients(n, 1),
         st.one_of(st.just([Fraction(0)] * (n + 1)), coefficients(n, -10**4))))
 
@@ -169,10 +169,62 @@ class TestIntegerFill:
         n, a2s, bs = drawn
         rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
         x1, x2, _, _ = _aux_recursions(rec, n)
-        got = list(recurrence_module._eta3_printed(rec, x2, n - 2))
+        got = list(recurrence_module._eta3_printed(rec, x2.rows, n - 2))
         assert got == [forward_oracle._eta3_printed(rec, x2, t) for t in range(n - 2)]
-        got = list(recurrence_module._eta4_printed(rec, x1, x2, n - 3))
+        got = list(recurrence_module._eta4_printed(rec, x1.rows, x2.rows, n - 3))
         assert got == [forward_oracle._eta4_printed(rec, x1, x2, t) for t in range(n - 3)]
+
+
+def _fill_sides(rec):
+    """The (target, source) pairs of eta, tau, xi1, xi2, zeta1 and zeta2."""
+    return ({"target": (rec.a2, rec.b)}, {"source": (rec.a2, rec.b)},
+            {"target": (rec.a2, None)}, {"target": (None, rec.b)},
+            {"source": (rec.a2, None)}, {"source": (None, rec.b)})
+
+
+class TestBandReader:
+    """The band reader of a fill against the fill's full table, and the
+    near-diagonal report that reads through it against the full-table one."""
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(_fill_draws(20), st.integers(0, 5), st.lists(st.integers(0, 20), max_size=2))
+    def test_band_equals_table_entries(self, symmetric, drawn, width, columns):
+        n, a2s, bs = drawn
+        if symmetric:
+            bs = [Fraction(0)] * (n + 1)
+        rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
+        for r in (rec, rec.to_floats()):
+            for side in _fill_sides(r):
+                band = _banded_fill(r.mode, n, **side).band(width, columns)
+                table = _banded_fill(r.mode, n, **side).table()
+                assert [len(row) for row in band] == [len(row) for row in table]
+                for m, row in enumerate(band):
+                    for j, v in enumerate(row):
+                        if m - j <= width or j in columns:
+                            assert v == table[m][j], (side, m, j)
+                            assert repr(v) == repr(table[m][j]), (side, m, j)
+                        else:
+                            assert v is None, (side, m, j)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(_fill_draws(16, min_n=3))
+    def test_report_equals_full_table_oracle(self, symmetric, drawn):
+        n, a2s, bs = drawn
+        if symmetric:
+            bs = [Fraction(0)] * (n + 1)
+        rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
+
+        def summary(report):
+            return [(c.name, c.passed, c.checked, repr(c.first_mismatch), c.note)
+                    for c in report.checks]
+
+        # rows 0..n of the draw serve the report's fills of order (n - 3) + 4
+        got = summary(partial_solutions(rec, n - 3))
+        assert got == summary(forward_oracle.partial_solutions(rec, n - 3))
+        pure_a2 = all(v == 0 for v in bs)
+        assert any(name == "eta_column0_symmetric" for name, *_ in got) == pure_a2
 
 
 class TestMonicTables:
@@ -281,16 +333,9 @@ class TestAuxiliaryTables:
 
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(0, 10).flatmap(lambda n: st.tuples(
-            st.just(n),
-            st.lists(positive_fractions, min_size=n + 1, max_size=n + 1),
-            st.lists(signed_fractions, min_size=n + 1, max_size=n + 1),
-        )),
-        st.booleans(),
-        st.sampled_from([RATIONAL, FLOAT]),
-    )
+    @given(_fill_draws(16), st.booleans(), st.sampled_from([RATIONAL, FLOAT]))
     def test_closed_fills_equal_per_entry_oracle(self, drawn, symmetric, mode):
+        # pairwise coprime denominators up to 2^31 - 1 make D^k large
         n, a2, b = drawn
         if symmetric:
             b = [Fraction(0)] * (n + 1)
