@@ -1,11 +1,12 @@
 """Orthonormal polynomial systems from finite moment sequences.
 
 The library builds orthonormal and monic polynomial systems out of a moment
-sequence via exact Cholesky factorization of the Hankel moment matrix, extracts
-three-term recurrence coefficients, converts recurrences back into moments,
-and computes connection coefficients, linearization coefficients and
-Radon-Nikodym Fourier expansions between measures, with an exact rational
-backend for identity-level verification and a float backend for numerics.
+sequence (exactly, by the Chebyshev algorithm on the moments; in floats, by
+Cholesky factorization of the Hankel moment matrix), extracts three-term
+recurrence coefficients, converts recurrences back into moments, and computes
+connection coefficients, linearization coefficients and Radon-Nikodym Fourier
+expansions between measures, with an exact rational backend for
+identity-level verification and a float backend for numerics.
 """
 
 from .cholesky import (

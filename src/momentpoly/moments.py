@@ -11,7 +11,7 @@ from .cholesky import TriangularTable, cholesky_decompose
 from .scalars import (
     FLOAT,
     RATIONAL,
-    as_scalar,
+    as_scalars,
     check_mode,
     format_scalar,
     one,
@@ -125,10 +125,8 @@ def make_moments(spec: FamilySpec, mode: str = RATIONAL) -> MomentSequence:
     check_mode(mode)
     label = spec.label or spec.family
     if spec.family == "explicit":
-        values = spec.params.get("moments")
-        if values is None:
-            raise ValueError("explicit family needs params['moments']")
-        vals = tuple(as_scalar(v, mode) for v in values[: spec.count])
+        vals = as_scalars(spec.params.get("moments"), mode,
+                          "explicit family needs a params['moments'] list")[: spec.count]
         if len(vals) < spec.count:
             raise ValueError("explicit moment list shorter than count")
         return MomentSequence(vals, mode, label)
@@ -153,8 +151,8 @@ def make_moments(spec: FamilySpec, mode: str = RATIONAL) -> MomentSequence:
         return seq if mode == seq.mode else seq.to_floats()
 
     if spec.family == "from-recurrence":
-        a2 = tuple(as_scalar(v, RATIONAL) for v in spec.params["a2"])
-        b = tuple(as_scalar(v, RATIONAL) for v in spec.params["b"])
+        need = "from-recurrence family needs params['a2'] and params['b'] lists"
+        a2, b = (as_scalars(spec.params.get(k), RATIONAL, need) for k in ("a2", "b"))
         rec = RecurrenceCoefficients(a2, b, RATIONAL, label=label)
         seq = moments_from_recurrence(rec, spec.count, label=label)
         return seq if mode == RATIONAL else seq.to_floats()
@@ -264,12 +262,9 @@ def moment_sequence_to_dict(m: MomentSequence) -> dict:
 def moment_sequence_from_dict(data: dict, mode: str | None = None) -> MomentSequence:
     if not isinstance(data, dict) or "moments" not in data:
         raise ValueError("moment file must be an object with a 'moments' list")
-    if not isinstance(data["moments"], list):
-        raise ValueError("'moments' in a moment file must be a list")
-    file_mode = data.get("mode", RATIONAL)
-    use = mode or file_mode
+    use = mode or data.get("mode", RATIONAL)
     check_mode(use)
-    values = tuple(as_scalar(v, use) for v in data["moments"])
+    values = as_scalars(data["moments"], use, "'moments' in a moment file must be a list")
     return MomentSequence(values, use, str(data.get("label", "")))
 
 

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .cholesky import TriangularTable, check_pivot, invert_lower_triangular
 from .moments import HankelMoments, MomentSequence, hankel_matrix
-from .recurrence import RecurrenceCoefficients, _banded_fill, eta_table, tau_table
-from .scalars import RATIONAL, Surd, exact_sqrt, one, zero
+from .recurrence import RecurrenceCoefficients, _banded_fill, _common_scale, eta_table, tau_table
+from .scalars import RATIONAL, exact_sqrt, one, zero
 
 
 @dataclass
@@ -66,7 +66,7 @@ def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
     pivot of L is squared.  Each nonzero entry is built as it is, from the
     fill's integer numerator: ``Surd(eta[i][j] / d_i, {d_i})`` and
     ``Surd(tau[i][j], {d_j})``, or a plain ``Fraction`` when the d_k is a
-    perfect square (see :func:`_scaled`).  A d_k <= 0 raises
+    perfect square (see :meth:`_Numerators.scaled`).  A d_k <= 0 raises
     :class:`NotPositiveDefinite` at the same order and with the same pivot as
     the Cholesky factorization.
     """
@@ -81,39 +81,13 @@ def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
         return sys_
     rec, norms = _chebyshev(m, 2 * n)
     roots = [exact_sqrt(d) for d in norms]
-    Pi = _scaled(_banded_fill(RATIONAL, n, target=(rec.a2, rec.b)), [1 / r for r in roots],
-                 by_row=True)
-    L = _scaled(_banded_fill(RATIONAL, n, source=(rec.a2, rec.b)), roots, by_row=False)
+    Pi = _banded_fill(RATIONAL, n, target=(rec.a2, rec.b)).scaled([1 / r for r in roots],
+                                                                  by_row=True)
+    L = _banded_fill(RATIONAL, n, source=(rec.a2, rec.b)).scaled(roots, by_row=False)
     hank._factor = TriangularTable(role="L", mode=RATIONAL, rows=L)
     hank._deltas = list(itertools.accumulate(norms, operator.mul))
     return PolynomialSystem(moments=m, hankel=hank, L=hank._factor,
                             Pi=TriangularTable(role="Pi", mode=RATIONAL, rows=Pi), rec=rec)
-
-
-def _scaled(fill, scales, by_row: bool) -> list:
-    """Rows of a rational fill with entry (i, j) multiplied by ``scales[i]``
-    (``by_row``) or ``scales[j]``.
-
-    A scale is a Fraction or a one-radical :class:`Surd` c * sqrt(r).  Entry
-    (i, j) is N / D^i times it, so its coefficient is one
-    ``Fraction(N * c.numerator, D^i * c.denominator)`` and the entry is
-    ``Surd(coef, {r})``: the normalized value that generic surd arithmetic
-    would reach.  Zero numerators give ``Fraction(0)``.
-    """
-    parts = [(s.coef, s.radicals) if isinstance(s, Surd) else (s, None) for s in scales]
-    out, power = [], 1
-    for i, row in enumerate(fill.rows):
-        new = []
-        for j, v in enumerate(row):
-            if not v:
-                new.append(Fraction(0))
-                continue
-            c, radicals = parts[i if by_row else j]
-            coef = Fraction(v * c.numerator, power * c.denominator)
-            new.append(Surd(coef, radicals) if radicals else coef)
-        out.append(new)
-        power *= fill.d
-    return out
 
 
 def _chebyshev(m: MomentSequence, top: int):
@@ -129,8 +103,9 @@ def _chebyshev(m: MomentSequence, top: int):
 
     In rational mode row s_k is held as integer numerators N_k over one row
     denominator E_k, as :func:`_banded_fill` holds its rows.  N_0 is m times
-    E_0, the lcm of the moment denominators.  With b_k = p/q and
-    a_k^2 = r/t, the next row has E = lcm(E_k q, E_{k-1} t) and
+    E_0, the lcm of the moment denominators, as :func:`_common_scale` gives.
+    With b_k = p/q and a_k^2 = r/t, the next row has E = lcm(E_k q, E_{k-1} t)
+    and
 
         N_{k+1}[l] = (E/E_k) N_k[l+1] - p (E/(E_k q)) N_k[l]
                      - r (E/(E_{k-1} t)) N_{k-1}[l],
@@ -145,13 +120,8 @@ def _chebyshev(m: MomentSequence, top: int):
     exact = m.mode == RATIONAL
     z = zero(m.mode)
     n = top // 2
-    moments = m.moments[: top + 1]
-    if exact:
-        e = math.lcm(*(v.denominator for v in moments))
-        cur = [v.numerator * (e // v.denominator) for v in moments]
-        ratio, blank = Fraction, 0
-    else:
-        e, cur, ratio, blank = one(m.mode), list(moments), operator.truediv, z
+    e, (cur,) = _common_scale(m.mode, m.moments[: top + 1])
+    ratio, blank = (Fraction, 0) if exact else (operator.truediv, z)
     prev, e_prev = [blank] * (top + 1), e
     a2, b, norms, lead = [z], [], [], z
     for k in range(n + 1):

@@ -16,6 +16,8 @@ other and the adopted recurrence normalization.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +34,15 @@ def _coerce_q(q):
     return Fraction(q), RATIONAL
 
 
+def _brackets(qv, mode: str):
+    """Yield [1]_q, [2]_q, ... by the Horner step [j+1]_q = [j]_q * q + 1,
+    from [0]_q = 0; every q-bracket of this module comes from this step."""
+    bracket = zero(mode)
+    while True:
+        bracket = bracket * qv + 1
+        yield bracket
+
+
 def q_bracket(n: int, q):
     """[n]_q = 1 + q + ... + q^(n-1), with [n]_1 = n."""
     if n < 0:
@@ -39,19 +50,14 @@ def q_bracket(n: int, q):
     qv, mode = _coerce_q(q)
     if qv == 1:
         return Fraction(n) if mode == RATIONAL else float(n)
-    acc = zero(mode)
-    for _ in range(n):
-        acc = acc * qv + 1
-    return acc
+    return [zero(mode), *itertools.islice(_brackets(qv, mode), n)][-1]
 
 
 def q_factorial(n: int, q):
     """[n]_q! = prod_{j=1..n} [j]_q with [0]_q! = 1."""
     qv, mode = _coerce_q(q)
     out = one(mode)
-    bracket = zero(mode)
-    for j in range(1, n + 1):
-        bracket = bracket * qv + 1
+    for bracket in itertools.islice(_brackets(qv, mode), n):
         out = out * bracket
     return out
 
@@ -76,14 +82,14 @@ class QBracketCache:
 
     def __init__(self, q):
         self.q, self.mode = _coerce_q(q)
-        one_ = one(self.mode)
         self._brackets = [zero(self.mode)]
-        self._factorials = [one_]
+        self._next_bracket = _brackets(self.q, self.mode)
+        self._factorials = [one(self.mode)]
         self._poch: dict = {}
 
     def bracket(self, n: int):
         while len(self._brackets) <= n:
-            self._brackets.append(self._brackets[-1] * self.q + 1)
+            self._brackets.append(next(self._next_bracket))
         return self._brackets[n]
 
     def factorial(self, n: int):
@@ -113,22 +119,13 @@ def q_hermite_values(n: int, x, q, orthonormal: bool = False) -> list:
     vals = [one(mode)]
     if n >= 1:
         vals.append(x * vals[0])
-    bracket = zero(mode)
-    bracket = bracket * qv + 1  # [1]_q
-    for j in range(1, n):
+    for j, bracket in zip(range(1, n), _brackets(qv, mode)):
         vals.append(x * vals[j] - bracket * vals[j - 1])
-        bracket = bracket * qv + 1
     if not orthonormal:
         return vals
     # [j]_q! grows by the same Horner step as q_bracket, so values match it
-    out = []
-    fact, bracket = one(mode), zero(mode)
-    for j, v in enumerate(vals):
-        if j >= 1:
-            bracket = bracket * qv + 1
-            fact = fact * bracket
-        out.append(v / scalar_sqrt(fact, mode))
-    return out
+    facts = itertools.accumulate(_brackets(qv, mode), operator.mul, initial=one(mode))
+    return [v / scalar_sqrt(fact, mode) for v, fact in zip(vals, facts)]
 
 
 def q_hermite_recurrence(q, count: int, label: str = "q-hermite") -> RecurrenceCoefficients:
@@ -137,11 +134,7 @@ def q_hermite_recurrence(q, count: int, label: str = "q-hermite") -> RecurrenceC
     if not -1 < qv < 1:
         raise ValueError(f"q-hermite needs |q| < 1, got q = {qv}")
     top = max(count, 2)
-    a2 = [zero(mode)]
-    bracket = zero(mode)
-    for _ in range(1, top + 1):
-        bracket = bracket * qv + 1
-        a2.append(bracket)
+    a2 = [zero(mode), *itertools.islice(_brackets(qv, mode), top)]
     return RecurrenceCoefficients(
         tuple(a2), tuple([zero(mode)] * (top + 1)), mode, label=label
     )
@@ -169,10 +162,8 @@ def al_salam_chihara_recurrence(
     top = max(count, 2)
     a2 = [zero(mode)]
     b = []
-    bracket = zero(mode)
     qpow = one(mode)  # q^(n-1) for a2, q^n for b
-    for n in range(1, top + 1):
-        bracket = bracket * qv + 1
+    for bracket in itertools.islice(_brackets(qv, mode), top):
         a2.append(bracket * (1 - rv * rv * qpow))
         qpow = qpow * qv
     qpow = one(mode)
@@ -271,11 +262,9 @@ def pm_series(x: float, y: float, p: QParams, tol: float = 1e-12) -> PMSeriesRes
     total = magnitude = 1.0
     rho_pow = 1.0
     fact = 1.0
-    # [j]_q by the same Horner steps as q_bracket, carried from term to term
-    bracket = 0.0
+    prev = 0.0  # [j-1]_q
     small_run = 0
-    for j in range(1, MAX_PM_TERMS):
-        prev, bracket = bracket, bracket * q + 1
+    for j, bracket in zip(range(1, MAX_PM_TERMS), _brackets(q, FLOAT)):
         hx_prev, hx = hx, x * hx - prev * hx_prev
         hy_prev, hy = hy, y * hy - prev * hy_prev
         rho_pow *= rho
@@ -286,6 +275,7 @@ def pm_series(x: float, y: float, p: QParams, tol: float = 1e-12) -> PMSeriesRes
         small_run = small_run + 1 if abs(term) < tol else 0
         if small_run >= 4 and j >= 4:
             return PMSeriesResult(value=total, terms=j + 1, magnitude=magnitude)
+        prev = bracket
     raise ArithmeticError("series truncation did not converge within the cap")
 
 

@@ -18,20 +18,21 @@ coefficient denominators.  The fill hands the numerators on, and each consumer
 reduces to ``Fraction(N, D^m)`` only the entries it reads: the printed tables
 every entry, the moments column 0, the near-diagonal report the band it
 compares, a linearization one row, and the orthonormal build scales the
-numerators into ``Pi`` and ``L`` itself.  The four closed-form fills run on
-integer numerators too: an entry with k coefficient factors is summed as an
-integer over D^k and reduced once.
+numerators into ``Pi`` and ``L``.  Float mode runs the same fill with D = 1.0.
+
+The four closed-form fills and the near-diagonal report check exact
+identities with ``==``, so they are rational only: a closed-form entry with k
+coefficient factors is summed as an integer over D^k and reduced once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cholesky import TriangularTable
-from .scalars import FLOAT, RATIONAL, as_scalar, check_mode, one, scalar_sqrt, to_float, zero
+from .scalars import FLOAT, RATIONAL, Surd, as_scalars, check_mode, one, scalar_sqrt, to_float, zero
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,10 @@ class RecurrenceCoefficients:
 
 def recurrence_from_dict(data: dict, mode: str = RATIONAL, label: str = "") -> RecurrenceCoefficients:
     """Parse the {"a2": [...], "b": [...]} file schema."""
-    if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("a2", "b")):
-        raise ValueError("recurrence file must be an object with 'a2' and 'b' lists")
-    a2 = tuple(as_scalar(v, mode) for v in data["a2"])
-    b = tuple(as_scalar(v, mode) for v in data["b"])
+    need = "recurrence file must be an object with 'a2' and 'b' lists"
+    if not isinstance(data, dict):
+        raise ValueError(need)
+    a2, b = (as_scalars(data.get(k), mode, need) for k in ("a2", "b"))
     if not a2 or a2[0] != 0:
         # accept files that omit the a_0 = 0 slot
         a2 = (zero(mode),) + a2
@@ -115,7 +116,7 @@ def _check_order(rec: RecurrenceCoefficients, n: int) -> None:
         _require(rec, n - 1, n - 1)
 
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _common_scale(mode: str, *seqs) -> tuple:
@@ -130,17 +131,8 @@ def _common_scale(mode: str, *seqs) -> tuple:
                     for seq in seqs)
 
 
-def _units(d) -> tuple:
-    """Zero and one in the type of the numerators over D: ints over an
-    integer D, floats over float mode's D = 1.0."""
-    return (0.0, 1.0) if isinstance(d, float) else (0, 1)
-
-
-def _over(v, scale):
-    """``Fraction(v, scale)`` for an integer numerator; a float scale is
-    float mode's D^k = 1.0, whose entries are read as they are."""
-    if isinstance(scale, float):
-        return v
+def _over(v: int, scale: int) -> Fraction:
+    """``Fraction(v, scale)``, sharing one zero."""
     return Fraction(v, scale) if v else _ZERO
 
 
@@ -150,9 +142,11 @@ class _Numerators:
 
     In rational mode row m holds the integers D^m times its entries; float
     mode holds the entries themselves, with D = 1.0.  Each reader reduces to
-    ``Fraction(N, D^m)`` only the entries it returns, and float mode returns
-    them as they are.  :meth:`table` reads every row and releases each one as
-    it goes, so it is the last read of a fill.
+    ``Fraction(N, D^m)`` only the entries it returns.  :meth:`row`,
+    :meth:`column` and :meth:`table` serve both modes, float mode returning
+    the entries as they are; :meth:`band` and :meth:`scaled` are rational
+    only.  :meth:`table` reads every row and releases each one as it goes, so
+    it is the last read of a fill.
     """
 
     rows: list
@@ -162,22 +156,21 @@ class _Numerators:
         if isinstance(self.d, float):
             return self.rows[m]
         scale = self.d**m
-        return [Fraction(v, scale) if v else _ZERO for v in self.rows[m]]
+        return [_over(v, scale) for v in self.rows[m]]
 
     def column(self, j: int) -> list:
         if isinstance(self.d, float):
             return [row[j] for row in self.rows[j:]]
         scale, out = self.d**j, []
         for row in self.rows[j:]:
-            v = row[j]
-            out.append(Fraction(v, scale) if v else _ZERO)
+            out.append(_over(row[j], scale))
             scale *= self.d
         return out
 
     def band(self, width: int, columns=()) -> list:
         """Rows with entry (m, j) read where m - j <= width or j is one of
         ``columns``; every other entry is None."""
-        out, scale = [], self.d**0
+        out, scale = [], 1
         for m, row in enumerate(self.rows):
             lo = max(m - width, 0)
             got = [None] * lo + [_over(v, scale) for v in row[lo:]]
@@ -186,6 +179,31 @@ class _Numerators:
                     got[j] = _over(row[j], scale)
             out.append(got)
             scale *= self.d
+        return out
+
+    def scaled(self, scales, by_row: bool) -> list:
+        """Rows with entry (i, j) multiplied by ``scales[i]`` (``by_row``) or
+        ``scales[j]``.
+
+        A scale is a Fraction or a one-radical :class:`Surd` c * sqrt(r).  Entry
+        (i, j) is N / D^i times it, so its coefficient is one
+        ``Fraction(N * c.numerator, D^i * c.denominator)`` and the entry is
+        ``Surd(coef, {r})``: the normalized value that generic surd arithmetic
+        would reach.  Zero numerators give ``Fraction(0)``.
+        """
+        parts = [(s.coef, s.radicals) if isinstance(s, Surd) else (s, None) for s in scales]
+        out, power = [], 1
+        for i, row in enumerate(self.rows):
+            new = []
+            for j, v in enumerate(row):
+                if not v:
+                    new.append(_ZERO)
+                    continue
+                c, radicals = parts[i if by_row else j]
+                coef = Fraction(v * c.numerator, power * c.denominator)
+                new.append(Surd(coef, radicals) if radicals else coef)
+            out.append(new)
+            power *= self.d
         return out
 
     def table(self) -> list:
@@ -226,7 +244,7 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
     reach = (start + steps, start + steps, steps, steps)
     d, (SA, SB, TA, TB) = _common_scale(mode, *(None if seq is None else seq[:top]
                                                 for seq, top in zip((*source, *target), reach)))
-    z, unit = _units(d)
+    z, unit = (0.0, 1.0) if isinstance(d, float) else (0, 1)
     rows = [[z] * start + [unit]]
     before = [z] * (start + 3)  # padded row -1
     for m in range(steps):
@@ -300,7 +318,7 @@ def _signed(v, k: int):
     return -v if k % 2 == 1 else v
 
 
-def _even_gap_fill(mode: str, n: int, value) -> TriangularTable:
+def _even_gap_fill(n: int, value) -> TriangularTable:
     """Zero at odd row - col, one on the diagonal, ``value(row, col, k)`` at
     row - col = 2k > 0."""
     rows = []
@@ -308,9 +326,9 @@ def _even_gap_fill(mode: str, n: int, value) -> TriangularTable:
         out = []
         for col in range(row + 1):
             k, odd = divmod(row - col, 2)
-            out.append(zero(mode) if odd else one(mode) if k == 0 else value(row, col, k))
+            out.append(_ZERO if odd else _ONE if k == 0 else value(row, col, k))
         rows.append(out)
-    return TriangularTable(role="XiZeta", mode=mode, rows=rows)
+    return TriangularTable(role="XiZeta", mode=RATIONAL, rows=rows)
 
 
 def _xi1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
@@ -318,33 +336,28 @@ def _xi1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     the sum over 1 <= j_1 < ... < j_k <= row-1 with j_{m+1} - j_m >= 2 of
     prod a_{j_m}^2; zero for odd row - col.
 
-    Evaluated by the nested-sum form, j_1 outermost: with r factors left
-    after the current one, the index runs lo..row-2r-1 in ascending order and
-    the next starts at index + 2.  That depends on the row and (r, lo) but not
-    on k, so one level per r serves every k of a row.  The sums run on the
+    With r factors left after the current one, the current index runs
+    lo..row-2r-1 and the next starts at index + 2.  So N(r, lo), the sum with
+    the current index >= lo, is the suffix sum
+    N(r, lo) = N(r, lo + 1) + A_lo*N(r - 1, lo + 2), and entry k of the row is
+    N(k - 1, 1): one level per r serves every k of a row.  The sums run on the
     integers A_j = D*a_j^2, D the lcm of their denominators; a k-factor sum is
-    an integer over D^k, reduced once.  Float mode runs the same loop with
-    D = 1.0.
+    an integer over D^k, reduced once.
     """
-    d, (A,) = _common_scale(rec.mode, rec.a2[:n])
-    z, unit = _units(d)
+    d, (A,) = _common_scale(RATIONAL, rec.a2[:n])
     scale = [d**k for k in range(n // 2 + 1)]
     sums = []  # sums[row][k - 1]: D^k times the k-factor sum of the row
     for row in range(n + 1):
-        level, out = [unit] * (row + 2), []  # r = -1: the empty product
+        level, out = [1] * (row + 2), []  # r = -1: the empty product
         for r in range(row // 2):
             hi = row - 2 * r - 1
-            nxt = [z] * (hi + 1)
-            for lo in range(1, hi + 1):
-                total = z
-                for j in range(lo, hi + 1):
-                    total = total + A[j] * level[j + 2]
-                nxt[lo] = total
+            nxt = [0] * (hi + 2)
+            for lo in range(hi, 0, -1):
+                nxt[lo] = nxt[lo + 1] + A[lo] * level[lo + 2]
             level = nxt
             out.append(level[1])
         sums.append(out)
-    return _even_gap_fill(rec.mode, n, lambda row, col, k:
-                          _signed(_over(sums[row][k - 1], scale[k]), k))
+    return _even_gap_fill(n, lambda row, col, k: _signed(_over(sums[row][k - 1], scale[k]), k))
 
 
 def _xi2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
@@ -355,12 +368,10 @@ def _xi2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     one pass of the e_j recurrence folds in b_r for the next row.  The vector
     holds E_j = D^j e_j over the integers B = D*b, D the lcm of their
     denominators, so the pass is E_t += E_{t-1}*B; each entry is reduced once.
-    Float mode runs the same loop with D = 1.0.
     """
-    d, (B,) = _common_scale(rec.mode, rec.b[:n])
-    z, unit = _units(d)
+    d, (B,) = _common_scale(RATIONAL, rec.b[:n])
     scale = [d**j for j in range(n + 1)]
-    e = [unit] + [z] * n
+    e = [1] + [0] * n
     rows = []
     for row in range(n + 1):
         rows.append([_signed(_over(e[row - col], scale[row - col]), row - col)
@@ -369,7 +380,7 @@ def _xi2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
             x = B[row]
             for t in range(row + 1, 0, -1):
                 e[t] = e[t] + e[t - 1] * x
-    return TriangularTable(role="XiZeta", mode=rec.mode, rows=rows)
+    return TriangularTable(role="XiZeta", mode=RATIONAL, rows=rows)
 
 
 def _zeta1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
@@ -379,23 +390,20 @@ def _zeta1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     With r factors left after the current one, a level sums j = 1..hi and
     hands hi = j + 1 down; that depends on (r, hi) only, so one level per r
     serves the whole table, as the prefix sums
-    N(r, hi) = N(r, hi - 1) + A_hi*N(r - 1, hi + 1), j ascending.  They run on
-    the integers A_j = D*a_j^2, D the lcm of their denominators, so a k-factor
-    sum is an integer over D^k, reduced once.  Float mode runs the same loop
-    with D = 1.0.
+    N(r, hi) = N(r, hi - 1) + A_hi*N(r - 1, hi + 1).  They run on the integers
+    A_j = D*a_j^2, D the lcm of their denominators, so a k-factor sum is an
+    integer over D^k, reduced once.
     """
-    d, (A,) = _common_scale(rec.mode, rec.a2[:n])
-    z, unit = _units(d)
+    d, (A,) = _common_scale(RATIONAL, rec.a2[:n])
     scale = [d**k for k in range(n // 2 + 1)]
-    levels, below = [], [unit] * (n + 1)  # r = -1: the empty product
+    levels, below = [], [1] * (n + 1)  # r = -1: the empty product
     for r in range(n // 2):
-        level = [z]
+        level = [0]
         for hi in range(1, n - 2 * r):
             level.append(level[hi - 1] + A[hi] * below[hi + 1])
         levels.append(level)
         below = level
-    return _even_gap_fill(rec.mode, n, lambda row, col, k:
-                          _over(levels[k - 1][col + 1], scale[k]))
+    return _even_gap_fill(n, lambda row, col, k: _over(levels[k - 1][col + 1], scale[k]))
 
 
 def _zeta2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
@@ -406,13 +414,12 @@ def _zeta2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     h_1..h_{n-c}, the entries that it and the later columns read, and b_n is
     never read.  The vector holds H_j = D^j h_j over the integers B = D*b, D
     the lcm of their denominators, so the fold is H_t += H_{t-1}*B; each entry
-    is reduced once.  Float mode runs the same loop with D = 1.0.
+    is reduced once.
     """
-    d, (B,) = _common_scale(rec.mode, rec.b[:n])
-    z, unit = _units(d)
+    d, (B,) = _common_scale(RATIONAL, rec.b[:n])
     scale = [d**j for j in range(n + 1)]
     rows = [[None] * (row + 1) for row in range(n + 1)]
-    h = [unit] + [z] * n
+    h = [1] + [0] * n
     for col in range(n + 1):
         top = n - col
         if top:
@@ -421,7 +428,7 @@ def _zeta2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
                 h[t] = h[t] + h[t - 1] * x
         for j in range(top + 1):
             rows[col + j][col] = _over(h[j], scale[j])
-    return TriangularTable(role="XiZeta", mode=rec.mode, rows=rows)
+    return TriangularTable(role="XiZeta", mode=RATIONAL, rows=rows)
 
 
 @dataclass
@@ -505,15 +512,16 @@ class PartialSolutionsReport:
         return all(c.passed for c in self.checks)
 
 
-def _prefix_sums(rec: RecurrenceCoefficients, first: int):
-    """Yield (e1, e2, A, P, Q) for K = first, first + 1, ..., lazily.
+def _prefix_sums(rec: RecurrenceCoefficients, top: int) -> list:
+    """(e1, e2, A, P, Q) for K = 0..top, one O(1) step each.
 
     e1 and e2 are the elementary symmetric sums of b_0..b_K; with x = b_{k-1}
     and y = b_k, A, P and Q sum a_k^2, a_k^2*(x + y) and
-    a_k^2*(x^2 + x*y + y^2) over k = 1..K.  Each K costs O(1).
+    a_k^2*(x^2 + x*y + y^2) over k = 1..K.
     """
-    e1 = e2 = A = P = Q = zero(rec.mode)
-    for K in itertools.count():
+    e1 = e2 = A = P = Q = _ZERO
+    out = []
+    for K in range(top + 1):
         y = rec.b[K]
         e2 = e2 + e1 * y
         e1 = e1 + y
@@ -522,26 +530,29 @@ def _prefix_sums(rec: RecurrenceCoefficients, first: int):
             A = A + w
             P = P + w * (x + y)
             Q = Q + w * (x * x + x * y + y * y)
-        if K >= first:
-            yield e1, e2, A, P, Q
+        out.append((e1, e2, A, P, Q))
+    return out
 
 
-def _eta3_printed(rec: RecurrenceCoefficients, x2: list, count: int):
+def _eta3_printed(sums: list, x2: list, count: int):
     """Yield printed eta_{t+3,t} for t < count: the xi2 term at column 3 exactly
     as printed, plus sum_{j=1}^{t+2} a_j^2 times the sum of b_k over
     k = 0..t+2 with k not in {j - 1, j}.  That inner sum is
-    e1 - b_{j-1} - b_j, so the outer sum is e1*A - P (see ``_prefix_sums``)."""
-    for t, (e1, _, A, P, _) in zip(range(count), _prefix_sums(rec, 2)):
+    e1 - b_{j-1} - b_j, so the outer sum is e1*A - P, read from ``sums``, the
+    :func:`_prefix_sums` at K = t + 2."""
+    for t in range(count):
+        e1, _, A, P, _ = sums[t + 2]
         yield x2[t + 3][3] + (e1 * A - P)
 
 
-def _eta4_printed(rec: RecurrenceCoefficients, x1: list, x2: list, count: int):
+def _eta4_printed(sums: list, x1: list, x2: list, count: int):
     """Yield printed eta_{t+4,t} for t < count: xi1 + xi2, plus
     sum_{k=1}^{t+3} a_k^2 times the sum of b_i*b_j over 0 <= i < j <= t+3 with
     neither index in {k - 1, k}.  With x = b_{k-1} and y = b_k that inner sum
-    is e2 - (x + y)*(e1 - x - y) - x*y, so the outer sum is e2*A - e1*P + Q
-    (see ``_prefix_sums``)."""
-    for t, (e1, e2, A, P, Q) in zip(range(count), _prefix_sums(rec, 3)):
+    is e2 - (x + y)*(e1 - x - y) - x*y, so the outer sum is e2*A - e1*P + Q,
+    read from ``sums``, the :func:`_prefix_sums` at K = t + 3."""
+    for t in range(count):
+        e1, e2, A, P, Q = sums[t + 3]
         yield x1[t + 4][t] + x2[t + 4][t] + (e2 * A - e1 * P + Q)
 
 
@@ -557,9 +568,9 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
 
     The sums over indices other than {j - 1, j} in the printed eta forms are
     taken as the full elementary symmetric sum minus the excluded terms, and
-    the a^2-weighted sums of the printed forms run as prefix sums (see
-    ``_prefix_sums``), so each base index costs O(1).  The values are made
-    lazily: a failing check stops at its first mismatch.  The six recursion
+    the a^2-weighted sums of the printed forms read one list of prefix sums
+    (see ``_prefix_sums``), so each base index costs O(1).  The values are
+    made lazily: a failing check stops at its first mismatch.  The six recursion
     fills are read through :meth:`_Numerators.band`: only the entries with
     row - col <= 4 are reduced to fractions, plus the two columns a check
     names (xi2 column 3, and eta column 0 when every b_k is zero).
@@ -572,12 +583,12 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
                          "pass a rational-mode recurrence")
     _check_order(rec, n)
     top = n + 4
-    mode = rec.mode
     symmetric = all(v == 0 for v in rec.b)
     x1, x2, z1, z2 = (fill.band(4, columns) for fill, columns in
                       zip(_aux_fills(rec, top), ((), (3,), (), ())))
-    eta = _banded_fill(mode, top, target=(rec.a2, rec.b)).band(4, (0,) if symmetric else ())
-    tau = _banded_fill(mode, top, source=(rec.a2, rec.b)).band(4)
+    eta = _banded_fill(RATIONAL, top, target=(rec.a2, rec.b)).band(4, (0,) if symmetric else ())
+    tau = _banded_fill(RATIONAL, top, source=(rec.a2, rec.b)).band(4)
+    sums = _prefix_sums(rec, top - 1)  # the printed forms read K <= top - 1
 
     def run(name, pairs, note=""):
         mism = None
@@ -626,8 +637,8 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     )
 
     # l = 3 printed forms; the a^2 sum over j = 1..t+1 is P of _prefix_sums
-    tau3 = (z2[t + 3][t] + z1[t + 2][t] * z2[t + 1][t] + P
-            for t, (_, _, _, P, _) in zip(range(top - 2), _prefix_sums(rec, 1)))
+    tau3 = (z2[t + 3][t] + z1[t + 2][t] * z2[t + 1][t] + sums[t + 1][3]
+            for t in range(top - 2))
 
     checks.append(
         run(
@@ -639,7 +650,7 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     checks.append(
         run(
             "eta_offdiag3_printed",
-            ((t, eta[t + 3][t], v) for t, v in enumerate(_eta3_printed(rec, x2, top - 2))),
+            ((t, eta[t + 3][t], v) for t, v in enumerate(_eta3_printed(sums, x2, top - 2))),
             note="xi2 term evaluated at column 3 exactly as printed",
         )
     )
@@ -649,7 +660,7 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
         run(
             "eta_offdiag4_printed",
             ((t, eta[t + 4][t], v)
-             for t, v in enumerate(_eta4_printed(rec, x1, x2, top - 3))),
+             for t, v in enumerate(_eta4_printed(sums, x1, x2, top - 3))),
             note="the a^2 factor inside the outer sum is read as a_k^2",
         )
     )
@@ -674,9 +685,9 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
         # the whole near-diagonal band reduces to the xi1/zeta1 tables
         def col0(t):
             if t % 2 == 1:
-                return zero(mode)
+                return _ZERO
             k = t // 2
-            out = one(mode)
+            out = _ONE
             for j in range(1, k + 1):
                 out = out * rec.a2[2 * j - 1]
             return -out if k % 2 == 1 else out

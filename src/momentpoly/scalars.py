@@ -298,6 +298,17 @@ def as_scalar(value, mode: str):
     return float(value)
 
 
+def as_scalars(values, mode: str, message: str) -> tuple:
+    """:func:`as_scalar` of each entry of a list (or tuple) of numbers.
+
+    Any other value raises ``ValueError(message)``: a string would otherwise
+    be read one character at a time.
+    """
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(message)
+    return tuple(as_scalar(v, mode) for v in values)
+
+
 def format_fraction(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)

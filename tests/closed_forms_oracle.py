@@ -2,8 +2,8 @@
 
 The library fills each closed-form table in one pass per row or column
 (``momentpoly.recurrence.aux_tables``); these routines evaluate every entry
-from a^2 and b on its own, in the same order of operations, so the tests can
-require the library's fills to equal them with ``==`` in both modes.
+from a^2 and b on its own, in rational arithmetic, so the tests can require
+the library's fills to equal them with ``==`` and ``repr``.
 """
 
 from momentpoly.scalars import one, zero

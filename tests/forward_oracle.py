@@ -92,6 +92,7 @@ def partial_solutions(rec, n):
     eta = rm.eta_table(rec, top)
     tau = rm.tau_table(rec, top)
     x1, x2, z1, z2 = rm._aux_recursions(rec, top)
+    sums = rm._prefix_sums(rec, top - 1)
     mode = rec.mode
 
     def run(name, pairs, note=""):
@@ -141,8 +142,8 @@ def partial_solutions(rec, n):
     )
 
     # l = 3 printed forms; the a^2 sum over j = 1..t+1 is P of _prefix_sums
-    tau3 = (z2.rows[t + 3][t] + z1.rows[t + 2][t] * z2.rows[t + 1][t] + P
-            for t, (_, _, _, P, _) in zip(range(top - 2), rm._prefix_sums(rec, 1)))
+    tau3 = (z2.rows[t + 3][t] + z1.rows[t + 2][t] * z2.rows[t + 1][t] + sums[t + 1][3]
+            for t in range(top - 2))
 
     checks.append(
         run(
@@ -155,7 +156,7 @@ def partial_solutions(rec, n):
         run(
             "eta_offdiag3_printed",
             ((t, eta.rows[t + 3][t], v)
-             for t, v in enumerate(rm._eta3_printed(rec, x2.rows, top - 2))),
+             for t, v in enumerate(rm._eta3_printed(sums, x2.rows, top - 2))),
             note="xi2 term evaluated at column 3 exactly as printed",
         )
     )
@@ -165,7 +166,7 @@ def partial_solutions(rec, n):
         run(
             "eta_offdiag4_printed",
             ((t, eta.rows[t + 4][t], v)
-             for t, v in enumerate(rm._eta4_printed(rec, x1.rows, x2.rows, top - 3))),
+             for t, v in enumerate(rm._eta4_printed(sums, x1.rows, x2.rows, top - 3))),
             note="the a^2 factor inside the outer sum is read as a_k^2",
         )
     )

@@ -76,6 +76,19 @@ class TestCatalog:
         m = make_moments(FamilySpec("explicit", 1, {"moments": [1]}))
         assert m.moments == (Fraction(1),)
 
+    @pytest.mark.parametrize("moments", ["123", None, {"0": "1"}, 7])
+    def test_explicit_non_list_rejected(self, moments):
+        # a string would otherwise be read one character at a time
+        with pytest.raises(ValueError, match=r"params\['moments'\] list"):
+            make_moments(FamilySpec("explicit", 3, {"moments": moments}))
+
+    @pytest.mark.parametrize("params", [{"a2": "0123", "b": ["0"] * 4},
+                                        {"a2": ["0", "1", "2", "3"], "b": "0000"},
+                                        {"a2": ["0", "1", "2", "3"]}])
+    def test_from_recurrence_non_list_rejected(self, params):
+        with pytest.raises(ValueError, match=r"params\['a2'\] and params\['b'\] lists"):
+            make_moments(FamilySpec("from-recurrence", 5, params))
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             FamilySpec("lognormal", 5)

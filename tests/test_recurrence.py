@@ -169,9 +169,10 @@ class TestIntegerFill:
         n, a2s, bs = drawn
         rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
         x1, x2, _, _ = _aux_recursions(rec, n)
-        got = list(recurrence_module._eta3_printed(rec, x2.rows, n - 2))
+        sums = recurrence_module._prefix_sums(rec, n - 1)
+        got = list(recurrence_module._eta3_printed(sums, x2.rows, n - 2))
         assert got == [forward_oracle._eta3_printed(rec, x2, t) for t in range(n - 2)]
-        got = list(recurrence_module._eta4_printed(rec, x1.rows, x2.rows, n - 3))
+        got = list(recurrence_module._eta4_printed(sums, x1.rows, x2.rows, n - 3))
         assert got == [forward_oracle._eta4_printed(rec, x1, x2, t) for t in range(n - 3)]
 
 
@@ -194,18 +195,17 @@ class TestBandReader:
         if symmetric:
             bs = [Fraction(0)] * (n + 1)
         rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
-        for r in (rec, rec.to_floats()):
-            for side in _fill_sides(r):
-                band = _banded_fill(r.mode, n, **side).band(width, columns)
-                table = _banded_fill(r.mode, n, **side).table()
-                assert [len(row) for row in band] == [len(row) for row in table]
-                for m, row in enumerate(band):
-                    for j, v in enumerate(row):
-                        if m - j <= width or j in columns:
-                            assert v == table[m][j], (side, m, j)
-                            assert repr(v) == repr(table[m][j]), (side, m, j)
-                        else:
-                            assert v is None, (side, m, j)
+        for side in _fill_sides(rec):
+            band = _banded_fill(RATIONAL, n, **side).band(width, columns)
+            table = _banded_fill(RATIONAL, n, **side).table()
+            assert [len(row) for row in band] == [len(row) for row in table]
+            for m, row in enumerate(band):
+                for j, v in enumerate(row):
+                    if m - j <= width or j in columns:
+                        assert v == table[m][j], (side, m, j)
+                        assert repr(v) == repr(table[m][j]), (side, m, j)
+                    else:
+                        assert v is None, (side, m, j)
 
     @pytest.mark.parametrize("symmetric", [False, True])
     @settings(max_examples=25, deadline=None)
@@ -333,16 +333,13 @@ class TestAuxiliaryTables:
 
 
     @settings(max_examples=40, deadline=None)
-    @given(_fill_draws(16), st.booleans(), st.sampled_from([RATIONAL, FLOAT]))
-    def test_closed_fills_equal_per_entry_oracle(self, drawn, symmetric, mode):
+    @given(_fill_draws(16), st.booleans())
+    def test_closed_fills_equal_per_entry_oracle(self, drawn, symmetric):
         # pairwise coprime denominators up to 2^31 - 1 make D^k large
         n, a2, b = drawn
         if symmetric:
             b = [Fraction(0)] * (n + 1)
         rec = RecurrenceCoefficients((Fraction(0), *a2), tuple(b), RATIONAL)
-        if mode == FLOAT:
-            rec = rec.to_floats()
-        # called directly: aux_tables refuses float mode, the fills do not
         for fill, oracle in ((recurrence_module._xi1_closed, closed_xi1),
                              (recurrence_module._xi2_closed, closed_xi2),
                              (recurrence_module._zeta1_closed, closed_zeta1),
