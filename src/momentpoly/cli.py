@@ -116,15 +116,18 @@ def _random_recurrence(rng: random.Random, size: int) -> RecurrenceCoefficients:
 def _cmd_recurrence(args) -> int:
     if args.draws < 1:
         raise ValueError(f"--draws must be at least 1, got {args.draws}")
-    if args.verify_closed_forms is not None and args.recfile is None:
+    tables = (args.moments, args.eta, args.tau)
+    if args.recfile is None and (args.verify_closed_forms is None
+                                 or any(v is not None for v in tables)):
+        # random draws serve --verify-closed-forms only; tables read a file
+        print("a recurrence file is required for this operation", file=sys.stderr)
+        return 1
+    if args.recfile is None:
         rng = random.Random(args.seed)
         recs = [_random_recurrence(rng, args.verify_closed_forms + 5)
                 for _ in range(args.draws)]
-    elif args.recfile is not None:
-        recs = [_load_recurrence(args)]
     else:
-        print("a recurrence file is required for this operation", file=sys.stderr)
-        return 1
+        recs = [_load_recurrence(args)]
 
     if args.moments is not None:
         seq = moments_from_recurrence(recs[0], args.moments)
@@ -329,14 +332,10 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotPositiveDefinite as exc:
+    except (NotPositiveDefinite, InsufficientMoments) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InsufficientMoments as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError,
-            ArithmeticError, KeyError) as exc:
+    except (OSError, ValueError, ArithmeticError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

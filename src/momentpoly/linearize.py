@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polysys import PolynomialSystem
-from .recurrence import RecurrenceCoefficients, _banded_fill
+from .recurrence import RecurrenceCoefficients, _banded_fill, _identity_check, _require_exact
 from .scalars import RATIONAL, zero
 
 BASES = ("orthonormal", "monic")
@@ -110,38 +110,18 @@ def closed_form_linearization(
     raise ValueError(f"no closed form for s = {s}; supported: n+m-1 and n+m-2")
 
 
-@dataclass
-class LinearizationCheck:
-    name: str
-    passed: bool
-    table_value: object
-    closed_value: object
-
-
 def verify_linearization_closed_forms(
     sys_: PolynomialSystem, n: int, m: int
 ) -> list:
-    """Compare every printed closed form against the monic table."""
+    """Compare every printed closed form against the monic table.
+
+    Returns one :class:`~momentpoly.recurrence.IdentityCheck` per printed form
+    of the coefficients s = n + m - 1 and n + m - 2 that exist, so none for
+    n = m = 0.  Raises ``ValueError`` on a float-mode system: the forms are
+    compared with ``!=``, so rounding alone would fail them.
+    """
+    _require_exact(sys_.mode, "verify_linearization_closed_forms")
     table = linearization_table(sys_, n, m, basis="monic")
-    out = []
-    top = closed_form_linearization(sys_.rec, n, m, n + m - 1)
-    out.append(
-        LinearizationCheck(
-            "top_minus_one_statement",
-            table.entry(n + m - 1) == top["statement"],
-            table.entry(n + m - 1),
-            top["statement"],
-        )
-    )
-    if n + m >= 2:
-        nxt = closed_form_linearization(sys_.rec, n, m, n + m - 2)
-        for key, val in nxt.items():
-            out.append(
-                LinearizationCheck(
-                    f"top_minus_two_{key}",
-                    table.entry(n + m - 2) == val,
-                    table.entry(n + m - 2),
-                    val,
-                )
-            )
-    return out
+    return [_identity_check(f"top_minus_{gap}_{key}", [(s, table.entry(s), value)])
+            for s, gap in ((n + m - 1, "one"), (n + m - 2, "two")) if s >= 0
+            for key, value in closed_form_linearization(sys_.rec, n, m, s).items()]

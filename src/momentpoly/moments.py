@@ -11,6 +11,7 @@ from .cholesky import TriangularTable, cholesky_decompose
 from .scalars import (
     FLOAT,
     RATIONAL,
+    as_scalar,
     as_scalars,
     check_mode,
     format_scalar,
@@ -146,7 +147,14 @@ def make_moments(spec: FamilySpec, mode: str = RATIONAL) -> MomentSequence:
     if spec.family == "q-hermite":
         from .qkernel import q_hermite_recurrence
 
-        rec = q_hermite_recurrence(spec.params["q"], spec.count)
+        q = spec.params.get("q")
+        if q is None:
+            raise ValueError("q-hermite family needs params['q']")
+        # only float mode keeps a float q; rational mode reads it exactly, as
+        # a float literal of a file is read
+        if not (mode == FLOAT and isinstance(q, float)):
+            q = as_scalar(q, RATIONAL)
+        rec = q_hermite_recurrence(q, spec.count)
         seq = moments_from_recurrence(rec, spec.count, label=label)
         return seq if mode == seq.mode else seq.to_floats()
 

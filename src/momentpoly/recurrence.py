@@ -86,15 +86,6 @@ def recurrence_from_dict(data: dict, mode: str = RATIONAL, label: str = "") -> R
     return RecurrenceCoefficients(a2, b, mode, label=str(data.get("label", label)))
 
 
-def recurrence_to_dict(rec: RecurrenceCoefficients) -> dict:
-    from .scalars import format_scalar
-
-    return {
-        "a2": [format_scalar(v) for v in rec.a2],
-        "b": [format_scalar(v) for v in rec.b],
-    }
-
-
 def _require(rec: RecurrenceCoefficients, a2_top: int, b_top: int) -> None:
     if a2_top >= len(rec.a2):
         raise ValueError(
@@ -114,6 +105,13 @@ def _check_order(rec: RecurrenceCoefficients, n: int) -> None:
         raise ValueError(f"table order must be non-negative, got {n}")
     if n > 0:
         _require(rec, n - 1, n - 1)
+
+
+def _require_exact(mode: str, what: str) -> None:
+    """Refuse float mode where ``what`` compares exact identities: rounding
+    alone would fail identities that hold exactly."""
+    if mode != RATIONAL:
+        raise ValueError(f"{what} compares exact identities; pass a rational-mode recurrence")
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -473,9 +471,7 @@ def aux_tables(rec: RecurrenceCoefficients, n: int) -> AuxTables:
     compared against.  Raises ``ValueError`` on a float-mode recurrence, as
     :func:`partial_solutions` does: the fills are compared with ``!=``.
     """
-    if rec.mode != RATIONAL:
-        raise ValueError("aux_tables compares exact identities; "
-                         "pass a rational-mode recurrence")
+    _require_exact(rec.mode, "aux_tables")
     xi1, xi2, zeta1, zeta2 = _aux_recursions(rec, n)
     return AuxTables(
         xi1=xi1,
@@ -499,6 +495,18 @@ class IdentityCheck:
     checked: int
     first_mismatch: tuple | None = None
     note: str = ""
+
+
+def _identity_check(name: str, pairs, note: str = "") -> IdentityCheck:
+    """Compare (index, table value, closed value) triples with ``!=`` up to
+    the first mismatch; ``checked`` counts the triples compared."""
+    checked, mismatch = 0, None
+    for idx, table, closed in pairs:
+        checked += 1
+        if table != closed:
+            mismatch = (idx, table, closed)
+            break
+    return IdentityCheck(name, mismatch is None, checked, mismatch, note)
 
 
 @dataclass
@@ -578,9 +586,7 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     Raises ``ValueError`` on a float-mode recurrence: every check compares
     with ``!=``, so rounding alone would fail identities that hold exactly.
     """
-    if rec.mode != RATIONAL:
-        raise ValueError("partial_solutions compares exact identities; "
-                         "pass a rational-mode recurrence")
+    _require_exact(rec.mode, "partial_solutions")
     _check_order(rec, n)
     top = n + 4
     symmetric = all(v == 0 for v in rec.b)
@@ -590,95 +596,29 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     tau = _banded_fill(RATIONAL, top, source=(rec.a2, rec.b)).band(4)
     sums = _prefix_sums(rec, top - 1)  # the printed forms read K <= top - 1
 
-    def run(name, pairs, note=""):
-        mism = None
-        count = 0
-        for idx, expected, got in pairs:
-            count += 1
-            if expected != got:
-                mism = (idx, expected, got)
-                break
-        return IdentityCheck(name, mism is None, count, mism, note)
-
-    checks = []
-
-    # l = 1: eta_{t+1,t} = xi2_{t+1,t} = -tau_{t+1,t}
-    checks.append(
-        run(
-            "eta_offdiag1",
-            ((t, eta[t + 1][t], x2[t + 1][t]) for t in range(top)),
-        )
+    # (name, table, l, closed values for t = 0, 1, ..., note): each row checks
+    # table[t + l][t] against its closed form
+    forms = (
+        # l = 1: eta_{t+1,t} = xi2_{t+1,t} = -tau_{t+1,t}
+        ("eta_offdiag1", eta, 1, (x2[t + 1][t] for t in range(top)), ""),
+        ("tau_offdiag1", tau, 1, (-x2[t + 1][t] for t in range(top)), ""),
+        # l = 2: eta = xi1 + xi2, tau = zeta1 + zeta2
+        ("eta_offdiag2", eta, 2, (x1[t + 2][t] + x2[t + 2][t] for t in range(top - 1)), ""),
+        ("tau_offdiag2", tau, 2, (z1[t + 2][t] + z2[t + 2][t] for t in range(top - 1)), ""),
+        # l = 3 printed forms; tau's a^2 sum over j = 1..t+1 is P of _prefix_sums
+        ("tau_offdiag3_printed", tau, 3,
+         (z2[t + 3][t] + z1[t + 2][t] * z2[t + 1][t] + sums[t + 1][3] for t in range(top - 2)), ""),
+        ("eta_offdiag3_printed", eta, 3, _eta3_printed(sums, x2, top - 2),
+         "xi2 term evaluated at column 3 exactly as printed"),
+        # l = 4 printed forms
+        ("eta_offdiag4_printed", eta, 4, _eta4_printed(sums, x1, x2, top - 3),
+         "the a^2 factor inside the outer sum is read as a_k^2"),
+        ("tau_offdiag4_printed", tau, 4,
+         (-eta[t + 4][t] - eta[t + 4][t + 1] * tau[t + 1][t] - eta[t + 4][t + 2] * tau[t + 2][t]
+          - eta[t + 4][t + 3] * tau[t + 3][t] for t in range(top - 3)), ""),
     )
-    checks.append(
-        run(
-            "tau_offdiag1",
-            ((t, tau[t + 1][t], -x2[t + 1][t]) for t in range(top)),
-        )
-    )
-
-    # l = 2: eta = xi1 + xi2, tau = zeta1 + zeta2
-    checks.append(
-        run(
-            "eta_offdiag2",
-            (
-                (t, eta[t + 2][t], x1[t + 2][t] + x2[t + 2][t])
-                for t in range(top - 1)
-            ),
-        )
-    )
-    checks.append(
-        run(
-            "tau_offdiag2",
-            (
-                (t, tau[t + 2][t], z1[t + 2][t] + z2[t + 2][t])
-                for t in range(top - 1)
-            ),
-        )
-    )
-
-    # l = 3 printed forms; the a^2 sum over j = 1..t+1 is P of _prefix_sums
-    tau3 = (z2[t + 3][t] + z1[t + 2][t] * z2[t + 1][t] + sums[t + 1][3]
-            for t in range(top - 2))
-
-    checks.append(
-        run(
-            "tau_offdiag3_printed",
-            ((t, tau[t + 3][t], v) for t, v in enumerate(tau3)),
-        )
-    )
-
-    checks.append(
-        run(
-            "eta_offdiag3_printed",
-            ((t, eta[t + 3][t], v) for t, v in enumerate(_eta3_printed(sums, x2, top - 2))),
-            note="xi2 term evaluated at column 3 exactly as printed",
-        )
-    )
-
-    # l = 4 printed forms
-    checks.append(
-        run(
-            "eta_offdiag4_printed",
-            ((t, eta[t + 4][t], v)
-             for t, v in enumerate(_eta4_printed(sums, x1, x2, top - 3))),
-            note="the a^2 factor inside the outer sum is read as a_k^2",
-        )
-    )
-
-    def tau4(t):
-        return (
-            -eta[t + 4][t]
-            - eta[t + 4][t + 1] * tau[t + 1][t]
-            - eta[t + 4][t + 2] * tau[t + 2][t]
-            - eta[t + 4][t + 3] * tau[t + 3][t]
-        )
-
-    checks.append(
-        run(
-            "tau_offdiag4_printed",
-            ((t, tau[t + 4][t], tau4(t)) for t in range(top - 3)),
-        )
-    )
+    checks = [_identity_check(name, ((t, table[t + l][t], v) for t, v in enumerate(values)), note)
+              for name, table, l, values, note in forms]
 
     if symmetric:
         # pure-a^2 case: first column alternates signed odd-index products and
@@ -692,32 +632,12 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
                 out = out * rec.a2[2 * j - 1]
             return -out if k % 2 == 1 else out
 
-        checks.append(
-            run(
-                "eta_column0_symmetric",
-                ((t, eta[t][0], col0(t)) for t in range(1, top + 1)),
-            )
-        )
-        checks.append(
-            run(
-                "eta_band_symmetric",
-                (
-                    ((t, l), eta[t + l][t], x1[t + l][t])
-                    for l in range(5)
-                    for t in range(top + 1 - l)
-                ),
-            )
-        )
-        checks.append(
-            run(
-                "tau_band_symmetric",
-                (
-                    ((t, l), tau[t + l][t], z1[t + l][t])
-                    for l in range(5)
-                    for t in range(top + 1 - l)
-                ),
-            )
-        )
+        checks.append(_identity_check("eta_column0_symmetric",
+                                      ((t, eta[t][0], col0(t)) for t in range(1, top + 1))))
+        checks.extend(_identity_check(name, (((t, l), table[t + l][t], closed[t + l][t])
+                                             for l in range(5) for t in range(top + 1 - l)))
+                      for name, table, closed in (("eta_band_symmetric", eta, x1),
+                                                  ("tau_band_symmetric", tau, z1)))
 
     return PartialSolutionsReport(checks=checks)
 

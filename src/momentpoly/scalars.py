@@ -289,7 +289,7 @@ def as_scalar(value, mode: str):
             return Fraction(value)
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
-        if isinstance(value, float):
+        if isinstance(value, float) and math.isfinite(value):
             # exact binary value of the literal; deterministic round trip
             return Fraction(value)
         raise ValueError(f"cannot interpret {value!r} as a rational scalar")

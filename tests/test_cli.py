@@ -203,6 +203,16 @@ class TestRecurrence:
     def test_no_action_exits_one(self, files):
         assert run_cli("recurrence", files["gauss_rec"]).returncode == 1
 
+    @pytest.mark.parametrize("flag", ["--moments", "--eta", "--tau"])
+    def test_tables_without_rec_file_exit_one(self, flag):
+        # random draws serve --verify-closed-forms only; a table flag given
+        # next to it must not print a random draw instead of verifying
+        for extra in ([], ["--verify-closed-forms", "3"]):
+            res = run_cli("recurrence", flag, "4", *extra)
+            assert res.returncode == 1
+            assert res.stderr == "a recurrence file is required for this operation\n"
+            assert res.stdout == ""
+
     def test_negative_closed_form_order_exits_one(self):
         res = run_cli("recurrence", "--verify-closed-forms", "-1")
         assert res.returncode == 1

@@ -236,6 +236,23 @@ class TestClosedForms:
         checks = verify_linearization_closed_forms(systems["semicircle"], 3, 3)
         assert all(c.passed for c in checks)
 
+    def test_float_system_refused(self):
+        # rounding alone failed 29 of the checks at n, m < 8, against 1 exactly
+        sys_ = build_system(make_moments(FamilySpec("gaussian", 29), FLOAT), 14)
+        with pytest.raises(ValueError, match="compares exact identities"):
+            verify_linearization_closed_forms(sys_, 3, 2)
+
+    def test_degree_zero_product_has_no_check(self, systems):
+        # s = n + m - 1 = -1 must not wrap around to the coefficient of p_0
+        for sys_ in systems.values():
+            assert verify_linearization_closed_forms(sys_, 0, 0) == []
+
+    def test_degree_one_product_checks_only_the_top(self, systems):
+        for n, m in ((1, 0), (0, 1)):
+            checks = verify_linearization_closed_forms(systems["gaussian"], n, m)
+            assert [(c.name, c.passed, c.checked) for c in checks] == [
+                ("top_minus_one_statement", True, 1)]
+
     def test_unsupported_s_rejected(self, systems):
         with pytest.raises(ValueError):
             closed_form_linearization(systems["gaussian"].rec, 2, 2, 1)

@@ -97,6 +97,21 @@ class TestCatalog:
         with pytest.raises(ValueError):
             make_moments(FamilySpec("q-hermite", 5, {"q": Fraction(3, 2)}))
 
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize("params", [{}, {"q": None}, {"q": [0.5]}, {"q": True},
+                                        {"q": float("inf")}, {"q": float("nan")}])
+    def test_q_hermite_missing_or_malformed_q_rejected(self, mode, params):
+        with pytest.raises(ValueError):
+            make_moments(FamilySpec("q-hermite", 5, params), mode)
+
+    def test_q_hermite_float_q_read_exactly_in_rational_mode(self):
+        m = make_moments(FamilySpec("q-hermite", 9, {"q": 0.5}), RATIONAL)
+        assert m.mode == RATIONAL
+        assert m.moments == make_moments(FamilySpec("q-hermite", 9, {"q": Fraction(1, 2)})).moments
+        # a float that is not a short binary fraction keeps its exact value
+        m = make_moments(FamilySpec("q-hermite", 5, {"q": 0.1}), RATIONAL)
+        assert m.m(4) == 2 + Fraction(0.1)
+
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             MomentSequence((Fraction(2),), RATIONAL)

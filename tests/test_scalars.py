@@ -94,3 +94,11 @@ def test_file_value_parsing():
     assert as_scalar(2, RATIONAL) == Fraction(2)
     assert as_scalar("3/4", FLOAT) == 0.75
     assert as_scalar(0.25, RATIONAL) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_float_has_no_rational_value(value):
+    # Fraction(inf) raises OverflowError, which a caller that handles
+    # ValueError at the boundary would miss
+    with pytest.raises(ValueError, match="as a rational scalar"):
+        as_scalar(value, RATIONAL)
