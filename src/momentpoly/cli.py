@@ -60,25 +60,35 @@ def _encode(obj):
 
 
 def _emit(payload: dict, args) -> None:
-    if args.format == "json":
-        text = json.dumps(_encode(payload), indent=2)
-    else:
-        lines = []
-        for key, value in _encode(payload).items():
-            if isinstance(value, list) and value and isinstance(value[0], list):
-                lines.append(f"# {key}")
-                lines.extend(",".join(str(v) for v in row) for row in value)
-            elif isinstance(value, list):
-                lines.append(f"# {key}")
-                lines.append(",".join(str(v) for v in value))
-            else:
-                lines.append(f"{key},{value}")
-        text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # the int -> str digit limit of CPython 3.10.7+ guards the parsing of
+    # untrusted text; the CLI's own exact output may have any size, so the
+    # limit is lifted while it is formatted and written, and only then
+    old_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            text = json.dumps(_encode(payload), indent=2)
+        else:
+            lines = []
+            for key, value in _encode(payload).items():
+                if isinstance(value, list) and value and isinstance(value[0], list):
+                    lines.append(f"# {key}")
+                    lines.extend(",".join(str(v) for v in row) for row in value)
+                elif isinstance(value, list):
+                    lines.append(f"# {key}")
+                    lines.append(",".join(str(v) for v in value))
+                else:
+                    lines.append(f"{key},{value}")
+            text = "\n".join(lines)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 def _load_recurrence(args) -> RecurrenceCoefficients:

@@ -9,6 +9,7 @@ uses the eta / tau tables instead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +56,8 @@ def connection_table(
     """Expansion coefficients of the target system in the source basis."""
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}")
+    if n < 0:
+        raise ValueError(f"order n must be non-negative, got n = {n}")
     if target.order < n or source.order < n:
         raise ValueError(
             f"both systems must reach order {n} "
@@ -110,7 +113,7 @@ def closed_form_gamma(
             sqdiff = sqdiff + (
                 rec_source.b[j] * rec_source.b[j] - rec_target.b[j] * rec_target.b[j]
             )
-        half = Fraction(1, 2) if mode == RATIONAL else 0.5
+        half = Fraction(1, 2)  # times a float x, the float 0.5 * x: one constant for both modes
         return total + half * diff * diff + half * sqdiff - rec_target.b[n - 1] * diff
     raise ValueError(f"no closed form for (n, k) = ({n}, {k}); supported k: n, n-1, n-2")
 
@@ -186,11 +189,8 @@ def builtin_ribbon_pair(count: int, mode: str = RATIONAL):
         else:
             t = k // 2
             vals.append(Fraction(3, 4) * (Fraction(1, 2 * t + 1) + Fraction(1, 2 * t + 3)))
-    if mode == RATIONAL:
-        delta = MomentSequence(tuple(vals), mode, "quadratic-weight")
-    else:
-        delta = MomentSequence(tuple(to_float(v) for v in vals), mode, "quadratic-weight")
-    return alpha, delta
+    delta = MomentSequence(tuple(vals), RATIONAL, "quadratic-weight")
+    return alpha, (delta if mode == RATIONAL else delta.to_floats())
 
 
 # -- Radon-Nikodym expansion ---------------------------------------------------
@@ -229,18 +229,9 @@ def rn_expansion(
     if delta_sys.order < n:
         raise ValueError(f"delta system order {delta_sys.order} below requested {n}")
     alpha_moments.require(n)
-    pi = delta_sys.Pi.rows
-    omegas = []
-    partial = []
-    acc = 0.0
-    for j in range(n + 1):
-        w = zero(delta_sys.mode)
-        for k in range(j + 1):
-            if pi[j][k]:
-                w = w + pi[j][k] * alpha_moments.m(k)
-        omegas.append(w)
-        acc += to_float(w) ** 2
-        partial.append(acc)
+    unit = (one(delta_sys.mode),)
+    omegas = [moment_inner_product(alpha_moments, unit, row) for row in delta_sys.Pi.rows[: n + 1]]
+    partial = list(itertools.accumulate(to_float(w) ** 2 for w in omegas))
     residual = None
     if square_integral is not None:
         residual = square_integral - partial[-1]

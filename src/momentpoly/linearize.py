@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .polysys import PolynomialSystem
 from .recurrence import RecurrenceCoefficients, _banded_fill, _identity_check, _require_exact
-from .scalars import RATIONAL, zero
+from .scalars import zero
 
 BASES = ("orthonormal", "monic")
 
@@ -71,6 +71,8 @@ def closed_form_linearization(
     returned (keys ``"statement"`` and ``"proof_expansion"``) so callers can
     report each against the table value without adjudicating.
     """
+    if s < 0:
+        raise ValueError(f"no closed form for s = {s}; s must be non-negative")
     mode = rec.mode
     big, small = max(n, m), min(n, m)
     if s == n + m - 1:
@@ -84,7 +86,7 @@ def closed_form_linearization(
             a_part = a_part + rec.a2[j]
         for j in range(1, small):
             a_part = a_part - rec.a2[j]
-        half = Fraction(1, 2) if mode == RATIONAL else 0.5
+        half = Fraction(1, 2)  # times a float x, the float 0.5 * x: one constant for both modes
         d1 = zero(mode)
         d2 = zero(mode)
         for j in range(big, n + m - 1):

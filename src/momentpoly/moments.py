@@ -130,42 +130,34 @@ def make_moments(spec: FamilySpec, mode: str = RATIONAL) -> MomentSequence:
                           "explicit family needs a params['moments'] list")[: spec.count]
         if len(vals) < spec.count:
             raise ValueError("explicit moment list shorter than count")
-        return MomentSequence(vals, mode, label)
-
-    if spec.family in SYMMETRIC_CATALOG:
-        exact = [
+        seq = MomentSequence(vals, mode, label)
+    elif spec.family in SYMMETRIC_CATALOG:
+        exact = tuple(
             _catalog_even_moment(spec.family, k // 2) if k % 2 == 0 else Fraction(0)
             for k in range(spec.count)
-        ]
-        if mode == FLOAT:
-            return MomentSequence(tuple(to_float(v) for v in exact), mode, label)
-        return MomentSequence(tuple(exact), mode, label)
+        )
+        seq = MomentSequence(exact, RATIONAL, label)
+    else:
+        # recurrence-driven families; imported here to keep the module graph acyclic
+        from .recurrence import RecurrenceCoefficients, moments_from_recurrence
 
-    # recurrence-driven families; imported here to keep the module graph acyclic
-    from .recurrence import RecurrenceCoefficients, moments_from_recurrence
+        if spec.family == "q-hermite":
+            from .qkernel import q_hermite_recurrence
 
-    if spec.family == "q-hermite":
-        from .qkernel import q_hermite_recurrence
-
-        q = spec.params.get("q")
-        if q is None:
-            raise ValueError("q-hermite family needs params['q']")
-        # only float mode keeps a float q; rational mode reads it exactly, as
-        # a float literal of a file is read
-        if not (mode == FLOAT and isinstance(q, float)):
-            q = as_scalar(q, RATIONAL)
-        rec = q_hermite_recurrence(q, spec.count)
+            q = spec.params.get("q")
+            if q is None:
+                raise ValueError("q-hermite family needs params['q']")
+            # only float mode keeps a float q; rational mode reads it exactly, as
+            # a float literal of a file is read
+            if not (mode == FLOAT and isinstance(q, float)):
+                q = as_scalar(q, RATIONAL)
+            rec = q_hermite_recurrence(q, spec.count)
+        else:  # from-recurrence, the last of FAMILIES
+            need = "from-recurrence family needs params['a2'] and params['b'] lists"
+            a2, b = (as_scalars(spec.params.get(k), RATIONAL, need) for k in ("a2", "b"))
+            rec = RecurrenceCoefficients(a2, b, RATIONAL, label=label)
         seq = moments_from_recurrence(rec, spec.count, label=label)
-        return seq if mode == seq.mode else seq.to_floats()
-
-    if spec.family == "from-recurrence":
-        need = "from-recurrence family needs params['a2'] and params['b'] lists"
-        a2, b = (as_scalars(spec.params.get(k), RATIONAL, need) for k in ("a2", "b"))
-        rec = RecurrenceCoefficients(a2, b, RATIONAL, label=label)
-        seq = moments_from_recurrence(rec, spec.count, label=label)
-        return seq if mode == RATIONAL else seq.to_floats()
-
-    raise ValueError(f"unknown family {spec.family!r}")
+    return seq if seq.mode == mode else seq.to_floats()
 
 
 @dataclass

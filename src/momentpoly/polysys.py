@@ -203,8 +203,8 @@ def monic_tables(sys_: PolynomialSystem, n: int | None = None):
 
 def eval_poly(sys_: PolynomialSystem, k: int, x):
     """p_k(x) by the forward three-term recurrence (orthonormal normalization)."""
-    if k > sys_.order:
-        raise ValueError(f"k = {k} exceeds system order {sys_.order}")
+    if not 0 <= k <= sys_.order:
+        raise ValueError(f"degree k = {k} must lie in 0..{sys_.order}, the system order")
     prev = zero(sys_.mode)  # p_{-1}
     cur = one(sys_.mode)
     for j in range(k):
@@ -216,8 +216,8 @@ def eval_poly(sys_: PolynomialSystem, k: int, x):
 
 def eval_monic(sys_: PolynomialSystem, k: int, x):
     """Monic ptilde_k(x) by the monic three-term recurrence."""
-    if k > sys_.order:
-        raise ValueError(f"k = {k} exceeds system order {sys_.order}")
+    if not 0 <= k <= sys_.order:
+        raise ValueError(f"degree k = {k} must lie in 0..{sys_.order}, the system order")
     prev = zero(sys_.mode)
     cur = one(sys_.mode)
     for j in range(k):

@@ -27,11 +27,13 @@ from .scalars import FLOAT, RATIONAL, one, scalar_sqrt, zero
 MAX_PM_TERMS = 10**4
 
 
-def _coerce_q(q):
-    """Return (q as backend scalar, mode)."""
-    if isinstance(q, float):
-        return q, FLOAT
-    return Fraction(q), RATIONAL
+def _coerce_q(q, *others):
+    """Return (q as backend scalar, mode): float mode when q or any of
+    ``others`` is a float, exact rationals otherwise."""
+    qv = q if isinstance(q, float) else Fraction(q)
+    if isinstance(qv, float) or any(isinstance(v, float) for v in others):
+        return float(qv), FLOAT
+    return qv, RATIONAL
 
 
 def _brackets(qv, mode: str):
@@ -48,13 +50,13 @@ def q_bracket(n: int, q):
     if n < 0:
         raise ValueError("q-bracket needs n >= 0")
     qv, mode = _coerce_q(q)
-    if qv == 1:
-        return Fraction(n) if mode == RATIONAL else float(n)
     return [zero(mode), *itertools.islice(_brackets(qv, mode), n)][-1]
 
 
 def q_factorial(n: int, q):
     """[n]_q! = prod_{j=1..n} [j]_q with [0]_q! = 1."""
+    if n < 0:
+        raise ValueError(f"q-factorial needs n >= 0, got n = {n}")
     qv, mode = _coerce_q(q)
     out = one(mode)
     for bracket in itertools.islice(_brackets(qv, mode), n):
@@ -64,11 +66,10 @@ def q_factorial(n: int, q):
 
 def q_pochhammer(a, n: int, q):
     """(a; q)_n = prod_{i=0..n-1} (1 - a q^i)."""
-    qv, mode = _coerce_q(q)
-    av = Fraction(a) if mode == RATIONAL and not isinstance(a, float) else float(a)
-    if isinstance(av, float):
-        mode = FLOAT
-        qv = float(qv)
+    if n < 0:
+        raise ValueError(f"q-Pochhammer symbol needs n >= 0, got n = {n}")
+    qv, mode = _coerce_q(q, a)
+    av = Fraction(a) if mode == RATIONAL else float(a)
     out = one(mode)
     power = one(mode)
     for _ in range(n):
@@ -112,10 +113,9 @@ def q_hermite(n: int, x, q, orthonormal: bool = False):
 
 def q_hermite_values(n: int, x, q, orthonormal: bool = False) -> list:
     """All of H_0(x|q) .. H_n(x|q) from the three-term recurrence."""
-    qv, mode = _coerce_q(q)
-    if isinstance(x, float):
-        mode = FLOAT
-        qv = float(qv)
+    if n < 0:
+        raise ValueError(f"q-Hermite degree needs n >= 0, got n = {n}")
+    qv, mode = _coerce_q(q, x)
     vals = [one(mode)]
     if n >= 1:
         vals.append(x * vals[0])
@@ -149,12 +149,8 @@ def al_salam_chihara_recurrence(
     polynomials have norm squared [n]_q! (rho^2; q)_n, and the expectation of
     H_n(Z|q) under it equals rho^n H_n(y|q).
     """
-    qv, mode = _coerce_q(q)
-    yv = Fraction(y) if mode == RATIONAL and not isinstance(y, float) else float(y)
-    rv = Fraction(rho) if mode == RATIONAL and not isinstance(rho, float) else float(rho)
-    if isinstance(yv, float) or isinstance(rv, float):
-        mode = FLOAT
-        qv, yv, rv = float(qv), float(yv), float(rv)
+    qv, mode = _coerce_q(q, y, rho)
+    yv, rv = (Fraction(v) if mode == RATIONAL else float(v) for v in (y, rho))
     if not -1 < qv < 1:
         raise ValueError(f"|q| < 1 required, got {qv}")
     if not -1 < rv < 1:
@@ -209,13 +205,17 @@ def kernel_weight(x: float, y: float, p: QParams, k: int) -> float:
     )
 
 
-def pm_product(x: float, y: float, p: QParams, tol: float = 1e-12) -> float:
-    """Infinite product prod_k (1 - rho^2 q^k) / w_k, truncated once the
-    factors are geometrically within ``tol`` of 1."""
+def _check_point(x: float, y: float, p: QParams, tol: float) -> None:
     if not (p.in_support(x) and p.in_support(y)):
         raise ValueError("evaluation point outside the support interval")
     if tol <= 0:
         raise ValueError("tol must be positive")
+
+
+def pm_product(x: float, y: float, p: QParams, tol: float = 1e-12) -> float:
+    """Infinite product prod_k (1 - rho^2 q^k) / w_k, truncated once the
+    factors are geometrically within ``tol`` of 1."""
+    _check_point(x, y, p, tol)
     q, rho = float(p.q), float(p.rho)
     value = 1.0
     small_run = 0
@@ -252,10 +252,7 @@ def pm_series(x: float, y: float, p: QParams, tol: float = 1e-12) -> PMSeriesRes
     run of below-tolerance terms; persistently growing terms beyond the cap
     raise instead of silently returning garbage.
     """
-    if not (p.in_support(x) and p.in_support(y)):
-        raise ValueError("evaluation point outside the support interval")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_point(x, y, p, tol)
     q, rho = float(p.q), float(p.rho)
     hx_prev, hx = 0.0, 1.0
     hy_prev, hy = 0.0, 1.0

@@ -13,7 +13,9 @@ Two modes run through the whole library:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -30,6 +32,11 @@ def _perfect_square_root(f: Fraction) -> Fraction | None:
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
+
+
+def _radicand(radicals) -> Fraction:
+    """Product of a radical set; the one element itself, or 1 for the empty set."""
+    return functools.reduce(operator.mul, radicals) if radicals else Fraction(1)
 
 
 class Surd:
@@ -58,10 +65,7 @@ class Surd:
             return coef
         if len(radicals) > 1:
             # collapse rational-valued products such as sqrt(2)*sqrt(8)
-            prod = Fraction(1)
-            for r in radicals:
-                prod *= r
-            root = _perfect_square_root(prod)
+            root = _perfect_square_root(_radicand(radicals))
             if root is not None:
                 return coef * root
         return Surd(coef, radicals)
@@ -77,16 +81,10 @@ class Surd:
         return None
 
     def _squared(self) -> Fraction:
-        s = self.coef * self.coef
-        for r in self.radicals:
-            s *= r
-        return s
+        return self.coef * self.coef * _radicand(self.radicals)
 
     def _inverse(self) -> "Surd":
-        den = self.coef
-        for r in self.radicals:
-            den *= r
-        return Surd(1 / den, self.radicals)
+        return Surd(1 / (self.coef * _radicand(self.radicals)), self.radicals)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -114,13 +112,7 @@ class Surd:
         if r2 != self.radicals:
             # sqrt(A) and sqrt(B) are commensurable over Q exactly when B/A is
             # a rational square; rewrite the other term on this term's radicals
-            mine = Fraction(1)
-            for r in self.radicals:
-                mine *= r
-            theirs = Fraction(1)
-            for r in r2:
-                theirs *= r
-            root = _perfect_square_root(theirs / mine)
+            root = _perfect_square_root(_radicand(r2) / _radicand(self.radicals))
             if root is None:
                 raise ValueError(
                     "exact addition of incommensurable surds is not representable"
@@ -158,9 +150,7 @@ class Surd:
             return NotImplemented
         if k < 0:
             return self._inverse() ** (-k)
-        c = self.coef**k
-        for r in self.radicals:
-            c *= r ** (k // 2)
+        c = self.coef**k * _radicand(self.radicals) ** (k // 2)
         if k % 2 == 0:
             return c
         return self._make(c, self.radicals)
@@ -188,9 +178,7 @@ class Surd:
         if sa != sb:
             return -1 if sa < sb else 1
         qa = self._squared()
-        qb = c2 * c2
-        for r in r2:
-            qb *= r
+        qb = c2 * c2 * _radicand(r2)
         if qa == qb:
             return 0
         return sa if qa > qb else -sa
@@ -231,10 +219,7 @@ class Surd:
 
     def radicand(self) -> Fraction:
         """Product of all radicands (the single-sqrt normal form)."""
-        p = Fraction(1)
-        for r in self.radicals:
-            p *= r
-        return p
+        return _radicand(self.radicals)
 
     def __repr__(self):
         return f"Surd({self.coef!r}, sqrt({self.radicand()!r}))"

@@ -12,6 +12,7 @@ import pytest
 
 from momentpoly import (
     FamilySpec,
+    build_system,
     builtin_ribbon_pair,
     make_moments,
     moments_from_recurrence,
@@ -30,6 +31,11 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+#: CPython 3.10.7 and later limit int <-> str conversion to 4300 digits
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="this interpreter has no int -> str digit limit")
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +153,34 @@ class TestDecompose:
         res = run_cli("decompose", files["gauss"], "-n", "1", "--out", str(out))
         assert res.returncode == 0
         assert json.loads(out.read_text())["L"] == [["1"], ["0", "1"]]
+
+    @needs_digit_limit
+    def test_exact_output_beyond_the_digit_limit(self, tmp_path, capsys):
+        # a Delta entry of q-hermite (q = 1/2) at n = 45 has 4547 digits, past
+        # the 4300 that int -> str conversion allows by default
+        seq = make_moments(FamilySpec("q-hermite", 91, {"q": Fraction(1, 2)}))
+        path = tmp_path / "qh.json"
+        save_moment_file(seq, path)
+        limit = sys.get_int_max_str_digits()
+        assert cli_main(["decompose", str(path), "-n", "45"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        deltas = json.loads(capsys.readouterr().out)["Delta"]
+        assert max(len(part) for d in deltas for part in d.split("/")) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            parsed = [Fraction(d) for d in deltas]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert parsed == build_system(seq, 45).deltas
+
+    @needs_digit_limit
+    def test_input_integer_beyond_the_digit_limit_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "long.json"
+        big = "1" + "0" * sys.get_int_max_str_digits()
+        bad.write_text(json.dumps({"moments": ["1", "0", big, "0", big]}))
+        assert cli_main(["decompose", str(bad), "-n", "1"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and "digits" in out.err
 
 
 class TestRecurrence:

@@ -256,3 +256,9 @@ class TestClosedForms:
     def test_unsupported_s_rejected(self, systems):
         with pytest.raises(ValueError):
             closed_form_linearization(systems["gaussian"].rec, 2, 2, 1)
+
+    @pytest.mark.parametrize("n, m, s", [(0, 0, -1), (0, 0, -2), (1, 0, -1)])
+    def test_negative_s_rejected(self, systems, n, m, s):
+        # s = n + m - 1 or n + m - 2 below zero used to return a closed form
+        with pytest.raises(ValueError, match=f"s = {s};"):
+            closed_form_linearization(systems["gaussian"].rec, n, m, s)

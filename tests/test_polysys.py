@@ -15,6 +15,7 @@ from momentpoly import (
     associated_polys,
     build_system,
     christoffel,
+    connection_table,
     diagnostics,
     eval_monic,
     eval_poly,
@@ -23,6 +24,9 @@ from momentpoly import (
     moment_inner_product,
     moments_from_recurrence,
     monic_tables,
+    q_factorial,
+    q_hermite,
+    q_pochhammer,
     recurrence_from_moments,
 )
 from momentpoly import polysys as polysys_module
@@ -458,6 +462,22 @@ class TestEvaluation:
     def test_out_of_range_rejected(self, systems):
         with pytest.raises(ValueError):
             eval_poly(systems["gaussian"], 9, Fraction(0))
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda s: connection_table(s, s, -1), "n"),
+        (lambda s: connection_table(s, s, -1, basis="monic"), "n"),
+        (lambda s: eval_poly(s, -1, Fraction(0)), "k"),
+        (lambda s: eval_monic(s, -1, Fraction(0)), "k"),
+        (lambda s: q_hermite(-1, Fraction(1, 3), Fraction(1, 2)), "n"),
+        (lambda s: q_hermite(-1, 0.5, 0.5, orthonormal=True), "n"),
+        (lambda s: q_pochhammer(Fraction(1, 4), -1, Fraction(1, 2)), "n"),
+        (lambda s: q_factorial(-1, Fraction(1, 2)), "n"),
+    ], ids=["connection", "connection-monic", "eval_poly", "eval_monic", "q_hermite",
+            "q_hermite-float", "q_pochhammer", "q_factorial"])
+    def test_negative_degree_rejected(self, systems, call, name):
+        # each used to return 1 or an empty table, or raise islice's message
+        with pytest.raises(ValueError, match=rf"\b{name} = -1\b"):
+            call(systems["gaussian"])
 
 
 class TestMonicTables:

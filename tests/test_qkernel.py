@@ -35,6 +35,7 @@ class TestBrackets:
         for n in range(6):
             assert q_bracket(n, 1) == n
             assert q_bracket(n, Fraction(1)) == n
+            assert q_bracket(n, 1.0) == float(n) and isinstance(q_bracket(n, 1.0), float)
 
     def test_factorial_base_case(self):
         assert q_factorial(0, Fraction(1, 3)) == 1
@@ -47,6 +48,22 @@ class TestBrackets:
         q = Fraction(1, 2)
         a = Fraction(1, 4)
         assert q_pochhammer(a, 2, q) == (1 - a) * (1 - a * q)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_a_float_parameter_switches_to_float_mode(self, n):
+        # one float among exact parameters gives the bits of the all-float call
+        def bits(values):
+            return [v.hex() for v in values]
+
+        assert (q_pochhammer(0.25, n, Fraction(1, 2)).hex()
+                == q_pochhammer(0.25, n, 0.5).hex())
+        for orthonormal in (False, True):
+            assert bits(q_hermite_values(n, 0.7, Fraction(1, 3), orthonormal)) == bits(
+                q_hermite_values(n, 0.7, float(Fraction(1, 3)), orthonormal))
+        mixed = al_salam_chihara_recurrence(1.0, Fraction(3, 10), Fraction(1, 2), n + 1)
+        floats = al_salam_chihara_recurrence(1.0, 0.3, 0.5, n + 1)
+        assert mixed.mode == FLOAT
+        assert bits(mixed.a2 + mixed.b) == bits(floats.a2 + floats.b)
 
     def test_cache_consistency(self):
         cache = QBracketCache(Fraction(1, 3))

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpoly.scalars import (
     FLOAT,
@@ -70,6 +72,48 @@ def test_ordering_via_squares():
     assert r2 > 1
     assert r2 < Fraction(3, 2)
     assert r2 > 1.2
+
+
+_factors = st.lists(st.tuples(st.builds(Fraction, st.integers(1, 30), st.integers(1, 6)),
+                               st.booleans()), min_size=1, max_size=5)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factors, _factors, st.integers(-3, 3), st.booleans())
+def test_products_of_square_roots_agree_with_their_radicand_sets(xs, ys, k, negate):
+    def build(factors):
+        # the value, a product and quotient of square roots, and its square
+        value, square = Fraction(-1 if negate else 1), Fraction(1)
+        for r, divide in factors:
+            value = value / exact_sqrt(r) if divide else value * exact_sqrt(r)
+            square = square / r if divide else square * r
+        return value, square
+
+    (v, v2), (w, w2) = build(xs), build(ys)
+    for x, x2 in ((v, v2), (w, w2), (v * w, v2 * w2), (v / w, v2 / w2)):
+        if isinstance(x, Surd):
+            product = Fraction(1)
+            for r in x.radicals:
+                product *= r
+            assert x.radicand() == product
+            assert x.coef * x.coef * product == x2
+        assert x**2 == x2
+        assert x ** (2 * k) == x2**k
+        assert x ** (2 * k + 1) == x2**k * x
+    for a, a2 in ((v, v2), (-v, v2)):
+        if _sign(a) != _sign(w):
+            less = _sign(a) < _sign(w)
+        else:
+            less = a2 < w2 if _sign(a) > 0 else a2 > w2
+        same = _sign(a) == _sign(w) and a2 == w2
+        assert (a < w, a == w, a > w) == (less, same, not less and not same)
+        if same:
+            assert hash(a) == hash(w)
+    assert v * w == w * v and hash(v * w) == hash(w * v)
 
 
 def test_float_conversion():
