@@ -3,8 +3,11 @@ polynomial density ratios, and Radon-Nikodym Fourier expansions.
 
 If {p_n(x, target)} and {p_n(x, source)} are the orthonormal systems of two
 measures, then p_n(x, target) = sum_k gamma[n][k] p_k(x, source) with the
-lower-triangular table gamma = Pi(target) * Lambda(source); the monic variant
-uses the eta / tau tables instead.
+lower-triangular table gamma = Pi(target) * Lambda(source); the monic
+variant is eta(target) * tau(source).  Rational mode reads all of them off the
+two recurrences, on the integer numerators of their banded fill g, with one
+square-root scale per entry; float mode multiplies the tables and sums
+moments, whose bits the benchmark digests pin.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from fractions import Fraction
 
 from .cholesky import TriangularTable, tri_multiply
 from .moments import MomentSequence
-from .polysys import PolynomialSystem, moment_inner_product
-from .recurrence import RecurrenceCoefficients, eta_table, tau_table
+from .polysys import PolynomialSystem, _chebyshev, moment_inner_product
+from .recurrence import RecurrenceCoefficients, _banded_fill, _common_scale, eta_table, tau_table
 from .scalars import RATIONAL, one, to_float, zero
 
 BASES = ("orthonormal", "monic")
@@ -53,7 +56,12 @@ def connection_table(
     n: int,
     basis: str = "orthonormal",
 ) -> ConnectionTable:
-    """Expansion coefficients of the target system in the source basis."""
+    """Expansion coefficients of the target system in the source basis.
+
+    Rational mode fills the monic table g from the target and source
+    recurrences; the orthonormal entry (n, k) is g[n][k] * sqrt(d_k) of the
+    source / sqrt(d_n) of the target.  Neither ``Pi`` nor ``L`` is read.
+    """
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}")
     if n < 0:
@@ -65,12 +73,20 @@ def connection_table(
         )
     if target.mode != source.mode:
         raise ValueError("systems must share a numeric mode")
-    if basis == "orthonormal":
-        left = _truncate(target.Pi, n)
-        right = _truncate(source.Lambda, n)
+    if target.mode != RATIONAL:
+        # float bits pinned by the benchmark digests, until a float-output rule
+        if basis == "orthonormal":
+            left, right = _truncate(target.Pi, n), _truncate(source.Lambda, n)
+        else:
+            left, right = eta_table(target.rec, n), tau_table(source.rec, n)
+        prod = tri_multiply(left, right, role=left.role)
     else:
-        left, right = eta_table(target.rec, n), tau_table(source.rec, n)
-    prod = tri_multiply(left, right, role=left.role)
+        t, s = target.rec, source.rec
+        rows = _banded_fill(RATIONAL, n, target=(t.a2, t.b), source=(s.a2, s.b)).table()
+        if basis == "orthonormal":
+            down, up = target.roots, source.roots
+            rows = [[v * up[k] / down[i] for k, v in enumerate(row)] for i, row in enumerate(rows)]
+        prod = TriangularTable("Pi" if basis == "orthonormal" else "Eta", RATIONAL, rows)
     return ConnectionTable(
         table=prod,
         basis=basis,
@@ -142,6 +158,13 @@ def ribbon_check(
     When the density ratio d(alpha)/d(delta) is the reciprocal of a degree-r
     polynomial this matrix is an r-ribbon; the converse is not checkable from
     finitely many moments and is the caller's responsibility.
+
+    Rational mode reads entry (i, j), <p_i, p_j> under delta, as
+    sum_k g[i][k] * g[j][k] * d_k(delta) / (sqrt(d_i) * sqrt(d_j) of alpha),
+    with g the monic connection table from alpha to delta.  Delta's
+    recurrence and norms come from its moments by the Chebyshev algorithm, so
+    delta must be positive definite to order n, else
+    :class:`NotPositiveDefinite` is raised.  Float mode sums moments.
     """
     if r < 0:
         raise ValueError(f"ribbon width must be non-negative, got {r}")
@@ -149,15 +172,26 @@ def ribbon_check(
         raise ValueError("order must be nonnegative")
     if alpha_sys.order < n:
         raise ValueError(f"alpha system order {alpha_sys.order} below requested {n}")
-    delta_moments.require(2 * n)
-    pi = alpha_sys.Pi.rows
     mode = alpha_sys.mode
+    if delta_moments.mode != mode:
+        raise ValueError("alpha system and delta moments must share a numeric mode")
+    delta_moments.require(2 * n)
+    if mode != RATIONAL:
+        # float bits pinned by the benchmark digests, until a float-output rule
+        pi = alpha_sys.Pi.rows
+        inner = lambda i, j: moment_inner_product(delta_moments, pi[i], pi[j])
+    else:
+        a, (d, norms) = alpha_sys.rec, _chebyshev(delta_moments, 2 * n)
+        g = _banded_fill(RATIONAL, n, target=(a.a2, a.b), source=(d.a2, d.b))
+        e, (weights,) = _common_scale(RATIONAL, norms)
+        down = [1 / root for root in alpha_sys.roots]
+        inner = lambda i, j: g.pairing(weights, e, i, j) * down[i] * down[j]
     worst = 0.0
     witness = None
     exact_ok = True
     for i in range(n + 1):
         for j in range(i - r):  # off the band: i - j > r
-            v = moment_inner_product(delta_moments, pi[i], pi[j])
+            v = inner(i, j)
             mag = abs(to_float(v))
             if mode == RATIONAL:
                 if v != 0:
@@ -223,14 +257,27 @@ def rn_expansion(
     i.e. the degree-(j, 0) connection coefficient; densities never enter.  The
     Parseval partial sums of omega_j^2 increase toward the integral of the
     squared density ratio when the caller can supply it independently.
+
+    Rational mode sums row j of delta's monic fill eta against alpha's
+    moments as integers, and divides by sqrt(d_j) of delta instead of
+    reading delta's ``Pi``.
     """
     if n < 0:
         raise ValueError(f"expansion order must be non-negative, got {n}")
     if delta_sys.order < n:
         raise ValueError(f"delta system order {delta_sys.order} below requested {n}")
+    if alpha_moments.mode != delta_sys.mode:
+        raise ValueError("alpha moments and delta system must share a numeric mode")
     alpha_moments.require(n)
-    unit = (one(delta_sys.mode),)
-    omegas = [moment_inner_product(alpha_moments, unit, row) for row in delta_sys.Pi.rows[: n + 1]]
+    if delta_sys.mode != RATIONAL:
+        # float bits pinned by the benchmark digests, until a float-output rule
+        unit = (one(delta_sys.mode),)
+        omegas = [moment_inner_product(alpha_moments, unit, row) for row in delta_sys.Pi.rows[: n + 1]]
+    else:
+        d = delta_sys.rec
+        eta = _banded_fill(RATIONAL, n, target=(d.a2, d.b))
+        e, (weights,) = _common_scale(RATIONAL, alpha_moments.moments[: n + 1])
+        omegas = [eta.pairing(weights, e, j) / root for j, root in enumerate(delta_sys.roots[: n + 1])]
     partial = list(itertools.accumulate(to_float(w) ** 2 for w in omegas))
     residual = None
     if square_integral is not None:

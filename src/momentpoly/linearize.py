@@ -9,9 +9,9 @@ gives g_k = ptilde_n * ptilde_k, and multiplying by x stays in the monic
 basis through x * ptilde_j = ptilde_{j+1} + b_j * ptilde_j + a_j^2 * ptilde_{j-1}.
 So the monic table is row m of the banded fill of ``recurrence`` with the
 recurrence as both target and source, started at row n.  The orthonormal
-table rescales it: p_k = pi[k][k] * ptilde_k and ptilde_s = lambda[s][s] * p_s
-give c_s = c~_s * pi[n][n] * pi[m][m] * lambda[s][s].  Tables need the system
-built to order n + m.
+table rescales it: p_k = ptilde_k / sqrt(d_k) gives
+c_s = c~_s / sqrt(d_n) / sqrt(d_m) * sqrt(d_s), with sqrt(d_k) the system's
+``roots``, the diagonal of L.  Tables need the system built to order n + m.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ def linearization_table(
     mode, rec = sys_.mode, sys_.rec
     coeffs = _banded_fill(mode, m, target=(rec.a2, rec.b), source=(rec.a2, rec.b), start=n).row(m)
     if basis == "orthonormal":
-        scale, lam = sys_.Pi.rows[n][n] * sys_.Pi.rows[m][m], sys_.Lambda.rows
-        coeffs = [c * scale * lam[s][s] for s, c in enumerate(coeffs)]
+        roots = sys_.roots
+        scale = 1 / roots[n] * (1 / roots[m])
+        coeffs = [c * scale * roots[s] for s, c in enumerate(coeffs)]
     return LinearizationTable(n=n, m=m, coefficients=coeffs, basis=basis, mode=mode)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -168,6 +169,7 @@ class HankelMoments:
     source: MomentSequence
     _factor: TriangularTable | None = field(default=None, repr=False)
     _deltas: list | None = field(default=None, repr=False)
+    _make_factor: Callable[[], TriangularTable] | None = field(default=None, repr=False)
 
     @property
     def mode(self) -> str:
@@ -185,9 +187,10 @@ class HankelMoments:
 
     @property
     def factor(self) -> TriangularTable:
-        """Cholesky factor L, computed on first use unless ``build_system`` supplied it."""
+        """Cholesky factor L, computed on first use: by ``_make_factor`` when
+        the rational ``build_system`` set it, else by Cholesky factorization."""
         if self._factor is None:
-            self._factor = cholesky_decompose(self)
+            self._factor = self._make_factor() if self._make_factor else cholesky_decompose(self)
         return self._factor
 
     @property

@@ -1,16 +1,18 @@
 """Orthonormal polynomial system of a measure given by finitely many moments.
 
 The system is the Cholesky factor L of the moment matrix, Pi = L^-1 and the
-three-term recurrence.  Rational mode builds the recurrence first, by the
-Chebyshev algorithm on integer rows, and scales the monic tables eta, tau by
-the monic norms d_k = l_kk^2 = Delta_k / Delta_{k-1}, whose running product
-is Delta; float mode factors, inverts and reads the recurrence off Pi.
+three-term recurrence.  Rational mode builds the recurrence and the monic
+norms d_k = l_kk^2 = Delta_k / Delta_{k-1}, whose running product is Delta,
+by the Chebyshev algorithm on integer rows; L and Pi, the monic tables eta,
+tau scaled by sqrt(d_k), are built only when read.  Float mode factors,
+inverts and reads the recurrence off Pi.
 Evaluation, associated polynomials, the reproducing kernel and the
 finite-order spectral identities are derived from the tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -23,16 +25,22 @@ from .recurrence import RecurrenceCoefficients, _banded_fill, _common_scale, eta
 from .scalars import RATIONAL, exact_sqrt, one, zero
 
 
-@dataclass
 class PolynomialSystem:
     """Moment matrix, its Cholesky factor L, the coefficient table Pi = L^-1,
-    and the extracted recurrence, all to a fixed order."""
+    and the extracted recurrence, all to a fixed order.
 
-    moments: MomentSequence
-    hankel: HankelMoments
-    L: TriangularTable
-    Pi: TriangularTable
-    rec: RecurrenceCoefficients
+    Given ready tables, ``L`` becomes the factor of ``hankel``.  The rational
+    :func:`build_system` passes the monic norms d_0..d_n instead, and ``Pi``
+    and ``L`` are scaled from the recurrence fills on first read.  ``roots``
+    holds sqrt(d_k), the diagonal of L, in both cases.
+    """
+
+    def __init__(self, moments: MomentSequence, hankel: HankelMoments, L: TriangularTable | None,
+                 Pi: TriangularTable | None, rec: RecurrenceCoefficients, norms: list | None = None):
+        if L is not None:
+            hankel._factor = L
+        self.moments, self.hankel, self.rec, self.norms, self._Pi = moments, hankel, rec, norms, Pi
+        self.roots = hankel.factor.diagonal() if norms is None else [exact_sqrt(d) for d in norms]
 
     @property
     def mode(self) -> str:
@@ -40,7 +48,17 @@ class PolynomialSystem:
 
     @property
     def order(self) -> int:
-        return self.L.order
+        return self.hankel.order
+
+    @property
+    def L(self) -> TriangularTable:
+        return self.hankel.factor
+
+    @property
+    def Pi(self) -> TriangularTable:
+        if self._Pi is None:
+            self._Pi = _surd_table("Pi", self.rec, self.roots, self.order)
+        return self._Pi
 
     @property
     def Lambda(self) -> TriangularTable:
@@ -59,14 +77,12 @@ class PolynomialSystem:
 def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
     """Assemble the order-n system from m_0..m_{2n}.
 
-    Rational mode runs :func:`_chebyshev`, whose rows are integers over one
-    row denominator, then sets ``Pi[i][j] = eta[i][j] / sqrt(d_i)`` and
-    ``L[i][j] = tau[i][j] * sqrt(d_j)``.  It hands L to the Hankel matrix as
-    its factor and the running product of the d_k as its ``deltas``, so no
-    pivot of L is squared.  Each nonzero entry is built as it is, from the
-    fill's integer numerator: ``Surd(eta[i][j] / d_i, {d_i})`` and
-    ``Surd(tau[i][j], {d_j})``, or a plain ``Fraction`` when the d_k is a
-    perfect square (see :meth:`_Numerators.scaled`).  A d_k <= 0 raises
+    Rational mode runs :func:`_chebyshev` only, keeps the monic norms d_k on
+    the system and hands their running product to the Hankel matrix as its
+    ``deltas``, so no pivot of L is squared.  ``Pi`` and ``L`` (the Hankel
+    matrix's ``factor``) are built on first read by :func:`_surd_table`;
+    connection, ribbon, Radon-Nikodym and linearization tables read the
+    recurrence and ``roots`` instead.  A d_k <= 0 raises
     :class:`NotPositiveDefinite` at the same order and with the same pivot as
     the Cholesky factorization.
     """
@@ -75,19 +91,32 @@ def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
         # the Chebyshev route is not bit-identical in floats; this branch
         # goes once a change of the float output is accepted
         L = hank.factor
-        Pi = invert_lower_triangular(L, role="Pi")
-        sys_ = PolynomialSystem(moments=m, hankel=hank, L=L, Pi=Pi, rec=None)  # type: ignore[arg-type]
+        sys_ = PolynomialSystem(m, hank, L, invert_lower_triangular(L, role="Pi"), rec=None)  # type: ignore[arg-type]
         sys_.rec = recurrence_from_tables(sys_)
         return sys_
     rec, norms = _chebyshev(m, 2 * n)
-    roots = [exact_sqrt(d) for d in norms]
-    Pi = _banded_fill(RATIONAL, n, target=(rec.a2, rec.b)).scaled([1 / r for r in roots],
-                                                                  by_row=True)
-    L = _banded_fill(RATIONAL, n, source=(rec.a2, rec.b)).scaled(roots, by_row=False)
-    hank._factor = TriangularTable(role="L", mode=RATIONAL, rows=L)
     hank._deltas = list(itertools.accumulate(norms, operator.mul))
-    return PolynomialSystem(moments=m, hankel=hank, L=hank._factor,
-                            Pi=TriangularTable(role="Pi", mode=RATIONAL, rows=Pi), rec=rec)
+    sys_ = PolynomialSystem(m, hank, None, None, rec, norms)
+    # the factor closes over the recurrence and roots, never the system: no cycle
+    hank._make_factor = functools.partial(_surd_table, "L", rec, sys_.roots, n)
+    return sys_
+
+
+def _surd_table(role: str, rec: RecurrenceCoefficients, roots: list, n: int) -> TriangularTable:
+    """Rational ``Pi`` or ``L`` from the monic fills and roots[k] = sqrt(d_k).
+
+    ``Pi[i][j] = eta[i][j] / sqrt(d_i)`` and ``L[i][j] = tau[i][j] * sqrt(d_j)``.
+    Each nonzero entry is built as it is, from the fill's integer numerator:
+    ``Surd(eta[i][j] / d_i, {d_i})`` and ``Surd(tau[i][j], {d_j})``, or a
+    plain ``Fraction`` when the d_k is a perfect square (see
+    :meth:`_Numerators.scaled`).
+    """
+    if role == "Pi":
+        rows = _banded_fill(RATIONAL, n, target=(rec.a2, rec.b)).scaled([1 / r for r in roots],
+                                                                       by_row=True)
+    else:
+        rows = _banded_fill(RATIONAL, n, source=(rec.a2, rec.b)).scaled(roots, by_row=False)
+    return TriangularTable(role=role, mode=RATIONAL, rows=rows)
 
 
 def _chebyshev(m: MomentSequence, top: int):

@@ -17,8 +17,9 @@ integer numerators: row m is held as D^m times its entries, D the lcm of the
 coefficient denominators.  The fill hands the numerators on, and each consumer
 reduces to ``Fraction(N, D^m)`` only the entries it reads: the printed tables
 every entry, the moments column 0, the near-diagonal report the band it
-compares, a linearization one row, and the orthonormal build scales the
-numerators into ``Pi`` and ``L``.  Float mode runs the same fill with D = 1.0.
+compares, a linearization one row, the ribbon test and the Radon-Nikodym
+expansion weighted sums of rows, and ``Pi`` and ``L`` scale the numerators
+when first read.  Float mode runs the same fill with D = 1.0.
 
 The four closed-form fills and the near-diagonal report check exact
 identities with ``==``, so they are rational only: a closed-form entry with k
@@ -28,6 +29,7 @@ coefficient factors is summed as an integer over D^k and reduced once.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,9 +144,9 @@ class _Numerators:
     mode holds the entries themselves, with D = 1.0.  Each reader reduces to
     ``Fraction(N, D^m)`` only the entries it returns.  :meth:`row`,
     :meth:`column` and :meth:`table` serve both modes, float mode returning
-    the entries as they are; :meth:`band` and :meth:`scaled` are rational
-    only.  :meth:`table` reads every row and releases each one as it goes, so
-    it is the last read of a fill.
+    the entries as they are; :meth:`band`, :meth:`scaled` and :meth:`pairing`
+    are rational only.  :meth:`table` reads every row and releases each one
+    as it goes, so it is the last read of a fill.
     """
 
     rows: list
@@ -203,6 +205,13 @@ class _Numerators:
             out.append(new)
             power *= self.d
         return out
+
+    def pairing(self, weights: list, e: int, i: int, j: int | None = None) -> Fraction:
+        """sum_k entry(i, k) * entry(j, k) * weights[k] / e, or without ``j``
+        sum_k entry(i, k) * weights[k] / e: one ``Fraction`` reduced from the
+        integer numerators and the integer ``weights``.  Rational only."""
+        terms = self.rows[i] if j is None else map(operator.mul, self.rows[i], self.rows[j])
+        return Fraction(sum(map(operator.mul, terms, weights)), self.d ** (i + (j or 0)) * e)
 
     def table(self) -> list:
         out = []

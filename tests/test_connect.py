@@ -1,5 +1,6 @@
 """Connection tables, closed forms, ribbon structure, Radon-Nikodym expansions."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from momentpoly import (
     FamilySpec,
     InsufficientMoments,
+    MomentSequence,
+    NotPositiveDefinite,
     RecurrenceCoefficients,
     build_system,
     builtin_ribbon_pair,
@@ -24,6 +27,7 @@ from momentpoly import (
 from momentpoly.scalars import FLOAT, RATIONAL
 
 from conftest import CATALOG, positive_fractions, random_recurrence, signed_fractions
+from connect_oracle import connection_by_tables, rn_by_moments, ribbon_by_moments
 from polysys_oracle import as_text, ribbon_loop
 
 
@@ -212,6 +216,22 @@ class TestRibbon:
         with pytest.raises(ValueError, match="nonnegative"):
             ribbon_check(sys_, sys_.moments, 0, -1)
 
+    def test_mixed_modes_rejected(self, systems):
+        alpha, delta = builtin_ribbon_pair(17, FLOAT)
+        with pytest.raises(ValueError, match="share a numeric mode"):
+            ribbon_check(systems["uniform"], delta, 2, 8)
+        with pytest.raises(ValueError, match="share a numeric mode"):
+            ribbon_check(build_system(alpha, 8), systems["uniform"].moments, 2, 8)
+
+    def test_delta_not_positive_definite_rejected(self, systems):
+        # three atoms: delta's moment matrix is singular from order 3 on
+        atoms = (Fraction(-1), Fraction(0), Fraction(1, 2))
+        delta = MomentSequence(tuple(sum(x**k for x in atoms) / 3 for k in range(17)), RATIONAL)
+        assert ribbon_check(systems["uniform"], delta, 1, 2).order == 2
+        with pytest.raises(NotPositiveDefinite) as err:
+            ribbon_check(systems["uniform"], delta, 1, 8)
+        assert err.value.order == 3
+
     def test_short_delta_rejected(self, systems):
         # order 8 reads m_0..m_16 of delta; this one stops at m_15
         delta = make_moments(FamilySpec("gaussian", 16))
@@ -262,3 +282,72 @@ class TestRadonNikodym:
         alpha = make_moments(FamilySpec("semicircle", 5))
         with pytest.raises(Exception):
             rn_expansion(alpha, systems["uniform"], 10)
+
+    def test_mixed_modes_rejected(self, systems):
+        exact = make_moments(FamilySpec("semicircle", 11))
+        delta_float = build_system(make_moments(FamilySpec("uniform", 21), FLOAT), 10)
+        with pytest.raises(ValueError, match="share a numeric mode"):
+            rn_expansion(exact.to_floats(), systems["uniform"], 10)
+        with pytest.raises(ValueError, match="share a numeric mode"):
+            rn_expansion(exact, delta_float, 10)
+
+
+def _seeded_moments(seed):
+    rec = random_recurrence(random.Random(seed), 42)
+    return moments_from_recurrence(rec, 41, label=f"seeded-{seed}")
+
+
+@pytest.fixture(scope="module")
+def measures(catalog_moments):
+    """The catalog, q-hermite and three seeded b != 0 measures, m_0..m_40."""
+    out = dict(catalog_moments)
+    out["q-hermite"] = make_moments(FamilySpec("q-hermite", 41, {"q": Fraction(1, 3)}))
+    out.update({f"seeded-{seed}": _seeded_moments(seed) for seed in (50, 51, 52)})
+    return out
+
+
+def same_exact(got, want):
+    """repr and str equality, the str taken entry by entry."""
+    return repr(got) == repr(want) and as_text(got) == as_text(want)
+
+
+def assert_matches_table_routes(target, source, alpha, n, r):
+    """Connection tables, RN coefficients and the ribbon report against the
+    routes through Pi, L and the moment sums: target is delta, source alpha."""
+    for basis in ("orthonormal", "monic"):
+        got = connection_table(target, source, n, basis=basis).rows
+        assert same_exact(got, connection_by_tables(target, source, n, basis))
+    exp = rn_expansion(alpha, target, n)
+    want = rn_by_moments(alpha, target, n)
+    assert same_exact(exp.omegas, want)
+    assert [v.hex() for v in exp.parseval_partial_sums] == \
+        [v.hex() for v in itertools.accumulate(float(w) ** 2 for w in want)]
+    got, want = ribbon_check(source, target.moments, r, n), ribbon_by_moments(
+        source, target.moments, r, n)
+    assert (got.is_ribbon, got.order) == (want.is_ribbon, n)
+    assert got.max_off_ribbon.hex() == want.max_off_ribbon.hex()
+    assert same_exact(got.witness, want.witness)
+
+
+class TestRecurrenceRoute:
+    """The rational connection layer reads the two recurrences; every value
+    equals the table routes', written alike."""
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_equals_table_routes(self, n, measures):
+        names = sorted(measures)
+        systems = {name: build_system(measures[name], n) for name in names}
+        for i, name in enumerate(names):
+            other = names[(i + n) % len(names)]  # a different pairing at each order
+            assert_matches_table_routes(systems[name], systems[other], measures[other], n, n % 4)
+
+    def test_delta_system_above_the_order(self, measures):
+        # the CLI builds delta to max(n, --rn): every reader stops at n
+        delta = build_system(measures["uniform"], 20)
+        alpha = build_system(measures["seeded-50"], 9)
+        assert_matches_table_routes(delta, alpha, measures["seeded-50"], 9, 2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_drawn_systems, _drawn_systems, st.integers(0, 3))
+    def test_equals_table_routes_property(self, delta, alpha, r):
+        assert_matches_table_routes(delta, alpha, alpha.moments, _ORDER, r)

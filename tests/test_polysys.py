@@ -1,6 +1,8 @@
 """Assembled polynomial systems: tables, recurrence, evaluation, kernel, identities."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,12 +16,14 @@ from momentpoly import (
     RecurrenceCoefficients,
     associated_polys,
     build_system,
+    builtin_ribbon_pair,
     christoffel,
     connection_table,
     diagnostics,
     eval_monic,
     eval_poly,
     kernel,
+    linearization_table,
     make_moments,
     moment_inner_product,
     moments_from_recurrence,
@@ -28,8 +32,12 @@ from momentpoly import (
     q_hermite,
     q_pochhammer,
     recurrence_from_moments,
+    ribbon_check,
+    rn_expansion,
 )
+from momentpoly import moments as moments_module
 from momentpoly import polysys as polysys_module
+from momentpoly import recurrence as recurrence_module
 from momentpoly.cholesky import cholesky_decompose, invert_lower_triangular
 from momentpoly.moments import hankel_matrix
 from momentpoly.polysys import (
@@ -196,6 +204,64 @@ class TestChebyshevBuild:
             cholesky_decompose(hankel_matrix(m, n))
         assert got.value.order == want.value.order == len(atoms)
         assert str(got.value) == str(want.value)
+
+
+class TestLazyTables:
+    """A rational build keeps the recurrence and the norms; Pi and L are
+    scaled from the fills when first read, and nothing else reads them."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        # calls of the Cholesky factorization and of the surd scaling
+        calls = {"cholesky": 0, "scaled": 0}
+        factor, scaled = moments_module.cholesky_decompose, recurrence_module._Numerators.scaled
+
+        def count(key, run):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return run(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(moments_module, "cholesky_decompose", count("cholesky", factor))
+        monkeypatch.setattr(recurrence_module._Numerators, "scaled", count("scaled", scaled))
+        return calls
+
+    @pytest.mark.parametrize("family, params", FAMILIES + [("from-recurrence", SKEW_PARAMS)])
+    def test_factor_is_the_lazy_L(self, family, params, counted):
+        m = make_moments(FamilySpec(family, 25, params))
+        sys_ = build_system(m, 12)
+        assert sys_.order == 12 and counted["scaled"] == 0  # the order builds no table
+        assert sys_.hankel.factor is sys_.L
+        pi = sys_.Pi
+        assert sys_.Pi is pi and sys_.Lambda is sys_.L and len(sys_.deltas) == 13
+        assert counted == {"cholesky": 0, "scaled": 2}
+        hank = hankel_matrix(m, 12)
+        assert as_strings(sys_.L) == as_strings(hank.factor)
+        assert sys_.deltas == hank.deltas
+        assert sys_.roots == sys_.L.diagonal()
+
+    def test_connect_layer_builds_no_table(self, counted):
+        alpha, delta = builtin_ribbon_pair(31)
+        alpha_sys, delta_sys = build_system(alpha, 15), build_system(delta, 15)
+        for basis in ("orthonormal", "monic"):
+            connection_table(delta_sys, alpha_sys, 15, basis=basis)
+            linearization_table(alpha_sys, 7, 8, basis=basis)
+        rn_expansion(alpha, delta_sys, 15)
+        assert ribbon_check(alpha_sys, delta, 2, 15).is_ribbon
+        assert counted == {"cholesky": 0, "scaled": 0}
+
+    def test_no_reference_cycle(self):
+        # a cycle through the Hankel matrix would keep both alive until the
+        # next collection, and the benchmark's peak memory with them
+        sys_ = build_system(make_moments(FamilySpec("q-hermite", 21, {"q": Fraction(1, 3)})), 10)
+        assert sys_.L.rows and sys_.Pi.rows
+        refs = weakref.ref(sys_), weakref.ref(sys_.hankel)
+        gc.disable()
+        try:
+            del sys_
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestRecurrence:
