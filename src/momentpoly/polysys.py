@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from .cholesky import TriangularTable, check_pivot, invert_lower_triangular
 from .moments import HankelMoments, MomentSequence, hankel_matrix
-from .recurrence import RecurrenceCoefficients, _banded_fill, _common_scale, eta_table, tau_table
+from .recurrence import (RecurrenceCoefficients, _banded_fill, _common_scale, _reduce_row, eta_table,
+                         tau_table)
 from .scalars import RATIONAL, exact_sqrt, one, zero
 
 
@@ -130,18 +131,19 @@ def _chebyshev(m: MomentSequence, top: int):
     through :func:`check_pivot` against m_{2k}, in either mode, before any
     division by it.  O(top^2) steps.
 
-    In rational mode row s_k is held as integer numerators N_k over one row
-    denominator E_k, as :func:`_banded_fill` holds its rows.  N_0 is m times
-    E_0, the lcm of the moment denominators, as :func:`_common_scale` gives.
-    With b_k = p/q and a_k^2 = r/t, the next row has E = lcm(E_k q, E_{k-1} t)
-    and
+    In rational mode row s_k is held as integer numerators N_k over its own
+    row denominator E_k, as :func:`_banded_fill` holds its rows.  N_0 is m
+    times E_0, the lcm of the moment denominators, as :func:`_common_scale`
+    gives.  With b_k = p/q and a_k^2 = r/t, the next row has
+    E = lcm(E_k q, E_{k-1} t) and
 
         N_{k+1}[l] = (E/E_k) N_k[l+1] - p (E/(E_k q)) N_k[l]
                      - r (E/(E_{k-1} t)) N_{k-1}[l],
 
-    all plain ints; the row and E are then divided by their common gcd,
-    without which the rows of q-hermite grow without bound.  Only d_k, a_k^2
-    and b_k are made as ``Fraction``s: d_k = N_k[k] / E_k and
+    all plain ints; the row and E are then divided by their common gcd
+    (:func:`_reduce_row`, shared with the fill), without which the rows of
+    q-hermite grow without bound.  Only d_k, a_k^2 and b_k are made as
+    ``Fraction``s: d_k = N_k[k] / E_k and
     s_k[k+1] / d_k = N_k[k+1] / N_k[k].  Float mode runs the same loop with
     E = 1.0 and the factors (1.0, b_k, a_k^2), whose products are the plain
     floats bit for bit.
@@ -181,10 +183,7 @@ def _chebyshev(m: MomentSequence, top: int):
                 v = v - ca * prev[l]
             nxt[l] = v
         if exact:
-            g = math.gcd(e_next, *nxt[k + 1: top - k])
-            if g > 1:
-                nxt = [v // g for v in nxt]
-                e_next //= g
+            nxt, e_next = _reduce_row(nxt, e_next)
         prev, cur, e_prev, e = cur, nxt, e, e_next
     return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms
 

@@ -13,13 +13,16 @@ ground truth; the printed closed forms near the diagonal are evaluated
 verbatim and reported against them.
 
 Every recursion table comes from one banded fill.  In rational mode it steps
-integer numerators: row m is held as D^m times its entries, D the lcm of the
-coefficient denominators.  The fill hands the numerators on, and each consumer
-reduces to ``Fraction(N, D^m)`` only the entries it reads: the printed tables
-every entry, the moments column 0, the near-diagonal report the band it
-compares, a linearization one row, the ribbon test and the Radon-Nikodym
-expansion weighted sums of rows, and ``Pi`` and ``L`` scale the numerators
-when first read.  Float mode runs the same fill with D = 1.0.
+integer numerators: row m is held as integers over its own denominator E_m,
+and after each step the row and E_m are divided by their common gcd, so E_m is
+the lcm of the row's reduced denominators.  The fill hands the numerators on,
+and each consumer reduces to a ``Fraction`` only the entries it reads: the
+printed tables every entry, the moments column 0, the near-diagonal report the
+band it compares, a linearization one row, the ribbon test and the
+Radon-Nikodym expansion weighted sums of rows, and ``Pi`` and ``L`` scale the
+numerators when first read.  Every reader builds its ``Fraction`` from coprime
+parts (see ``_coprime``).  Float mode runs the same fill with D = 1.0 and no
+row denominators.
 
 The four closed-form fills and the near-diagonal report check exact
 identities with ``==``, so they are rational only: a closed-form entry with k
@@ -131,54 +134,75 @@ def _common_scale(mode: str, *seqs) -> tuple:
                     for seq in seqs)
 
 
-def _over(v: int, scale: int) -> Fraction:
-    """``Fraction(v, scale)``, sharing one zero."""
-    return Fraction(v, scale) if v else _ZERO
+def _reduce_row(row: list, e: int) -> tuple:
+    """(row, e) divided by their common gcd: the integer row over its
+    denominator ``e > 0`` in lowest terms, so that ``e`` becomes the lcm of
+    the reduced denominators of the entries v / e."""
+    g = math.gcd(e, *row)
+    if g == 1:
+        return row, e
+    return [v // g for v in row], e // g
+
+
+def _coprime(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for coprime ints n and d > 0, made without the gcd
+    and the type checks of ``Fraction.__new__``: it fills the two slots of
+    ``fractions.Fraction``, as ``Fraction._from_coprime_ints`` (Python 3.12
+    and later) does."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
+def _over(v: int, e: int) -> Fraction:
+    """``Fraction(v, e)`` for e > 0, sharing one zero: one gcd, then
+    :func:`_coprime`."""
+    if not v:
+        return _ZERO
+    g = math.gcd(v, e)
+    return _coprime(v // g, e // g)
 
 
 @dataclass(frozen=True)
 class _Numerators:
-    """Rows of a banded fill over the common denominator ``d``.
+    """Rows of a banded fill, each over its own denominator.
 
-    In rational mode row m holds the integers D^m times its entries; float
-    mode holds the entries themselves, with D = 1.0.  Each reader reduces to
-    ``Fraction(N, D^m)`` only the entries it returns.  :meth:`row`,
-    :meth:`column` and :meth:`table` serve both modes, float mode returning
-    the entries as they are; :meth:`band`, :meth:`scaled` and :meth:`pairing`
-    are rational only.  :meth:`table` reads every row and releases each one
-    as it goes, so it is the last read of a fill.
+    In rational mode row m holds integers N over ``dens[m]`` = E_m > 0, with
+    gcd(E_m, *N) = 1, so E_m is the lcm of the reduced denominators of the
+    row; float mode holds the entries themselves, with ``dens`` None.  Each
+    reader reduces only the entries it returns, and builds every
+    ``Fraction`` from coprime parts.  :meth:`row`, :meth:`column` and
+    :meth:`table` serve both modes, float mode returning the entries as they
+    are; :meth:`band`, :meth:`scaled` and :meth:`pairing` are rational only.
+    :meth:`table` reads every row and releases each one as it goes, so it is
+    the last read of a fill.
     """
 
     rows: list
-    d: int | float
+    dens: list | None
 
     def row(self, m: int) -> list:
-        if isinstance(self.d, float):
+        if self.dens is None:
             return self.rows[m]
-        scale = self.d**m
-        return [_over(v, scale) for v in self.rows[m]]
+        e = self.dens[m]
+        return [_over(v, e) for v in self.rows[m]]
 
     def column(self, j: int) -> list:
-        if isinstance(self.d, float):
+        if self.dens is None:
             return [row[j] for row in self.rows[j:]]
-        scale, out = self.d**j, []
-        for row in self.rows[j:]:
-            out.append(_over(row[j], scale))
-            scale *= self.d
-        return out
+        return [_over(row[j], e) for row, e in zip(self.rows[j:], self.dens[j:])]
 
     def band(self, width: int, columns=()) -> list:
         """Rows with entry (m, j) read where m - j <= width or j is one of
         ``columns``; every other entry is None."""
-        out, scale = [], 1
-        for m, row in enumerate(self.rows):
+        out = []
+        for m, (row, e) in enumerate(zip(self.rows, self.dens)):
             lo = max(m - width, 0)
-            got = [None] * lo + [_over(v, scale) for v in row[lo:]]
+            got = [None] * lo + [_over(v, e) for v in row[lo:]]
             for j in columns:
                 if j < lo:
-                    got[j] = _over(row[j], scale)
+                    got[j] = _over(row[j], e)
             out.append(got)
-            scale *= self.d
         return out
 
     def scaled(self, scales, by_row: bool) -> list:
@@ -186,24 +210,33 @@ class _Numerators:
         ``scales[j]``.
 
         A scale is a Fraction or a one-radical :class:`Surd` c * sqrt(r).  Entry
-        (i, j) is N / D^i times it, so its coefficient is one
-        ``Fraction(N * c.numerator, D^i * c.denominator)`` and the entry is
-        ``Surd(coef, {r})``: the normalized value that generic surd arithmetic
-        would reach.  Zero numerators give ``Fraction(0)``.
+        (i, j) is N / E_i times it.  c / E_i is first brought to lowest terms
+        p / q, once per row for row scales (``Pi``) and per entry for column
+        scales (``L``), so the coefficient N * p / q costs one gcd, of N and
+        q.  The entry is ``Surd(coef, {r})``: the normalized value that generic
+        surd arithmetic would reach.  Zero numerators give ``Fraction(0)``.
         """
-        parts = [(s.coef, s.radicals) if isinstance(s, Surd) else (s, None) for s in scales]
-        out, power = [], 1
-        for i, row in enumerate(self.rows):
+        parts = [(c.numerator, c.denominator, radicals) for c, radicals in
+                 ((s.coef, s.radicals) if isinstance(s, Surd) else (s, None) for s in scales)]
+
+        def lowest(k: int, e: int) -> tuple:  # (p, q, radicals): c_k / e = p / q
+            cn, cd, radicals = parts[k]
+            g = math.gcd(cn, e)
+            return cn // g, cd * (e // g), radicals
+
+        out = []
+        for i, (row, e) in enumerate(zip(self.rows, self.dens)):
+            per_row = lowest(i, e) if by_row else None
             new = []
             for j, v in enumerate(row):
                 if not v:
                     new.append(_ZERO)
                     continue
-                c, radicals = parts[i if by_row else j]
-                coef = Fraction(v * c.numerator, power * c.denominator)
+                p, q, radicals = per_row or lowest(j, e)
+                g = math.gcd(v, q)
+                coef = _coprime(v // g * p, q // g)
                 new.append(Surd(coef, radicals) if radicals else coef)
             out.append(new)
-            power *= self.d
         return out
 
     def pairing(self, weights: list, e: int, i: int, j: int | None = None) -> Fraction:
@@ -211,7 +244,8 @@ class _Numerators:
         sum_k entry(i, k) * weights[k] / e: one ``Fraction`` reduced from the
         integer numerators and the integer ``weights``.  Rational only."""
         terms = self.rows[i] if j is None else map(operator.mul, self.rows[i], self.rows[j])
-        return Fraction(sum(map(operator.mul, terms, weights)), self.d ** (i + (j or 0)) * e)
+        e *= self.dens[i] if j is None else self.dens[i] * self.dens[j]
+        return _over(sum(map(operator.mul, terms, weights)), e)
 
     def table(self) -> list:
         out = []
@@ -240,24 +274,36 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
     coefficient is read only where a nonzero entry forces its index: source
     indices below start + steps, target indices below steps.
 
-    The loop runs on integer numerators over a common denominator.  D is the
-    lcm of the denominators of the coefficients read, B = b*D and A = a^2*D
-    are integers, and row m holds N_m = D^m times its entries, so the target
-    a^2 term reads D*A_m*N_{m-1}[j].  No step normalizes a fraction: the
-    rows come back as :class:`_Numerators`, whose readers reduce an entry to
-    ``Fraction(N, D^m)`` only when it is read.  Float mode runs the same loop
-    with D = 1.0, where every product by D is exact.
+    The loop runs on integer numerators.  D is the lcm of the denominators of
+    the coefficients read, and B = b*D and A = a^2*D are integers.  Row m
+    holds integers N_m over its own denominator E_m (see :class:`_Numerators`).
+    Row m+1 is stepped over L*D, L = lcm(E_m, E_{m-1}), or L = E_m when no
+    target a^2 term reads row m-1: row m is brought to L first, and the a^2
+    term reads A_m*(L/E_{m-1})*N_{m-1}[j].  The new row and L*D are then
+    divided by their common gcd (:func:`_reduce_row`), as the Chebyshev rows
+    are.  Readers reduce an entry only when it is read.  Float mode runs the
+    same loop with D = 1.0 and no row denominators, where every product by D
+    is exact.
     """
     reach = (start + steps, start + steps, steps, steps)
     d, (SA, SB, TA, TB) = _common_scale(mode, *(None if seq is None else seq[:top]
                                                 for seq, top in zip((*source, *target), reach)))
-    z, unit = (0.0, 1.0) if isinstance(d, float) else (0, 1)
-    rows = [[z] * start + [unit]]
-    before = [z] * (start + 3)  # padded row -1
+    exact = not isinstance(d, float)
+    z, unit = (0, 1) if exact else (0.0, 1.0)
+    rows, dens = [[z] * start + [unit]], ([1] if exact else None)
+    before, e_before = [z] * (start + 3), 1  # padded row -1
     for m in range(steps):
-        above = [z] + rows[m] + [z, z]  # above[j + 1] = row_m[j]
+        cur = [z] + rows[m] + [z, z]  # cur[j + 1] = row_m[j]
+        above = cur
         tb = None if TB is None else TB[m]
-        ta = None if TA is None else d * TA[m]
+        ta = None if TA is None else TA[m]
+        if exact:
+            e = dens[m] if TA is None else math.lcm(dens[m], e_before)
+            c = e // dens[m]
+            if c > 1:
+                above = [c * v for v in cur]
+            if TA is not None:
+                ta *= e // e_before
         row = []
         for j in range(start + m + 2):
             v = d * above[j]
@@ -278,9 +324,13 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
                 if t:
                     v = v - ta * t
             row.append(v)
+        if exact:
+            row, e = _reduce_row(row, e * d)
+            e_before = dens[m]
+            dens.append(e)
         rows.append(row)
-        before = above
-    return _Numerators(rows, d)
+        before = cur
+    return _Numerators(rows, dens)
 
 
 def eta_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:

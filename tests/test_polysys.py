@@ -239,6 +239,15 @@ class TestLazyTables:
         assert as_strings(sys_.L) == as_strings(hank.factor)
         assert sys_.deltas == hank.deltas
         assert sys_.roots == sys_.L.diagonal()
+        # deep orders, as far as the skew recurrence reaches: every entry is
+        # the value that generic surd arithmetic reaches from the monic tables
+        n = 20 if family == "from-recurrence" else 38
+        deep = build_system(make_moments(FamilySpec(family, 2 * n + 1, params)), n)
+        eta, tau = monic_tables(deep)
+        assert repr(deep.Pi.rows) == repr([[v * (1 / deep.roots[i]) for v in row]
+                                           for i, row in enumerate(eta.rows)])
+        assert repr(deep.L.rows) == repr([[v * deep.roots[j] for j, v in enumerate(row)]
+                                          for row in tau.rows])
 
     def test_connect_layer_builds_no_table(self, counted):
         alpha, delta = builtin_ribbon_pair(31)

@@ -2,12 +2,13 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentpoly import (
@@ -139,6 +140,12 @@ def _fill_draws(max_n, min_n=0):
         st.one_of(st.just([Fraction(0)] * (n + 1)), coefficients(n, -10**4))))
 
 
+def _catalog_draw(family: str, params: dict, n: int) -> tuple:
+    """(n, a2, b) of a catalog measure, in the form of :func:`_fill_draws`."""
+    rec = recurrence_from_moments(make_moments(FamilySpec(family, 2 * n + 3, params)))
+    return n, list(rec.a2[1:n + 2]), list(rec.b[:n + 1])
+
+
 class TestIntegerFill:
     """The integer fill against the Fraction-stepping oracle."""
 
@@ -146,6 +153,9 @@ class TestIntegerFill:
     @pytest.mark.parametrize("b, a2", [(True, True), (False, True), (True, False)])
     @settings(max_examples=25, deadline=None)
     @given(_fill_draws(45))
+    # high orders of two catalog measures, where the numerators grow fastest
+    @example(_catalog_draw("uniform", {}, 38))
+    @example(_catalog_draw("q-hermite", {"q": Fraction(1, 2)}, 38))
     def test_fill_equals_fraction_oracle(self, expand, b, a2, drawn):
         n, a2s, bs = drawn
         rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
@@ -153,6 +163,10 @@ class TestIntegerFill:
             # the oracle's flags name one side, (a2, b), with absent parts
             side = (r.a2 if a2 else None, r.b if b else None)
             fill = _banded_fill(r.mode, n, **{"source" if expand else "target": side})
+            if r.mode == RATIONAL:
+                # each row in lowest terms over its own positive denominator
+                for row, e in zip(fill.rows, fill.dens):
+                    assert e > 0 and math.gcd(e, *row) == 1
             expect = forward_oracle.banded_fill(r, n, "XiZeta", expand=expand, b=b, a2=a2).rows
             # a column reader reduces only the entries it returns
             for j in range(n + 1):
@@ -162,6 +176,18 @@ class TestIntegerFill:
             # repr pins the type and, in float mode, every bit
             assert repr(got) == repr(expect)
             assert fill.rows == [None] * (n + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-2**300, 2**300), st.integers(1, 2**300))
+    def test_coprime_equals_fraction(self, n, d):
+        # _coprime fills the slots of fractions.Fraction directly
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        got, want = recurrence_module._coprime(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert (got.numerator, got.denominator) == (n, d)
+        assert got + 1 == want + 1 and got * got == want * want
 
     @settings(max_examples=40, deadline=None)
     @given(_fill_draws(16))
