@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from .cholesky import TriangularTable, tri_multiply
 from .moments import MomentSequence
-from .polysys import PolynomialSystem, _chebyshev, moment_inner_product
-from .recurrence import RecurrenceCoefficients, _banded_fill, _common_scale, eta_table, tau_table
+from .polysys import PolynomialSystem, moment_inner_product
+from .recurrence import (RecurrenceCoefficients, _banded_fill, _chebyshev, _common_scale, eta_table,
+                         tau_table)
 from .scalars import RATIONAL, one, to_float, zero
 
 BASES = ("orthonormal", "monic")

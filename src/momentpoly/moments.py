@@ -1,22 +1,27 @@
-"""Moment sequences, the built-in measure catalog, and Hankel moment matrices."""
+"""Moment sequences, the built-in measure catalog, and Hankel moment matrices
+with their factorization."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
-from collections.abc import Callable
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cholesky import TriangularTable, cholesky_decompose
+from .qkernel import q_hermite_recurrence
+from .recurrence import RecurrenceCoefficients, _chebyshev, _surd_table, moments_from_recurrence
 from .scalars import (
     FLOAT,
     RATIONAL,
     as_scalar,
     as_scalars,
     check_mode,
+    exact_sqrt,
     format_scalar,
-    one,
     to_float,
 )
 
@@ -138,38 +143,41 @@ def make_moments(spec: FamilySpec, mode: str = RATIONAL) -> MomentSequence:
             for k in range(spec.count)
         )
         seq = MomentSequence(exact, RATIONAL, label)
-    else:
-        # recurrence-driven families; imported here to keep the module graph acyclic
-        from .recurrence import RecurrenceCoefficients, moments_from_recurrence
-
-        if spec.family == "q-hermite":
-            from .qkernel import q_hermite_recurrence
-
-            q = spec.params.get("q")
-            if q is None:
-                raise ValueError("q-hermite family needs params['q']")
-            # only float mode keeps a float q; rational mode reads it exactly, as
-            # a float literal of a file is read
-            if not (mode == FLOAT and isinstance(q, float)):
-                q = as_scalar(q, RATIONAL)
-            rec = q_hermite_recurrence(q, spec.count)
-        else:  # from-recurrence, the last of FAMILIES
-            need = "from-recurrence family needs params['a2'] and params['b'] lists"
-            a2, b = (as_scalars(spec.params.get(k), RATIONAL, need) for k in ("a2", "b"))
-            rec = RecurrenceCoefficients(a2, b, RATIONAL, label=label)
+    elif spec.family == "q-hermite":
+        q = spec.params.get("q")
+        if q is None:
+            raise ValueError("q-hermite family needs params['q']")
+        # only float mode keeps a float q; rational mode reads it exactly, as
+        # a float literal of a file is read
+        if not (mode == FLOAT and isinstance(q, float)):
+            q = as_scalar(q, RATIONAL)
+        seq = moments_from_recurrence(q_hermite_recurrence(q, spec.count), spec.count, label=label)
+    else:  # from-recurrence, the last of FAMILIES
+        need = "from-recurrence family needs params['a2'] and params['b'] lists"
+        a2, b = (as_scalars(spec.params.get(k), RATIONAL, need) for k in ("a2", "b"))
+        rec = RecurrenceCoefficients(a2, b, RATIONAL, label=label)
         seq = moments_from_recurrence(rec, spec.count, label=label)
     return seq if seq.mode == mode else seq.to_floats()
 
 
 @dataclass
 class HankelMoments:
-    """(n+1) x (n+1) moment matrix with entry (i, j) = m_{i+j}."""
+    """(n+1) x (n+1) moment matrix with entry (i, j) = m_{i+j}, and its
+    factorization M = L L^T.
+
+    The diagonal of L holds ``roots`` = sqrt(d_k), where d_k is the squared
+    norm of the k-th monic polynomial and equals Delta_k / Delta_{k-1}; so the
+    leading principal minors ``deltas`` are the running products of the d_k.
+    Rational mode reads the d_k and the ``recurrence`` off one Chebyshev pass
+    over m_0..m_2n, and scales ``factor`` from the tau fill of that recurrence
+    on first read, with no Cholesky step.  Float mode factors by Cholesky and
+    squares its pivots.  Either way the first d_k <= 0 raises
+    :class:`NotPositiveDefinite`, at the order and with the pivot that the
+    Cholesky factorization names.
+    """
 
     order: int
     source: MomentSequence
-    _factor: TriangularTable | None = field(default=None, repr=False)
-    _deltas: list | None = field(default=None, repr=False)
-    _make_factor: Callable[[], TriangularTable] | None = field(default=None, repr=False)
 
     @property
     def mode(self) -> str:
@@ -185,32 +193,38 @@ class HankelMoments:
         n = self.order
         return [[self.entry(i, j) for j in range(n + 1)] for i in range(n + 1)]
 
+    @functools.cached_property
+    def _monic(self) -> tuple:
+        """(recurrence, d_0..d_n): one Chebyshev pass in rational mode; float
+        mode has no recurrence here and squares the Cholesky pivots."""
+        if self.mode == RATIONAL:
+            return _chebyshev(self.source, 2 * self.order)
+        return None, [d * d for d in self.factor.diagonal()]
+
     @property
+    def recurrence(self) -> RecurrenceCoefficients | None:
+        """a_1^2..a_n^2 and b_0..b_{n-1} in rational mode, None in float mode."""
+        return self._monic[0]
+
+    @functools.cached_property
+    def roots(self) -> list:
+        """sqrt(d_0)..sqrt(d_n), the diagonal of :attr:`factor`."""
+        if self.mode == RATIONAL:
+            return [exact_sqrt(d) for d in self._monic[1]]
+        return self.factor.diagonal()
+
+    @functools.cached_property
     def factor(self) -> TriangularTable:
-        """Cholesky factor L, computed on first use: by ``_make_factor`` when
-        the rational ``build_system`` set it, else by Cholesky factorization."""
-        if self._factor is None:
-            self._factor = self._make_factor() if self._make_factor else cholesky_decompose(self)
-        return self._factor
+        """Lower-triangular L with L L^T = M, built on first read."""
+        if self.mode == RATIONAL:
+            return _surd_table("L", self.recurrence, self.roots, self.order)
+        return cholesky_decompose(self)
 
     @property
     def deltas(self) -> list:
-        """Leading principal minors Delta_0..Delta_n.
-
-        Each pivot is a ratio of minors, d_k = l[k][k]^2 = Delta_k / Delta_{k-1},
-        so Delta_k is the running product of the d_k.  Rational
-        ``build_system`` sets them from its Chebyshev norms; otherwise they
-        are the squared pivots of :attr:`factor`, where a surd pivot squares
-        to an exact Fraction.  Raises :class:`NotPositiveDefinite` at the
-        first failing order, as the factorization does.
-        """
-        if self._deltas is None:
-            out, acc = [], one(self.mode)
-            for d in self.factor.diagonal():
-                acc *= d * d
-                out.append(acc)
-            self._deltas = out
-        return self._deltas
+        """Leading principal minors Delta_0..Delta_n, the running products of
+        the d_k."""
+        return list(itertools.accumulate(self._monic[1], operator.mul))
 
 
 def hankel_matrix(m: MomentSequence, n: int) -> HankelMoments:

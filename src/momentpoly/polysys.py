@@ -1,51 +1,41 @@
 """Orthonormal polynomial system of a measure given by finitely many moments.
 
-The system is the Cholesky factor L of the moment matrix, Pi = L^-1 and the
-three-term recurrence.  Rational mode builds the recurrence and the monic
-norms d_k = l_kk^2 = Delta_k / Delta_{k-1}, whose running product is Delta,
-by the Chebyshev algorithm on integer rows; L and Pi, the monic tables eta,
-tau scaled by sqrt(d_k), are built only when read.  Float mode factors,
-inverts and reads the recurrence off Pi.
+The system is the moment matrix with its factor L, Pi = L^-1 and the
+three-term recurrence.  The moment matrix (:class:`HankelMoments`) owns the
+factorization: L, its diagonal sqrt(d_k) and the minors Delta_k, and in
+rational mode the recurrence from one Chebyshev pass, so ``Pi``, the monic
+table eta scaled by 1 / sqrt(d_k), is built only when read.  Float mode
+factors, inverts and reads the recurrence off Pi.
 Evaluation, associated polynomials, the reproducing kernel and the
 finite-order spectral identities are derived from the tables.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-import math
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cholesky import TriangularTable, check_pivot, invert_lower_triangular
+from .cholesky import TriangularTable, invert_lower_triangular
 from .moments import HankelMoments, MomentSequence, hankel_matrix
-from .recurrence import (RecurrenceCoefficients, _banded_fill, _common_scale, _reduce_row, eta_table,
-                         tau_table)
-from .scalars import RATIONAL, exact_sqrt, one, zero
+from .recurrence import RecurrenceCoefficients, _chebyshev, _surd_table, eta_table, tau_table
+from .scalars import RATIONAL, one, zero
 
 
 class PolynomialSystem:
-    """Moment matrix, its Cholesky factor L, the coefficient table Pi = L^-1,
-    and the extracted recurrence, all to a fixed order.
+    """Moment matrix, its factor L, the coefficient table Pi = L^-1, and the
+    recurrence, all to a fixed order.
 
-    Given ready tables, ``L`` becomes the factor of ``hankel``.  The rational
-    :func:`build_system` passes the monic norms d_0..d_n instead, and ``Pi``
-    and ``L`` are scaled from the recurrence fills on first read.  ``roots``
-    holds sqrt(d_k), the diagonal of L, in both cases.
+    ``L``, ``roots`` (its diagonal) and ``deltas`` are read from ``hankel``.
+    Without a ready ``Pi``, as in rational mode, ``Pi`` is scaled from the
+    eta fill of ``rec`` on first read.
     """
 
-    def __init__(self, moments: MomentSequence, hankel: HankelMoments, L: TriangularTable | None,
-                 Pi: TriangularTable | None, rec: RecurrenceCoefficients, norms: list | None = None):
-        if L is not None:
-            hankel._factor = L
-        self.moments, self.hankel, self.rec, self.norms, self._Pi = moments, hankel, rec, norms, Pi
-        self.roots = hankel.factor.diagonal() if norms is None else [exact_sqrt(d) for d in norms]
+    def __init__(self, hankel: HankelMoments, rec: RecurrenceCoefficients,
+                 Pi: TriangularTable | None = None):
+        self.hankel, self.moments, self.rec, self._Pi = hankel, hankel.source, rec, Pi
 
     @property
     def mode(self) -> str:
-        return self.moments.mode
+        return self.hankel.mode
 
     @property
     def order(self) -> int:
@@ -54,6 +44,10 @@ class PolynomialSystem:
     @property
     def L(self) -> TriangularTable:
         return self.hankel.factor
+
+    @property
+    def roots(self) -> list:
+        return self.hankel.roots
 
     @property
     def Pi(self) -> TriangularTable:
@@ -78,114 +72,21 @@ class PolynomialSystem:
 def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
     """Assemble the order-n system from m_0..m_{2n}.
 
-    Rational mode runs :func:`_chebyshev` only, keeps the monic norms d_k on
-    the system and hands their running product to the Hankel matrix as its
-    ``deltas``, so no pivot of L is squared.  ``Pi`` and ``L`` (the Hankel
-    matrix's ``factor``) are built on first read by :func:`_surd_table`;
-    connection, ribbon, Radon-Nikodym and linearization tables read the
-    recurrence and ``roots`` instead.  A d_k <= 0 raises
-    :class:`NotPositiveDefinite` at the same order and with the same pivot as
-    the Cholesky factorization.
+    Rational mode takes the recurrence from the Hankel matrix's Chebyshev
+    pass; ``Pi`` and ``L`` are built on first read, and connection, ribbon,
+    Radon-Nikodym and linearization tables read the recurrence and ``roots``
+    instead.  A d_k <= 0 raises :class:`NotPositiveDefinite` at the same
+    order and with the same pivot as the Cholesky factorization.
     """
     hank = hankel_matrix(m, n)
-    if m.mode != RATIONAL:
-        # the Chebyshev route is not bit-identical in floats; this branch
-        # goes once a change of the float output is accepted
-        L = hank.factor
-        sys_ = PolynomialSystem(m, hank, L, invert_lower_triangular(L, role="Pi"), rec=None)  # type: ignore[arg-type]
-        sys_.rec = recurrence_from_tables(sys_)
-        return sys_
-    rec, norms = _chebyshev(m, 2 * n)
-    hank._deltas = list(itertools.accumulate(norms, operator.mul))
-    sys_ = PolynomialSystem(m, hank, None, None, rec, norms)
-    # the factor closes over the recurrence and roots, never the system: no cycle
-    hank._make_factor = functools.partial(_surd_table, "L", rec, sys_.roots, n)
+    if m.mode == RATIONAL:
+        return PolynomialSystem(hank, hank.recurrence)
+    # the Chebyshev route is not bit-identical in floats; this branch
+    # goes once a change of the float output is accepted
+    Pi = invert_lower_triangular(hank.factor, role="Pi")
+    sys_ = PolynomialSystem(hank, None, Pi)  # type: ignore[arg-type]
+    sys_.rec = recurrence_from_tables(sys_)
     return sys_
-
-
-def _surd_table(role: str, rec: RecurrenceCoefficients, roots: list, n: int) -> TriangularTable:
-    """Rational ``Pi`` or ``L`` from the monic fills and roots[k] = sqrt(d_k).
-
-    ``Pi[i][j] = eta[i][j] / sqrt(d_i)`` and ``L[i][j] = tau[i][j] * sqrt(d_j)``.
-    Each nonzero entry is built as it is, from the fill's integer numerator:
-    ``Surd(eta[i][j] / d_i, {d_i})`` and ``Surd(tau[i][j], {d_j})``, or a
-    plain ``Fraction`` when the d_k is a perfect square (see
-    :meth:`_Numerators.scaled`).
-    """
-    if role == "Pi":
-        rows = _banded_fill(RATIONAL, n, target=(rec.a2, rec.b)).scaled([1 / r for r in roots],
-                                                                       by_row=True)
-    else:
-        rows = _banded_fill(RATIONAL, n, source=(rec.a2, rec.b)).scaled(roots, by_row=False)
-    return TriangularTable(role=role, mode=RATIONAL, rows=rows)
-
-
-def _chebyshev(m: MomentSequence, top: int):
-    """Recurrence and monic norms d_0..d_n from m_0..m_top, n = top // 2.
-
-    The Chebyshev algorithm (Gautschi, *Orthogonal Polynomials*, 2004,
-    section 2.1.7) runs the monic recurrence on s_k[l] = <ptilde_k, x^l>,
-    starting from s_0[l] = m_l; then d_k = s_k[k], a_k^2 = d_k / d_{k-1} and
-    b_k = s_k[k+1] / d_k - s_{k-1}[k] / d_{k-1}.  Row s_k is known for
-    l <= top - k, so an odd ``top = 2n + 1`` also gives b_n.  Each d_k goes
-    through :func:`check_pivot` against m_{2k}, in either mode, before any
-    division by it.  O(top^2) steps.
-
-    In rational mode row s_k is held as integer numerators N_k over its own
-    row denominator E_k, as :func:`_banded_fill` holds its rows.  N_0 is m
-    times E_0, the lcm of the moment denominators, as :func:`_common_scale`
-    gives.  With b_k = p/q and a_k^2 = r/t, the next row has
-    E = lcm(E_k q, E_{k-1} t) and
-
-        N_{k+1}[l] = (E/E_k) N_k[l+1] - p (E/(E_k q)) N_k[l]
-                     - r (E/(E_{k-1} t)) N_{k-1}[l],
-
-    all plain ints; the row and E are then divided by their common gcd
-    (:func:`_reduce_row`, shared with the fill), without which the rows of
-    q-hermite grow without bound.  Only d_k, a_k^2 and b_k are made as
-    ``Fraction``s: d_k = N_k[k] / E_k and
-    s_k[k+1] / d_k = N_k[k+1] / N_k[k].  Float mode runs the same loop with
-    E = 1.0 and the factors (1.0, b_k, a_k^2), whose products are the plain
-    floats bit for bit.
-    """
-    exact = m.mode == RATIONAL
-    z = zero(m.mode)
-    n = top // 2
-    e, (cur,) = _common_scale(m.mode, m.moments[: top + 1])
-    ratio, blank = (Fraction, 0) if exact else (operator.truediv, z)
-    prev, e_prev = [blank] * (top + 1), e
-    a2, b, norms, lead = [z], [], [], z
-    for k in range(n + 1):
-        d = ratio(cur[k], e)
-        check_pivot(k, d, m.m(2 * k), m.mode)
-        norms.append(d)
-        if k:
-            a2.append(d / norms[k - 1])
-        if 2 * k == top:
-            break
-        quotient = ratio(cur[k + 1], cur[k])  # s_k[k+1] / d_k
-        b.append(quotient - lead)
-        lead = quotient
-        if exact:
-            q, t = b[k].denominator, a2[k].denominator
-            e_next = math.lcm(e * q, e_prev * t)
-            c0 = e_next // e
-            cb = b[k].numerator * (c0 // q)
-            ca = a2[k].numerator * (e_next // (e_prev * t))
-        else:
-            e_next, c0, cb, ca = e, e, b[k], a2[k]
-        nxt = [blank] * (top + 1)
-        for l in range(k + 1, top - k):  # s_{k+1}[l], zero terms skipped
-            v = c0 * cur[l + 1]
-            if cb and cur[l]:
-                v = v - cb * cur[l]
-            if k and prev[l]:
-                v = v - ca * prev[l]
-            nxt[l] = v
-        if exact:
-            nxt, e_next = _reduce_row(nxt, e_next)
-        prev, cur, e_prev, e = cur, nxt, e, e_next
-    return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms
 
 
 def recurrence_from_tables(sys_: PolynomialSystem) -> RecurrenceCoefficients:

@@ -22,7 +22,9 @@ band it compares, a linearization one row, the ribbon test and the
 Radon-Nikodym expansion weighted sums of rows, and ``Pi`` and ``L`` scale the
 numerators when first read.  Every reader builds its ``Fraction`` from coprime
 parts (see ``_coprime``).  Float mode runs the same fill with D = 1.0 and no
-row denominators.
+row denominators.  The Chebyshev pass (``_chebyshev``) runs the other way,
+from moments to the recurrence and the monic norms that a Hankel matrix
+factors with, and holds its rows in the same format.
 
 The four closed-form fills and the near-diagonal report check exact
 identities with ``==``, so they are rational only: a closed-form entry with k
@@ -36,7 +38,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cholesky import TriangularTable
+from .cholesky import TriangularTable, check_pivot
 from .scalars import FLOAT, RATIONAL, Surd, as_scalars, check_mode, one, scalar_sqrt, to_float, zero
 
 
@@ -331,6 +333,91 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
         rows.append(row)
         before = cur
     return _Numerators(rows, dens)
+
+
+def _surd_table(role: str, rec: RecurrenceCoefficients, roots: list, n: int) -> TriangularTable:
+    """Rational ``Pi`` or ``L`` from the monic fills and roots[k] = sqrt(d_k).
+
+    ``Pi[i][j] = eta[i][j] / sqrt(d_i)`` and ``L[i][j] = tau[i][j] * sqrt(d_j)``.
+    Each nonzero entry is built as it is, from the fill's integer numerator:
+    ``Surd(eta[i][j] / d_i, {d_i})`` and ``Surd(tau[i][j], {d_j})``, or a
+    plain ``Fraction`` when the d_k is a perfect square (see
+    :meth:`_Numerators.scaled`).
+    """
+    if role == "Pi":
+        rows = _banded_fill(RATIONAL, n, target=(rec.a2, rec.b)).scaled([1 / r for r in roots],
+                                                                       by_row=True)
+    else:
+        rows = _banded_fill(RATIONAL, n, source=(rec.a2, rec.b)).scaled(roots, by_row=False)
+    return TriangularTable(role=role, mode=RATIONAL, rows=rows)
+
+
+def _chebyshev(m: MomentSequence, top: int):
+    """Recurrence and monic norms d_0..d_n from m_0..m_top, n = top // 2.
+
+    The Chebyshev algorithm (Gautschi, *Orthogonal Polynomials*, 2004,
+    section 2.1.7) runs the monic recurrence on s_k[l] = <ptilde_k, x^l>,
+    starting from s_0[l] = m_l; then d_k = s_k[k], a_k^2 = d_k / d_{k-1} and
+    b_k = s_k[k+1] / d_k - s_{k-1}[k] / d_{k-1}.  Row s_k is known for
+    l <= top - k, so an odd ``top = 2n + 1`` also gives b_n.  Each d_k goes
+    through :func:`check_pivot` against m_{2k}, in either mode, before any
+    division by it.  O(top^2) steps.
+
+    In rational mode row s_k is held as integer numerators N_k over its own
+    row denominator E_k, as :func:`_banded_fill` holds its rows.  N_0 is m
+    times E_0, the lcm of the moment denominators, as :func:`_common_scale`
+    gives.  With b_k = p/q and a_k^2 = r/t, the next row has
+    E = lcm(E_k q, E_{k-1} t) and
+
+        N_{k+1}[l] = (E/E_k) N_k[l+1] - p (E/(E_k q)) N_k[l]
+                     - r (E/(E_{k-1} t)) N_{k-1}[l],
+
+    all plain ints; the row and E are then divided by their common gcd
+    (:func:`_reduce_row`, shared with the fill), without which the rows of
+    q-hermite grow without bound.  Only d_k, a_k^2 and b_k are made as
+    ``Fraction``s: d_k = N_k[k] / E_k and
+    s_k[k+1] / d_k = N_k[k+1] / N_k[k].  Float mode runs the same loop with
+    E = 1.0 and the factors (1.0, b_k, a_k^2), whose products are the plain
+    floats bit for bit.
+    """
+    exact = m.mode == RATIONAL
+    z = zero(m.mode)
+    n = top // 2
+    e, (cur,) = _common_scale(m.mode, m.moments[: top + 1])
+    ratio, blank = (Fraction, 0) if exact else (operator.truediv, z)
+    prev, e_prev = [blank] * (top + 1), e
+    a2, b, norms, lead = [z], [], [], z
+    for k in range(n + 1):
+        d = ratio(cur[k], e)
+        check_pivot(k, d, m.m(2 * k), m.mode)
+        norms.append(d)
+        if k:
+            a2.append(d / norms[k - 1])
+        if 2 * k == top:
+            break
+        quotient = ratio(cur[k + 1], cur[k])  # s_k[k+1] / d_k
+        b.append(quotient - lead)
+        lead = quotient
+        if exact:
+            q, t = b[k].denominator, a2[k].denominator
+            e_next = math.lcm(e * q, e_prev * t)
+            c0 = e_next // e
+            cb = b[k].numerator * (c0 // q)
+            ca = a2[k].numerator * (e_next // (e_prev * t))
+        else:
+            e_next, c0, cb, ca = e, e, b[k], a2[k]
+        nxt = [blank] * (top + 1)
+        for l in range(k + 1, top - k):  # s_{k+1}[l], zero terms skipped
+            v = c0 * cur[l + 1]
+            if cb and cur[l]:
+                v = v - cb * cur[l]
+            if k and prev[l]:
+                v = v - ca * prev[l]
+            nxt[l] = v
+        if exact:
+            nxt, e_next = _reduce_row(nxt, e_next)
+        prev, cur, e_prev, e = cur, nxt, e, e_next
+    return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms
 
 
 def eta_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:

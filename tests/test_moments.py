@@ -171,7 +171,7 @@ class TestHankel:
 
 
 class TestDeltas:
-    """Delta_k from the Cholesky pivots, checked against elimination minors."""
+    """Delta_k from the pivots d_k, checked against elimination minors."""
 
     @pytest.mark.parametrize(
         "spec",

@@ -1,9 +1,13 @@
 """Assembled polynomial systems: tables, recurrence, evaluation, kernel, identities."""
 
 import gc
+import itertools
+import operator
 import random
+import sys
 import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -135,10 +139,10 @@ class TestBuild:
 
 
 @st.composite
-def rational_recurrences(draw):
-    """(rec, n): a random order n and a_1^2..a_n^2, b_0..b_{n-1}, with b = 0
-    or not."""
-    n = draw(st.integers(0, 9))
+def rational_recurrences(draw, max_order=9):
+    """(rec, n): a random order n <= max_order and a_1^2..a_n^2, b_0..b_{n-1},
+    with b = 0 or not."""
+    n = draw(st.integers(0, max_order))
     a2 = draw(st.lists(positive_fractions, min_size=n, max_size=n))
     if draw(st.booleans()):
         b = [Fraction(0)] * n
@@ -147,13 +151,40 @@ def rational_recurrences(draw):
     return RecurrenceCoefficients((Fraction(0),) + tuple(a2), tuple(b), RATIONAL), n
 
 
+def cholesky_minors(L):
+    """Delta_0..Delta_n as running products of the squared pivots of L."""
+    out, acc = [], Fraction(1)
+    for d in L.diagonal():
+        acc *= d * d
+        out.append(acc)
+    return out
+
+
 def cholesky_route(m, n):
-    """The factor-then-invert build that float mode still runs."""
+    """The factor-then-invert build that float mode still runs, with L from
+    the Cholesky factorization and never from the Hankel matrix."""
     hank = hankel_matrix(m, n)
-    L = hank.factor  # runs cholesky_decompose
-    sys_ = PolynomialSystem(m, hank, L, invert_lower_triangular(L), rec=None)
+    L = cholesky_decompose(hank)
+    sys_ = PolynomialSystem(hank, None, invert_lower_triangular(L))
     sys_.rec = recurrence_from_tables(sys_)
-    return sys_
+    return SimpleNamespace(rec=sys_.rec, Pi=sys_.Pi, L=L, deltas=cholesky_minors(L))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    # calls of the Cholesky factorization and of the surd scaling
+    calls = {"cholesky": 0, "scaled": 0}
+    factor, scaled = moments_module.cholesky_decompose, recurrence_module._Numerators.scaled
+
+    def count(key, run):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return run(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(moments_module, "cholesky_decompose", count("cholesky", factor))
+    monkeypatch.setattr(recurrence_module._Numerators, "scaled", count("scaled", scaled))
+    return calls
 
 
 def as_strings(table):
@@ -174,14 +205,11 @@ class TestChebyshevBuild:
         assert as_strings(got.L) == as_strings(want.L)
 
     @pytest.mark.parametrize("family, params", FAMILIES + [("from-recurrence", SKEW_PARAMS)])
-    def test_deltas_equal_squared_cholesky_pivots(self, family, params):
+    def test_deltas_equal_squared_cholesky_pivots(self, family, params, counted):
         m = make_moments(FamilySpec(family, 33, params))
         sys_ = build_system(m, 16)
-        assert sys_.hankel._deltas is not None  # seeded by the build from the norms
-        want, acc = [], Fraction(1)
-        for d in cholesky_decompose(hankel_matrix(m, 16)).diagonal():
-            acc *= d * d
-            want.append(acc)
+        assert len(sys_.deltas) == 17 and counted["cholesky"] == 0  # from the norms
+        want = cholesky_minors(cholesky_decompose(hankel_matrix(m, 16)))
         assert sys_.deltas == want
         assert [type(v) for v in sys_.deltas] == [type(v) for v in want]
 
@@ -202,29 +230,52 @@ class TestChebyshevBuild:
             build_system(m, n)
         with pytest.raises(NotPositiveDefinite) as want:
             cholesky_decompose(hankel_matrix(m, n))
-        assert got.value.order == want.value.order == len(atoms)
-        assert str(got.value) == str(want.value)
+        with pytest.raises(NotPositiveDefinite) as standalone:
+            hankel_matrix(m, n).deltas
+        assert got.value.order == want.value.order == standalone.value.order == len(atoms)
+        assert str(got.value) == str(want.value) == str(standalone.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_recurrences(max_order=8))
+    def test_float_build_within_condition_scaled_bound(self, drawn):
+        # the bench's tolerance 1000 * eps * m_2k / d_k, relative to the
+        # coefficient once it exceeds 1; b_k takes the top order's factor.
+        # At n = 12 the worst draws reach half the bound, so n stays <= 8
+        rec, n = drawn
+        m = moments_from_recurrence(rec, 2 * n + 1)
+        want, got = build_system(m, n).rec, build_system(m.to_floats(), n).rec
+        eps = Fraction(sys.float_info.epsilon)
+        d = list(itertools.accumulate(want.a2[1:], operator.mul, initial=Fraction(1)))
+
+        def within(value, exact, k):
+            bound = 1000 * eps * m.m(2 * k) / d[k] * max(1, abs(exact))
+            return abs(Fraction(value) - exact) <= bound
+
+        assert all(within(got.a2[k], want.a2[k], k) for k in range(1, n + 1))
+        assert all(within(got.b[k], want.b[k], n) for k in range(n))
+
+
+class TestHankelFactor:
+    """A rational Hankel matrix read on its own factors by its Chebyshev pass."""
+
+    @pytest.mark.parametrize("family, params", FAMILIES + [("from-recurrence", SKEW_PARAMS)])
+    def test_standalone_equals_cholesky(self, family, params, counted):
+        m = make_moments(FamilySpec(family, 33, params))
+        hank = hankel_matrix(m, 16)
+        L, deltas = hank.factor, hank.deltas
+        assert counted["cholesky"] == 0
+        chol = cholesky_decompose(hankel_matrix(m, 16))
+        assert as_strings(L) == as_strings(chol)
+        want = cholesky_minors(chol)
+        assert deltas == want
+        assert [type(v) for v in deltas] == [type(v) for v in want]
+        assert hank.roots == L.diagonal()
+        assert hank.recurrence == build_system(m, 16).rec
 
 
 class TestLazyTables:
     """A rational build keeps the recurrence and the norms; Pi and L are
     scaled from the fills when first read, and nothing else reads them."""
-
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        # calls of the Cholesky factorization and of the surd scaling
-        calls = {"cholesky": 0, "scaled": 0}
-        factor, scaled = moments_module.cholesky_decompose, recurrence_module._Numerators.scaled
-
-        def count(key, run):
-            def wrapped(*args, **kwargs):
-                calls[key] += 1
-                return run(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(moments_module, "cholesky_decompose", count("cholesky", factor))
-        monkeypatch.setattr(recurrence_module._Numerators, "scaled", count("scaled", scaled))
-        return calls
 
     @pytest.mark.parametrize("family, params", FAMILIES + [("from-recurrence", SKEW_PARAMS)])
     def test_factor_is_the_lazy_L(self, family, params, counted):
@@ -235,9 +286,9 @@ class TestLazyTables:
         pi = sys_.Pi
         assert sys_.Pi is pi and sys_.Lambda is sys_.L and len(sys_.deltas) == 13
         assert counted == {"cholesky": 0, "scaled": 2}
-        hank = hankel_matrix(m, 12)
-        assert as_strings(sys_.L) == as_strings(hank.factor)
-        assert sys_.deltas == hank.deltas
+        chol = cholesky_decompose(hankel_matrix(m, 12))
+        assert as_strings(sys_.L) == as_strings(chol)
+        assert sys_.deltas == cholesky_minors(chol)
         assert sys_.roots == sys_.L.diagonal()
         # deep orders, as far as the skew recurrence reaches: every entry is
         # the value that generic surd arithmetic reaches from the monic tables
@@ -418,10 +469,10 @@ class TestChebyshevRows:
     @given(chebyshev_moments())
     def test_rational_equals_fraction_oracle(self, drawn):
         m, top = drawn
-        rec, norms = polysys_module._chebyshev(m, top)
+        rec, norms = recurrence_module._chebyshev(m, top)
         want_rec, want_norms = chebyshev_fraction_oracle(m, top)
         assert (rec.a2, rec.b, norms) == (want_rec.a2, want_rec.b, want_norms)
-        assert chebyshev_outcome(polysys_module._chebyshev, m, top) == \
+        assert chebyshev_outcome(recurrence_module._chebyshev, m, top) == \
             chebyshev_outcome(chebyshev_fraction_oracle, m, top)
 
     @settings(max_examples=30, deadline=None)
@@ -429,7 +480,7 @@ class TestChebyshevRows:
     def test_float_equals_fraction_oracle_bit_for_bit(self, drawn):
         m, top = drawn
         m = m.to_floats()
-        assert chebyshev_outcome(polysys_module._chebyshev, m, top) == \
+        assert chebyshev_outcome(recurrence_module._chebyshev, m, top) == \
             chebyshev_outcome(chebyshev_fraction_oracle, m, top)
 
     @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
@@ -438,7 +489,7 @@ class TestChebyshevRows:
     def test_catalog_equals_fraction_oracle(self, family, params, count, mode):
         m = make_moments(FamilySpec(family, count, params), mode)
         for top in (count - 2, count - 1):
-            assert chebyshev_outcome(polysys_module._chebyshev, m, top) == \
+            assert chebyshev_outcome(recurrence_module._chebyshev, m, top) == \
                 chebyshev_outcome(chebyshev_fraction_oracle, m, top)
 
     @settings(max_examples=40, deadline=None)
@@ -456,7 +507,7 @@ class TestChebyshevRows:
             sum(w * x**j for x, w in zip(atoms, weights)) / total
             for j in range(2 * n + 1 + odd_top)
         ), RATIONAL)
-        got = chebyshev_outcome(polysys_module._chebyshev, m, m.top_order)
+        got = chebyshev_outcome(recurrence_module._chebyshev, m, m.top_order)
         assert got == chebyshev_outcome(chebyshev_fraction_oracle, m, m.top_order)
         assert got[:2] == ("fails", len(atoms))
 
@@ -474,7 +525,7 @@ class TestChebyshevRows:
         bad = MomentSequence(tuple(moments), RATIONAL)
         for mode in (RATIONAL, FLOAT):
             seq = bad if mode == RATIONAL else bad.to_floats()
-            got = chebyshev_outcome(polysys_module._chebyshev, seq, top)
+            got = chebyshev_outcome(recurrence_module._chebyshev, seq, top)
             assert got == chebyshev_outcome(chebyshev_fraction_oracle, seq, top)
             if mode == RATIONAL:
                 assert got == ("fails", j, str(NotPositiveDefinite(j, -excess)))
@@ -488,7 +539,7 @@ class TestChebyshevRows:
     def test_explicit_negative_minor_fails_like_the_oracle(self, moments):
         m = MomentSequence(tuple(Fraction(v) for v in moments), RATIONAL)
         for seq in (m, m.to_floats()):
-            got = chebyshev_outcome(polysys_module._chebyshev, seq, seq.top_order)
+            got = chebyshev_outcome(recurrence_module._chebyshev, seq, seq.top_order)
             assert got[0] == "fails"
             assert got == chebyshev_outcome(chebyshev_fraction_oracle, seq, seq.top_order)
 
