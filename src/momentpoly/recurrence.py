@@ -21,14 +21,21 @@ printed tables every entry, the moments column 0, the near-diagonal report the
 band it compares, a linearization one row, the ribbon test and the
 Radon-Nikodym expansion weighted sums of rows, and ``Pi`` and ``L`` scale the
 numerators when first read.  Every reader builds its ``Fraction`` from coprime
-parts (see ``_coprime``).  Float mode runs the same fill with D = 1.0 and no
-row denominators.  The Chebyshev pass (``_chebyshev``) runs the other way,
-from moments to the recurrence and the monic norms that a Hankel matrix
-factors with, and holds its rows in the same format.
+parts (see ``_coprime``).  Where a reader reads only part of a fill, the fill
+computes only a column window that holds that part and is closed under the
+recursion: the band row - col <= 4 for the near-diagonal report (O(n)
+entries per table) and the shrinking edge col <= count - 1 - row for the
+moments.  Float mode runs the same fill with D = 1.0 and no row
+denominators.  The Chebyshev pass (``_chebyshev``) runs the other way, from
+moments to the recurrence and the monic norms that a Hankel matrix factors
+with, and holds its rows in the same format.
 
 The four closed-form fills and the near-diagonal report check exact
-identities with ``==``, so they are rational only: a closed-form entry with k
-coefficient factors is summed as an integer over D^k and reduced once.
+identities with ``==``, so they are rational only.  A closed-form entry with k
+coefficient factors is an integer over D^k; ``aux_tables`` compares it with
+the recursion entry N / E_m by cross-multiplying integers, and reduces a
+table to ``Fraction``s only when it is read.  The report's prefix sums are
+integers over powers of D too, each term reduced once when a check reads it.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 from .cholesky import TriangularTable, check_pivot
 from .scalars import FLOAT, RATIONAL, Surd, as_scalars, check_mode, one, scalar_sqrt, to_float, zero
@@ -258,7 +267,8 @@ class _Numerators:
 
 
 def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, None),
-                 start: int = 0) -> _Numerators:
+                 start: int = 0, band: int | None = None, left: int = -1,
+                 edge: int | None = None) -> _Numerators:
     """Rows 0..steps of the banded recursion that every monic table shares.
 
     ``target`` and ``source`` are (a2, b) coefficient pairs, and a part given
@@ -275,6 +285,22 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
     ptilde_steps in the monic basis.  Zero entries of g are skipped, so a
     coefficient is read only where a nonzero entry forces its index: source
     indices below start + steps, target indices below steps.
+
+    A column window computes only the entries a reader will read; the others
+    are held as zeros and must not be read.  Entry (r, j) reads row r-1 at
+    columns j-1..j+1 and row r-2 at column j, so a window gives exact entries
+    when it is closed under the recursion: with (r, j) it holds those
+    columns.  Three windows are closed:
+
+    - ``band``, the columns j >= r - band of row r, on every side, since
+      j-1 >= (r-1) - band and j >= (r-2) - band;
+    - ``left``, added to a band: the columns j <= left, closed only for a
+      target-only fill (eta, xi1, xi2), which reads columns j-1 and j; a
+      source term reads column j+1 of row r-1, outside the window;
+    - ``edge``, the columns j <= edge - r of row r, on every side, since
+      j+1 <= edge - (r-1); the row stops at that column.
+
+    With no window the fill computes the whole triangle, as it always did.
 
     The loop runs on integer numerators.  D is the lcm of the denominators of
     the coefficients read, and B = b*D and A = a^2*D are integers.  Row m
@@ -306,8 +332,13 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
                 above = [c * v for v in cur]
             if TA is not None:
                 ta *= e // e_before
-        row = []
-        for j in range(start + m + 2):
+        size = start + m + 2 if edge is None else min(start + m + 1, edge - m - 1) + 1
+        lo = 0 if band is None else max(m + 1 - band, 0)
+        row = [z] * size
+        cols = range(lo, size)
+        if lo and left >= 0:  # a chained range costs every entry a step, so only here
+            cols = chain(range(min(left + 1, lo)), cols)
+        for j in cols:
             v = d * above[j]
             if SB is not None:
                 t = above[j + 1]
@@ -325,7 +356,7 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
                 t = before[j + 1]
                 if t:
                     v = v - ta * t
-            row.append(v)
+            row[j] = v
         if exact:
             row, e = _reduce_row(row, e * d)
             e_before = dens[m]
@@ -444,38 +475,43 @@ def tau_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
 # -- auxiliary tables: recursion fills and closed forms ---------------------
 
 
-def _aux_fills(rec: RecurrenceCoefficients, n: int) -> tuple:
-    """xi1, xi2, zeta1, zeta2 by recursion, as fills: the pure-a^2 and pure-b
+def _aux_sides(rec: RecurrenceCoefficients) -> tuple:
+    """The fill sides of xi1, xi2, zeta1 and zeta2: the pure-a^2 and pure-b
     parts of the eta and tau recursions."""
-    _check_order(rec, n)
-    sides = ({"target": (rec.a2, None)}, {"target": (None, rec.b)},
-             {"source": (rec.a2, None)}, {"source": (None, rec.b)})
-    return tuple(_banded_fill(rec.mode, n, **side) for side in sides)
+    return ({"target": (rec.a2, None)}, {"target": (None, rec.b)},
+            {"source": (rec.a2, None)}, {"source": (None, rec.b)})
 
 
-def _aux_recursions(rec: RecurrenceCoefficients, n: int) -> tuple:
-    """xi1, xi2, zeta1, zeta2 by recursion, as printed tables."""
-    return tuple(TriangularTable("XiZeta", rec.mode, fill.table()) for fill in _aux_fills(rec, n))
+@dataclass(frozen=True)
+class _GapScaled:
+    """A closed-form fill on integers: entry (i, j) is ``rows[i][j]`` over
+    ``scales[i - j]``, the power of D that matches the entry's factor count."""
+
+    rows: list
+    scales: list
+
+    def row(self, i: int) -> list:
+        return [_over(v, s) for v, s in zip(self.rows[i], self.scales[i::-1])]
 
 
 def _signed(v, k: int):
     return -v if k % 2 == 1 else v
 
 
-def _even_gap_fill(n: int, value) -> TriangularTable:
-    """Zero at odd row - col, one on the diagonal, ``value(row, col, k)`` at
-    row - col = 2k > 0."""
+def _even_gap_fill(n: int, d: int, value) -> _GapScaled:
+    """Zero at odd row - col, one on the diagonal, the integer
+    ``value(row, col, k)`` over D^k at row - col = 2k > 0."""
     rows = []
     for row in range(n + 1):
         out = []
         for col in range(row + 1):
             k, odd = divmod(row - col, 2)
-            out.append(_ZERO if odd else _ONE if k == 0 else value(row, col, k))
+            out.append(0 if odd else 1 if k == 0 else value(row, col, k))
         rows.append(out)
-    return TriangularTable(role="XiZeta", mode=RATIONAL, rows=rows)
+    return _GapScaled(rows, [d ** (g // 2) for g in range(n + 1)])
 
 
-def _xi1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
+def _xi1_closed(rec: RecurrenceCoefficients, n: int) -> _GapScaled:
     """Gap-constrained products of a^2: entry (row, row - 2k) is (-1)^k times
     the sum over 1 <= j_1 < ... < j_k <= row-1 with j_{m+1} - j_m >= 2 of
     prod a_{j_m}^2; zero for odd row - col.
@@ -486,10 +522,9 @@ def _xi1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     N(r, lo) = N(r, lo + 1) + A_lo*N(r - 1, lo + 2), and entry k of the row is
     N(k - 1, 1): one level per r serves every k of a row.  The sums run on the
     integers A_j = D*a_j^2, D the lcm of their denominators; a k-factor sum is
-    an integer over D^k, reduced once.
+    an integer over D^k.
     """
     d, (A,) = _common_scale(RATIONAL, rec.a2[:n])
-    scale = [d**k for k in range(n // 2 + 1)]
     sums = []  # sums[row][k - 1]: D^k times the k-factor sum of the row
     for row in range(n + 1):
         level, out = [1] * (row + 2), []  # r = -1: the empty product
@@ -501,33 +536,31 @@ def _xi1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
             level = nxt
             out.append(level[1])
         sums.append(out)
-    return _even_gap_fill(n, lambda row, col, k: _signed(_over(sums[row][k - 1], scale[k]), k))
+    return _even_gap_fill(n, d, lambda row, col, k: _signed(sums[row][k - 1], k))
 
 
-def _xi2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
+def _xi2_closed(rec: RecurrenceCoefficients, n: int) -> _GapScaled:
     """Signed elementary symmetric sums: entry (row, col) is
     (-1)^j e_j(b_0..b_{row-1}), j = row - col.
 
     One running vector serves every row: row r reads e_j(b_0..b_{r-1}), then
     one pass of the e_j recurrence folds in b_r for the next row.  The vector
     holds E_j = D^j e_j over the integers B = D*b, D the lcm of their
-    denominators, so the pass is E_t += E_{t-1}*B; each entry is reduced once.
+    denominators, so the pass is E_t += E_{t-1}*B.
     """
     d, (B,) = _common_scale(RATIONAL, rec.b[:n])
-    scale = [d**j for j in range(n + 1)]
     e = [1] + [0] * n
     rows = []
     for row in range(n + 1):
-        rows.append([_signed(_over(e[row - col], scale[row - col]), row - col)
-                     for col in range(row + 1)])
+        rows.append([_signed(e[row - col], row - col) for col in range(row + 1)])
         if row < n:
             x = B[row]
             for t in range(row + 1, 0, -1):
                 e[t] = e[t] + e[t - 1] * x
-    return TriangularTable(role="XiZeta", mode=RATIONAL, rows=rows)
+    return _GapScaled(rows, [d**j for j in range(n + 1)])
 
 
-def _zeta1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
+def _zeta1_closed(rec: RecurrenceCoefficients, n: int) -> _GapScaled:
     """Nested a^2 sums: entry (col + 2k, col) is sum_{j_1=1}^{col+1} a_{j_1}^2
     sum_{j_2=1}^{j_1+1} a_{j_2}^2 ... over k factors; zero for odd row - col.
 
@@ -536,10 +569,9 @@ def _zeta1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
     serves the whole table, as the prefix sums
     N(r, hi) = N(r, hi - 1) + A_hi*N(r - 1, hi + 1).  They run on the integers
     A_j = D*a_j^2, D the lcm of their denominators, so a k-factor sum is an
-    integer over D^k, reduced once.
+    integer over D^k.
     """
     d, (A,) = _common_scale(RATIONAL, rec.a2[:n])
-    scale = [d**k for k in range(n // 2 + 1)]
     levels, below = [], [1] * (n + 1)  # r = -1: the empty product
     for r in range(n // 2):
         level = [0]
@@ -547,21 +579,19 @@ def _zeta1_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
             level.append(level[hi - 1] + A[hi] * below[hi + 1])
         levels.append(level)
         below = level
-    return _even_gap_fill(n, lambda row, col, k: _over(levels[k - 1][col + 1], scale[k]))
+    return _even_gap_fill(n, d, lambda row, col, k: levels[k - 1][col + 1])
 
 
-def _zeta2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
+def _zeta2_closed(rec: RecurrenceCoefficients, n: int) -> _GapScaled:
     """Monotone multi-indexed b products: entry (col + j, col) is the complete
     homogeneous symmetric sum h_j(b_0..b_col).
 
     One running vector serves every column: column c folds b_c into
     h_1..h_{n-c}, the entries that it and the later columns read, and b_n is
     never read.  The vector holds H_j = D^j h_j over the integers B = D*b, D
-    the lcm of their denominators, so the fold is H_t += H_{t-1}*B; each entry
-    is reduced once.
+    the lcm of their denominators, so the fold is H_t += H_{t-1}*B.
     """
     d, (B,) = _common_scale(RATIONAL, rec.b[:n])
-    scale = [d**j for j in range(n + 1)]
     rows = [[None] * (row + 1) for row in range(n + 1)]
     h = [1] + [0] * n
     for col in range(n + 1):
@@ -571,22 +601,38 @@ def _zeta2_closed(rec: RecurrenceCoefficients, n: int) -> TriangularTable:
             for t in range(1, top + 1):
                 h[t] = h[t] + h[t - 1] * x
         for j in range(top + 1):
-            rows[col + j][col] = _over(h[j], scale[j])
-    return TriangularTable(role="XiZeta", mode=RATIONAL, rows=rows)
+            rows[col + j][col] = h[j]
+    return _GapScaled(rows, [d**j for j in range(n + 1)])
 
 
-@dataclass
+def _aux_table(index: int) -> cached_property:
+    """The printed table of fill ``index`` of :class:`AuxTables`, reduced to
+    ``Fraction``s on first read and cached."""
+    def read(self) -> TriangularTable:
+        fill = self._fills[index]
+        return TriangularTable("XiZeta", RATIONAL, [fill.row(m) for m in range(len(fill.rows))])
+    return cached_property(read)
+
+
 class AuxTables:
-    """Recursion fills of the four auxiliary tables plus their closed-form fills."""
+    """Recursion fills of the four auxiliary tables plus their closed-form fills.
 
-    xi1: TriangularTable
-    xi2: TriangularTable
-    zeta1: TriangularTable
-    zeta2: TriangularTable
-    xi1_closed: TriangularTable
-    xi2_closed: TriangularTable
-    zeta1_closed: TriangularTable
-    zeta2_closed: TriangularTable
+    The four recursion fills are held as :class:`_Numerators` (entry (i, j) is
+    N / E_i) and the four closed fills as :class:`_GapScaled` integers (C over
+    S_{i-j}, a power of D).  :meth:`first_mismatch` and :meth:`agree` compare
+    N * S_{i-j} with C * E_i on integers and read no table.  Each of the eight
+    tables, ``xi1`` .. ``zeta2`` and ``xi1_closed`` .. ``zeta2_closed``, is a
+    ``TriangularTable`` of ``Fraction``s built on first read and cached.
+    """
+
+    NAMES = ("xi1", "xi2", "zeta1", "zeta2")
+
+    def __init__(self, recursions: tuple, closed: tuple):
+        self._fills = (*recursions, *closed)
+
+    xi1, xi2, zeta1, zeta2 = _aux_table(0), _aux_table(1), _aux_table(2), _aux_table(3)
+    xi1_closed, xi2_closed = _aux_table(4), _aux_table(5)
+    zeta1_closed, zeta2_closed = _aux_table(6), _aux_table(7)
 
     def pairs(self):
         return (
@@ -597,13 +643,14 @@ class AuxTables:
         )
 
     def first_mismatch(self):
-        """First (table, row, col, recursion, closed) disagreement, or None."""
-        for name, rec_t, closed_t in self.pairs():
-            for i in range(rec_t.order + 1):
-                for j in range(i + 1):
-                    a, b = rec_t.rows[i][j], closed_t.rows[i][j]
-                    if a != b:
-                        return (name, i, j, a, b)
+        """First (table, row, col, recursion, closed) disagreement, or None.
+
+        Only the returned pair is reduced to ``Fraction``s."""
+        for name, fill, closed in zip(self.NAMES, self._fills[:4], self._fills[4:]):
+            for i, (row, e, crow) in enumerate(zip(fill.rows, fill.dens, closed.rows)):
+                for j, (v, c, s) in enumerate(zip(row, crow, closed.scales[i::-1])):
+                    if v * s != c * e:
+                        return (name, i, j, _over(v, e), _over(c, s))
         return None
 
     def agree(self) -> bool:
@@ -614,21 +661,17 @@ def aux_tables(rec: RecurrenceCoefficients, n: int) -> AuxTables:
     """Build the four auxiliary tables twice: by recursion and by closed form.
 
     The closed fills read only a^2 and b, never the recursion fills they are
-    compared against.  Raises ``ValueError`` on a float-mode recurrence, as
-    :func:`partial_solutions` does: the fills are compared with ``!=``.
+    compared against.  Both are kept as integers; the comparison
+    cross-multiplies them, and a table becomes ``Fraction``s only when read
+    (see :class:`AuxTables`).  Raises ``ValueError`` on a float-mode
+    recurrence, as :func:`partial_solutions` does: the fills are compared
+    exactly.
     """
     _require_exact(rec.mode, "aux_tables")
-    xi1, xi2, zeta1, zeta2 = _aux_recursions(rec, n)
-    return AuxTables(
-        xi1=xi1,
-        xi2=xi2,
-        zeta1=zeta1,
-        zeta2=zeta2,
-        xi1_closed=_xi1_closed(rec, n),
-        xi2_closed=_xi2_closed(rec, n),
-        zeta1_closed=_zeta1_closed(rec, n),
-        zeta2_closed=_zeta2_closed(rec, n),
-    )
+    _check_order(rec, n)
+    return AuxTables(tuple(_banded_fill(RATIONAL, n, **side) for side in _aux_sides(rec)),
+                     tuple(fill(rec, n) for fill in (_xi1_closed, _xi2_closed,
+                                                     _zeta1_closed, _zeta2_closed)))
 
 
 # -- near-diagonal closed forms, evaluated verbatim and reported ------------
@@ -666,48 +709,53 @@ class PartialSolutionsReport:
         return all(c.passed for c in self.checks)
 
 
-def _prefix_sums(rec: RecurrenceCoefficients, top: int) -> list:
-    """(e1, e2, A, P, Q) for K = 0..top, one O(1) step each.
+def _prefix_sums(rec: RecurrenceCoefficients, top: int) -> tuple:
+    """(powers, sums): sums[K] = (e1, e2, A, P, Q) for K = 0..top, one O(1)
+    step each, and powers = (1, D, D^2, D^3).
 
     e1 and e2 are the elementary symmetric sums of b_0..b_K; with x = b_{k-1}
     and y = b_k, A, P and Q sum a_k^2, a_k^2*(x + y) and
-    a_k^2*(x^2 + x*y + y^2) over k = 1..K.
+    a_k^2*(x^2 + x*y + y^2) over k = 1..K.  They are integers over D, D^2, D,
+    D^2 and D^3, D the lcm of the denominators of a_1^2..a_top^2 and
+    b_0..b_top, so the walk makes no ``Fraction``.
     """
-    e1 = e2 = A = P = Q = _ZERO
+    d, (W, B) = _common_scale(RATIONAL, rec.a2[:top + 1], rec.b[:top + 1])
+    e1 = e2 = A = P = Q = 0
     out = []
     for K in range(top + 1):
-        y = rec.b[K]
+        y = B[K]
         e2 = e2 + e1 * y
         e1 = e1 + y
         if K:
-            x, w = rec.b[K - 1], rec.a2[K]
+            x, w = B[K - 1], W[K]
             A = A + w
             P = P + w * (x + y)
             Q = Q + w * (x * x + x * y + y * y)
         out.append((e1, e2, A, P, Q))
-    return out
+    return (1, d, d * d, d**3), out
 
 
-def _eta3_printed(sums: list, x2: list, count: int):
+def _eta3_printed(powers: tuple, sums: list, x2: list, count: int):
     """Yield printed eta_{t+3,t} for t < count: the xi2 term at column 3 exactly
     as printed, plus sum_{j=1}^{t+2} a_j^2 times the sum of b_k over
     k = 0..t+2 with k not in {j - 1, j}.  That inner sum is
-    e1 - b_{j-1} - b_j, so the outer sum is e1*A - P, read from ``sums``, the
-    :func:`_prefix_sums` at K = t + 2."""
+    e1 - b_{j-1} - b_j, so the outer sum is e1*A - P over D^2, read from
+    ``sums``, the :func:`_prefix_sums` at K = t + 2."""
     for t in range(count):
         e1, _, A, P, _ = sums[t + 2]
-        yield x2[t + 3][3] + (e1 * A - P)
+        yield x2[t + 3][3] + _over(e1 * A - P, powers[2])
 
 
-def _eta4_printed(sums: list, x1: list, x2: list, count: int):
+def _eta4_printed(powers: tuple, sums: list, x1: list, x2: list, count: int):
     """Yield printed eta_{t+4,t} for t < count: xi1 + xi2, plus
     sum_{k=1}^{t+3} a_k^2 times the sum of b_i*b_j over 0 <= i < j <= t+3 with
     neither index in {k - 1, k}.  With x = b_{k-1} and y = b_k that inner sum
-    is e2 - (x + y)*(e1 - x - y) - x*y, so the outer sum is e2*A - e1*P + Q,
-    read from ``sums``, the :func:`_prefix_sums` at K = t + 3."""
+    is e2 - (x + y)*(e1 - x - y) - x*y, so the outer sum is
+    e2*A - e1*P + Q over D^3, read from ``sums``, the :func:`_prefix_sums` at
+    K = t + 3."""
     for t in range(count):
         e1, e2, A, P, Q = sums[t + 3]
-        yield x1[t + 4][t] + x2[t + 4][t] + (e2 * A - e1 * P + Q)
+        yield x1[t + 4][t] + x2[t + 4][t] + _over(e2 * A - e1 * P + Q, powers[3])
 
 
 def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsReport:
@@ -722,12 +770,15 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
 
     The sums over indices other than {j - 1, j} in the printed eta forms are
     taken as the full elementary symmetric sum minus the excluded terms, and
-    the a^2-weighted sums of the printed forms read one list of prefix sums
-    (see ``_prefix_sums``), so each base index costs O(1).  The values are
-    made lazily: a failing check stops at its first mismatch.  The six recursion
-    fills are read through :meth:`_Numerators.band`: only the entries with
-    row - col <= 4 are reduced to fractions, plus the two columns a check
-    names (xi2 column 3, and eta column 0 when every b_k is zero).
+    the a^2-weighted sums of the printed forms read one list of integer prefix
+    sums (see ``_prefix_sums``), so each base index costs O(1) and each term
+    is reduced once.  The values are made lazily: a failing check stops at its
+    first mismatch.  The six order-(n+4) recursion fills compute only the
+    band row - col <= 4, plus the leftmost columns through the one a check
+    names (xi2 column 3, and eta column 0 when every b_k is zero): O(n)
+    entries each (see the windows of :func:`_banded_fill`).  They are read
+    through :meth:`_Numerators.band`, which reduces that band and those
+    columns to fractions.
 
     Raises ``ValueError`` on a float-mode recurrence: every check compares
     with ``!=``, so rounding alone would fail identities that hold exactly.
@@ -735,12 +786,14 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     _require_exact(rec.mode, "partial_solutions")
     _check_order(rec, n)
     top = n + 4
+    _check_order(rec, top)
     symmetric = all(v == 0 for v in rec.b)
-    x1, x2, z1, z2 = (fill.band(4, columns) for fill, columns in
-                      zip(_aux_fills(rec, top), ((), (3,), (), ())))
-    eta = _banded_fill(RATIONAL, top, target=(rec.a2, rec.b)).band(4, (0,) if symmetric else ())
-    tau = _banded_fill(RATIONAL, top, source=(rec.a2, rec.b)).band(4)
-    sums = _prefix_sums(rec, top - 1)  # the printed forms read K <= top - 1
+    sides = (*_aux_sides(rec), {"target": (rec.a2, rec.b)}, {"source": (rec.a2, rec.b)})
+    columns = ((), (3,), (), (), (0,) if symmetric else (), ())
+    x1, x2, z1, z2, eta, tau = (
+        _banded_fill(RATIONAL, top, band=4, left=max(cols, default=-1), **side).band(4, cols)
+        for side, cols in zip(sides, columns))
+    powers, sums = _prefix_sums(rec, top - 1)  # the printed forms read K <= top - 1
 
     # (name, table, l, closed values for t = 0, 1, ..., note): each row checks
     # table[t + l][t] against its closed form
@@ -753,11 +806,12 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
         ("tau_offdiag2", tau, 2, (z1[t + 2][t] + z2[t + 2][t] for t in range(top - 1)), ""),
         # l = 3 printed forms; tau's a^2 sum over j = 1..t+1 is P of _prefix_sums
         ("tau_offdiag3_printed", tau, 3,
-         (z2[t + 3][t] + z1[t + 2][t] * z2[t + 1][t] + sums[t + 1][3] for t in range(top - 2)), ""),
-        ("eta_offdiag3_printed", eta, 3, _eta3_printed(sums, x2, top - 2),
+         (z2[t + 3][t] + z1[t + 2][t] * z2[t + 1][t] + _over(sums[t + 1][3], powers[2])
+          for t in range(top - 2)), ""),
+        ("eta_offdiag3_printed", eta, 3, _eta3_printed(powers, sums, x2, top - 2),
          "xi2 term evaluated at column 3 exactly as printed"),
         # l = 4 printed forms
-        ("eta_offdiag4_printed", eta, 4, _eta4_printed(sums, x1, x2, top - 3),
+        ("eta_offdiag4_printed", eta, 4, _eta4_printed(powers, sums, x1, x2, top - 3),
          "the a^2 factor inside the outer sum is read as a_k^2"),
         ("tau_offdiag4_printed", tau, 4,
          (-eta[t + 4][t] - eta[t + 4][t + 1] * tau[t + 1][t] - eta[t + 4][t + 2] * tau[t + 2][t]
@@ -791,32 +845,23 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
 # -- moments from the recurrence --------------------------------------------
 
 
-def _padded(rec: RecurrenceCoefficients, count: int) -> RecurrenceCoefficients:
-    """Extend with neutral coefficients (a^2 = 1, b = 0) beyond the prefix
-    that the first ``count`` moments actually depend on.
-
-    m_j is a function of a_1^2..a_{floor(j/2)}^2 and b_0..b_{floor((j-1)/2)}
-    only, and any positive-a^2 extension defines a measure with the same
-    leading moments, so the padding never affects the output.
-    """
+def _moment_prefix(rec: RecurrenceCoefficients, count: int) -> tuple:
+    """(a2, b): the prefix of the coefficients that the first ``count``
+    moments depend on, a_1^2..a_{floor(j/2)}^2 and b_0..b_{floor((j-1)/2)}
+    for j = count - 1; ``ValueError`` when the recurrence stops short of it."""
     jmax = count - 1
-    need_a2 = jmax // 2
-    need_b = max((jmax - 1) // 2, 0) if jmax >= 1 else -1
+    need_a2, need_b = jmax // 2, (jmax - 1) // 2
     if len(rec.a2) <= need_a2:
         raise ValueError(
             f"{count} moments need a_k^2 up to k = {need_a2}; "
             f"recurrence stops at k = {len(rec.a2) - 1}"
         )
-    if jmax >= 1 and len(rec.b) <= need_b:
+    if len(rec.b) <= need_b:
         raise ValueError(
             f"{count} moments need b_k up to k = {need_b}; "
             f"recurrence stops at k = {len(rec.b) - 1}"
         )
-    rows_needed = max(count - 1, 1)
-    one_ = one(rec.mode)
-    a2 = list(rec.a2) + [one_] * (rows_needed - len(rec.a2) + 1)
-    b = list(rec.b) + [zero(rec.mode)] * (rows_needed - len(rec.b) + 1)
-    return RecurrenceCoefficients(tuple(a2), tuple(b), rec.mode, rec.label)
+    return rec.a2[:need_a2 + 1], rec.b[:need_b + 1]
 
 
 def moments_from_recurrence(rec: RecurrenceCoefficients, count: int, label: str = ""):
@@ -826,13 +871,18 @@ def moments_from_recurrence(rec: RecurrenceCoefficients, count: int, label: str 
     measure (normalized to m_0 = 1) leaves only the k = 0 term, because every
     monic polynomial of degree k >= 1 integrates to zero.  The first column of
     ``tau`` is a sum of nonnegative terms when b = 0, so float mode loses no
-    accuracy to cancellation there.  Only that column of the fill is reduced
-    to fractions.
+    accuracy to cancellation there.
+
+    Row r of the fill computes only the columns j <= count - 1 - r, the
+    ``edge`` window of :func:`_banded_fill` that column 0 of the last row
+    needs, about half the triangle.  Entry (r, j) reads b_j and a_{j+1}^2 with
+    j <= min(r - 1, count - 1 - r), so the fill reads only the coefficients
+    the moments depend on (see :func:`_moment_prefix`), and only column 0 is
+    reduced to fractions.
     """
     from .moments import MomentSequence
 
     if count < 1:
         raise ValueError("count must be at least 1")
-    padded = _padded(rec, count)
-    column = _banded_fill(rec.mode, count - 1, source=(padded.a2, padded.b)).column(0)
-    return MomentSequence(tuple(column), rec.mode, label or rec.label)
+    fill = _banded_fill(rec.mode, count - 1, source=_moment_prefix(rec, count), edge=count - 1)
+    return MomentSequence(tuple(fill.column(0)), rec.mode, label or rec.label)

@@ -5,10 +5,12 @@
 operation per term; the library runs it on integer numerators over a common
 denominator.  ``_eta3_printed`` and ``_eta4_printed`` evaluate the printed
 degree-3/4 closed forms for eta with their excluded-index sums written out as
-loops.  ``partial_solutions`` builds the near-diagonal report from the six
-recursion tables reduced in full.  The tests require the library to equal
-these with ``==`` (and ``str``) in rational mode, and with ``repr`` in float
-mode where the arithmetic is the same.
+loops, and ``_tau3_a2_sum`` the a^2 sum of the printed tau form.
+``partial_solutions`` builds the near-diagonal report from the six recursion
+tables of ``banded_fill``, in full, and from those loops: it calls no fill,
+prefix sum or printed form of the library.  The tests require the library to
+equal these with ``==`` (and ``str``) in rational mode, and with ``repr`` in
+float mode where the arithmetic is the same.
 """
 
 import operator
@@ -80,19 +82,28 @@ def _eta4_printed(rec, x1, x2, t):
     return x1.rows[t + 4][t] + x2.rows[t + 4][t] + s
 
 
+def _tau3_a2_sum(rec, t):
+    """The a^2 sum of printed tau_{t+3,t}: sum_{j=1}^{t+1} a_j^2*(b_{j-1} + b_j)."""
+    s = zero(rec.mode)
+    for j in range(1, t + 2):
+        s = s + rec.a2[j] * (rec.b[j - 1] + rec.b[j])
+    return s
+
+
 def partial_solutions(rec, n):
     """The near-diagonal report of ``momentpoly.recurrence.partial_solutions``
-    with eta, tau and the four aux recursions reduced in full, as printed
-    tables; the library reduces only the band and the columns it compares."""
+    with eta, tau and the four aux recursions stepped in full by
+    :func:`banded_fill`, and the printed forms by the loops above; the library
+    fills only the band and the columns it compares, and reads integer prefix
+    sums."""
     if rec.mode != rm.RATIONAL:
         raise ValueError("partial_solutions compares exact identities; "
                          "pass a rational-mode recurrence")
-    rm._check_order(rec, n)
     top = n + 4
-    eta = rm.eta_table(rec, top)
-    tau = rm.tau_table(rec, top)
-    x1, x2, z1, z2 = rm._aux_recursions(rec, top)
-    sums = rm._prefix_sums(rec, top - 1)
+    eta, tau, x1, x2, z1, z2 = (
+        banded_fill(rec, top, "XiZeta", expand=expand, b=b, a2=a2)
+        for expand, b, a2 in ((False, True, True), (True, True, True), (False, False, True),
+                              (False, True, False), (True, False, True), (True, True, False)))
     mode = rec.mode
 
     def run(name, pairs, note=""):
@@ -141,8 +152,8 @@ def partial_solutions(rec, n):
         )
     )
 
-    # l = 3 printed forms; the a^2 sum over j = 1..t+1 is P of _prefix_sums
-    tau3 = (z2.rows[t + 3][t] + z1.rows[t + 2][t] * z2.rows[t + 1][t] + sums[t + 1][3]
+    # l = 3 printed forms
+    tau3 = (z2.rows[t + 3][t] + z1.rows[t + 2][t] * z2.rows[t + 1][t] + _tau3_a2_sum(rec, t)
             for t in range(top - 2))
 
     checks.append(
@@ -155,8 +166,7 @@ def partial_solutions(rec, n):
     checks.append(
         run(
             "eta_offdiag3_printed",
-            ((t, eta.rows[t + 3][t], v)
-             for t, v in enumerate(rm._eta3_printed(sums, x2.rows, top - 2))),
+            ((t, eta.rows[t + 3][t], _eta3_printed(rec, x2, t)) for t in range(top - 2)),
             note="xi2 term evaluated at column 3 exactly as printed",
         )
     )
@@ -165,8 +175,7 @@ def partial_solutions(rec, n):
     checks.append(
         run(
             "eta_offdiag4_printed",
-            ((t, eta.rows[t + 4][t], v)
-             for t, v in enumerate(rm._eta4_printed(sums, x1.rows, x2.rows, top - 3))),
+            ((t, eta.rows[t + 4][t], _eta4_printed(rec, x1, x2, t)) for t in range(top - 3)),
             note="the a^2 factor inside the outer sum is read as a_k^2",
         )
     )

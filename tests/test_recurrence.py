@@ -25,7 +25,7 @@ from momentpoly import (
 )
 from momentpoly import cli as cli_module
 from momentpoly import recurrence as recurrence_module
-from momentpoly.recurrence import _aux_recursions, _banded_fill, _padded
+from momentpoly.recurrence import AuxTables, _banded_fill
 from momentpoly.scalars import FLOAT, RATIONAL, zero
 
 import forward_oracle
@@ -107,6 +107,14 @@ def _check_symmetric_shortcut(rec, eta, moments) -> None:
                 f"symmetric even-moment shortcut disagrees at m_{2 * k}: "
                 f"{expect} vs {got}"
             )
+
+
+def _padded(rec, count):
+    """``rec`` extended with a^2 = 1 and b = 0 through row ``count - 1``, which
+    leaves its first ``count`` moments unchanged."""
+    size = max(count - 1, 1) + 1
+    return RecurrenceCoefficients(rec.a2 + (Fraction(1),) * (size - len(rec.a2)),
+                                  rec.b + (Fraction(0),) * (size - len(rec.b)), rec.mode, rec.label)
 
 
 def _drawn_recurrence(drawn, symmetric):
@@ -194,12 +202,15 @@ class TestIntegerFill:
     def test_printed_eta_forms_equal_loop_oracle(self, drawn):
         n, a2s, bs = drawn
         rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
-        x1, x2, _, _ = _aux_recursions(rec, n)
-        sums = recurrence_module._prefix_sums(rec, n - 1)
-        got = list(recurrence_module._eta3_printed(sums, x2.rows, n - 2))
-        assert got == [forward_oracle._eta3_printed(rec, x2, t) for t in range(n - 2)]
-        got = list(recurrence_module._eta4_printed(sums, x1.rows, x2.rows, n - 3))
-        assert got == [forward_oracle._eta4_printed(rec, x1, x2, t) for t in range(n - 3)]
+        x1, x2 = (forward_oracle.banded_fill(rec, n, "XiZeta", expand=False, b=b, a2=a2)
+                  for b, a2 in ((False, True), (True, False)))
+        # the library's prefix sums are integers over powers of D
+        powers, sums = recurrence_module._prefix_sums(rec, n - 1)
+        got = list(recurrence_module._eta3_printed(powers, sums, x2.rows, n - 2))
+        assert repr(got) == repr([forward_oracle._eta3_printed(rec, x2, t) for t in range(n - 2)])
+        got = list(recurrence_module._eta4_printed(powers, sums, x1.rows, x2.rows, n - 3))
+        assert repr(got) == repr([forward_oracle._eta4_printed(rec, x1, x2, t)
+                                  for t in range(n - 3)])
 
 
 def _fill_sides(rec):
@@ -251,6 +262,51 @@ class TestBandReader:
         assert got == summary(forward_oracle.partial_solutions(rec, n - 3))
         pure_a2 = all(v == 0 for v in bs)
         assert any(name == "eta_column0_symmetric" for name, *_ in got) == pure_a2
+
+
+class TestColumnWindows:
+    """Each windowed fill against the full fill, inside its window."""
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(_fill_draws(20), st.integers(0, 5), st.integers(-1, 5), st.integers(0, 21))
+    def test_window_equals_full_fill(self, symmetric, drawn, width, left, beyond):
+        n, a2s, bs = drawn
+        if symmetric:
+            bs = [Fraction(0)] * (n + 1)
+        exact = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
+        edge = n + beyond  # the moments fill has edge = n; past 2n it is the triangle
+        for rec in (exact, exact.to_floats()):
+            for side in _fill_sides(rec):
+                full = _banded_fill(rec.mode, n, **side)
+                expect = [full.row(m) for m in range(n + 1)]
+                windows = [({"band": width}, lambda m, j: m - j <= width),
+                           ({"edge": edge}, lambda m, j: j <= edge - m)]
+                if "source" not in side:  # the left columns serve target-only fills
+                    windows.append(({"band": width, "left": left},
+                                    lambda m, j: m - j <= width or j <= left))
+                for window, inside in windows:
+                    fill = _banded_fill(rec.mode, n, **side, **window)
+                    if rec.mode == RATIONAL:
+                        for row, e in zip(fill.rows, fill.dens):
+                            assert e > 0 and math.gcd(e, *row) == 1
+                    for m in range(n + 1):
+                        got = fill.row(m)
+                        for j in range(m + 1):
+                            if inside(m, j):
+                                assert repr(got[j]) == repr(expect[m][j]), (side, window, m, j)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_fill_draws(30), st.booleans())
+    def test_moments_edge_equals_full_tau_column(self, drawn, symmetric):
+        # the edge fill reads only the coefficient prefix the moments need
+        n, a2s, bs = drawn
+        if symmetric:
+            bs = [Fraction(0)] * (n + 1)
+        rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
+        for r in (rec, rec.to_floats()):
+            column = [row[0] for row in tau_table(r, n).rows]
+            assert repr(moments_from_recurrence(r, n + 1).moments) == repr(tuple(column))
 
 
 class TestMonicTables:
@@ -370,11 +426,11 @@ class TestAuxiliaryTables:
                              (recurrence_module._xi2_closed, closed_xi2),
                              (recurrence_module._zeta1_closed, closed_zeta1),
                              (recurrence_module._zeta2_closed, closed_zeta2)):
-            rows, name = fill(rec, n).rows, fill.__name__
-            assert len(rows) == n + 1, name
+            closed, name = fill(rec, n), fill.__name__
+            assert len(closed.rows) == n + 1, name
             for row in range(n + 1):
                 expect = [oracle(rec, row, col) for col in range(row + 1)]
-                assert repr(rows[row]) == repr(expect), (name, row)
+                assert repr(closed.row(row)) == repr(expect), (name, row)
 
     @pytest.mark.parametrize("build", [aux_tables, partial_solutions, eta_table, tau_table])
     def test_negative_order_rejected(self, build):
@@ -414,6 +470,101 @@ class TestAuxBuildCounts:
         assert cli_module.main(argv) == 0
         assert len(json.loads(capsys.readouterr().out)["draws"]) == 2
         assert calls == [8, 8]
+
+
+def _table_scan(aux):
+    """First mismatch of the eight materialized tables, entry by entry."""
+    for name, rec_t, closed_t in aux.pairs():
+        for i, (row, closed_row) in enumerate(zip(rec_t.rows, closed_t.rows)):
+            for j, (a, b) in enumerate(zip(row, closed_row)):
+                if a != b:
+                    return (name, i, j, a, b)
+    return None
+
+
+class TestAuxComparison:
+    """``first_mismatch`` on integers against a scan over the printed tables."""
+
+    TABLES = ("xi1", "xi2", "zeta1", "zeta2",
+              "xi1_closed", "xi2_closed", "zeta1_closed", "zeta2_closed")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_mismatch_equals_table_scan(self, seed):
+        rec = random_recurrence(random.Random(40 + seed), 12, symmetric=seed % 3 == 0)
+        aux = aux_tables(rec, 11)
+        assert aux.first_mismatch() is None and aux.agree()
+        assert _table_scan(aux) is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_corrupted_closed_numerator_reported_in_place(self, seed):
+        rng = random.Random(50 + seed)
+        rec = random_recurrence(rng, 12, symmetric=seed % 2 == 0)
+        aux = aux_tables(rec, 11)
+        k, i = rng.randrange(4), rng.randrange(12)
+        j = rng.randrange(i + 1)
+        aux._fills[4 + k].rows[i][j] += rng.choice((-1, 1))
+        got = aux.first_mismatch()
+        assert got[:3] == (AuxTables.NAMES[k], i, j)
+        assert not aux.agree()
+        # the tables are reduced from the same (corrupted) numerators
+        assert repr(got) == repr(_table_scan(aux))
+        assert all(type(v) is Fraction for v in got[3:])
+
+    def test_comparison_builds_no_table(self, monkeypatch):
+        built = []
+        real = recurrence_module.TriangularTable
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(recurrence_module, "TriangularTable", counting)
+        aux = aux_tables(random_recurrence(random.Random(60), 12), 11)
+        assert aux.agree() and aux.first_mismatch() is None
+        assert built == [] and not set(vars(aux)) & set(self.TABLES)
+        # a table is built on first read, then cached
+        assert aux.zeta2 is aux.zeta2 and len(built) == 1
+        assert set(vars(aux)) & set(self.TABLES) == {"zeta2"}
+
+
+_SHORT_A2 = RecurrenceCoefficients((Fraction(0), Fraction(1), Fraction(2)),
+                                   (Fraction(0),) * 8, RATIONAL, "s")
+_SHORT_B = RecurrenceCoefficients((Fraction(0),) + (Fraction(1),) * 8,
+                                  (Fraction(1), Fraction(2)), RATIONAL, "t")
+
+
+class TestBoundaryErrors:
+    """The ValueError texts of recurrences too short, and of negative orders."""
+
+    @pytest.mark.parametrize("build, rec, n, message", [
+        (partial_solutions, _SHORT_A2, -1, "table order must be non-negative, got -1"),
+        (aux_tables, _SHORT_B, -1, "table order must be non-negative, got -1"),
+        # partial_solutions checks order n, then the fills' order n + 4
+        (partial_solutions, _SHORT_A2, 0, "recurrence 's' provides a_k^2 up to k = 2, need k = 3"),
+        (partial_solutions, _SHORT_A2, 5, "recurrence 's' provides a_k^2 up to k = 2, need k = 4"),
+        (partial_solutions, _SHORT_B, 1, "recurrence 't' provides b_k up to k = 1, need k = 4"),
+        (partial_solutions, _SHORT_B, 3, "recurrence 't' provides b_k up to k = 1, need k = 2"),
+        (aux_tables, _SHORT_A2, 4, "recurrence 's' provides a_k^2 up to k = 2, need k = 3"),
+        (aux_tables, _SHORT_B, 5, "recurrence 't' provides b_k up to k = 1, need k = 4"),
+        (moments_from_recurrence, _SHORT_A2, 0, "count must be at least 1"),
+        (moments_from_recurrence, _SHORT_A2, 7,
+         "7 moments need a_k^2 up to k = 3; recurrence stops at k = 2"),
+        (moments_from_recurrence, _SHORT_B, 6,
+         "6 moments need b_k up to k = 2; recurrence stops at k = 1"),
+        (moments_from_recurrence, _SHORT_B, 20,
+         "20 moments need a_k^2 up to k = 9; recurrence stops at k = 8"),
+    ])
+    def test_message(self, build, rec, n, message):
+        with pytest.raises(ValueError) as info:
+            build(rec, n)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rec, count", [(_SHORT_A2, 6), (_SHORT_B, 5)])
+    def test_moments_need_only_their_prefix(self, rec, count):
+        # the longest count each recurrence serves, read with no padding
+        m = moments_from_recurrence(rec, count)
+        padded = _padded(rec, count)  # the lattice-path oracle reads past the prefix
+        assert list(m.moments) == [motzkin_moment(padded, j) for j in range(count)]
 
 
 class TestNearDiagonalReport:
