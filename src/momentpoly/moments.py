@@ -1,5 +1,6 @@
-"""Moment sequences, the built-in measure catalog, and Hankel moment matrices
-with their factorization."""
+"""Moment sequences, the built-in measure catalog, and Hankel moment matrices,
+which own the polynomial system in both modes: the factor L, its inverse Pi,
+the minors and the three-term recurrence."""
 
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cholesky import TriangularTable, cholesky_decompose
+from .cholesky import TriangularTable, cholesky_decompose, invert_lower_triangular
 from .qkernel import q_hermite_recurrence
-from .recurrence import RecurrenceCoefficients, _chebyshev, _surd_table, moments_from_recurrence
+from .recurrence import (RecurrenceCoefficients, _banded_fill, _chebyshev, _recurrence_from_inverse,
+                         moments_from_recurrence)
 from .scalars import (
     FLOAT,
     RATIONAL,
@@ -162,16 +164,18 @@ def make_moments(spec: FamilySpec, mode: str = RATIONAL) -> MomentSequence:
 
 @dataclass
 class HankelMoments:
-    """(n+1) x (n+1) moment matrix with entry (i, j) = m_{i+j}, and its
-    factorization M = L L^T.
+    """(n+1) x (n+1) moment matrix with entry (i, j) = m_{i+j}, its
+    factorization M = L L^T, the inverse Pi = L^-1 and the recurrence.
 
     The diagonal of L holds ``roots`` = sqrt(d_k), where d_k is the squared
     norm of the k-th monic polynomial and equals Delta_k / Delta_{k-1}; so the
     leading principal minors ``deltas`` are the running products of the d_k.
     Rational mode reads the d_k and the ``recurrence`` off one Chebyshev pass
-    over m_0..m_2n, and scales ``factor`` from the tau fill of that recurrence
-    on first read, with no Cholesky step.  Float mode factors by Cholesky and
-    squares its pivots.  Either way the first d_k <= 0 raises
+    over m_0..m_2n, and scales ``factor`` from the tau fill and ``inverse``
+    from the eta fill of that recurrence on first read, with no Cholesky
+    step.  Float mode factors by Cholesky and squares its pivots; reading
+    ``inverse`` inverts L, and reading ``recurrence`` takes ratios of the
+    entries of ``inverse``.  Either way the first d_k <= 0 raises
     :class:`NotPositiveDefinite`, at the order and with the pivot that the
     Cholesky factorization names.
     """
@@ -196,15 +200,19 @@ class HankelMoments:
     @functools.cached_property
     def _monic(self) -> tuple:
         """(recurrence, d_0..d_n): one Chebyshev pass in rational mode; float
-        mode has no recurrence here and squares the Cholesky pivots."""
+        mode squares the Cholesky pivots and leaves the recurrence, which
+        needs the inverse, to :attr:`recurrence`."""
         if self.mode == RATIONAL:
             return _chebyshev(self.source, 2 * self.order)
         return None, [d * d for d in self.factor.diagonal()]
 
-    @property
-    def recurrence(self) -> RecurrenceCoefficients | None:
-        """a_1^2..a_n^2 and b_0..b_{n-1} in rational mode, None in float mode."""
-        return self._monic[0]
+    @functools.cached_property
+    def recurrence(self) -> RecurrenceCoefficients:
+        """a_1^2..a_n^2 and b_0..b_{n-1}: from the Chebyshev pass in rational
+        mode, from ratios of the entries of :attr:`inverse` in float mode."""
+        if self.mode == RATIONAL:
+            return self._monic[0]
+        return _recurrence_from_inverse(self.inverse, self.source.label)
 
     @functools.cached_property
     def roots(self) -> list:
@@ -215,10 +223,31 @@ class HankelMoments:
 
     @functools.cached_property
     def factor(self) -> TriangularTable:
-        """Lower-triangular L with L L^T = M, built on first read."""
+        """Lower-triangular L with L L^T = M, built on first read.
+
+        Rational ``L[i][j] = tau[i][j] * sqrt(d_j)``, each entry scaled from
+        the fill's integer numerator (see :meth:`_Numerators.scaled`).
+        """
         if self.mode == RATIONAL:
-            return _surd_table("L", self.recurrence, self.roots, self.order)
+            rec = self.recurrence
+            fill = _banded_fill(RATIONAL, self.order, source=(rec.a2, rec.b))
+            return TriangularTable("L", RATIONAL, fill.scaled(self.roots, by_row=False))
         return cholesky_decompose(self)
+
+    @functools.cached_property
+    def inverse(self) -> TriangularTable:
+        """Pi = L^-1, whose row k holds the coefficients of the orthonormal
+        p_k, built on first read.
+
+        Rational ``Pi[i][j] = eta[i][j] / sqrt(d_i)``, scaled like
+        :attr:`factor`.
+        """
+        if self.mode == RATIONAL:
+            rec = self.recurrence
+            fill = _banded_fill(RATIONAL, self.order, target=(rec.a2, rec.b))
+            return TriangularTable("Pi", RATIONAL,
+                                   fill.scaled([1 / r for r in self.roots], by_row=True))
+        return invert_lower_triangular(self.factor, role="Pi")
 
     @property
     def deltas(self) -> list:

@@ -1,11 +1,11 @@
 """Orthonormal polynomial system of a measure given by finitely many moments.
 
 The system is the moment matrix with its factor L, Pi = L^-1 and the
-three-term recurrence.  The moment matrix (:class:`HankelMoments`) owns the
-factorization: L, its diagonal sqrt(d_k) and the minors Delta_k, and in
-rational mode the recurrence from one Chebyshev pass, so ``Pi``, the monic
-table eta scaled by 1 / sqrt(d_k), is built only when read.  Float mode
-factors, inverts and reads the recurrence off Pi.
+three-term recurrence.  The moment matrix (:class:`HankelMoments`) owns all
+of them in both modes: L, its diagonal sqrt(d_k), the minors Delta_k, Pi and
+the recurrence, each built on first read.  Rational mode takes the
+recurrence from one Chebyshev pass and scales Pi and L from its fills; float
+mode factors, inverts and reads the recurrence off Pi.
 Evaluation, associated polynomials, the reproducing kernel and the
 finite-order spectral identities are derived from the tables.
 """
@@ -14,24 +14,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cholesky import TriangularTable, invert_lower_triangular
+from .cholesky import TriangularTable
 from .moments import HankelMoments, MomentSequence, hankel_matrix
-from .recurrence import RecurrenceCoefficients, _chebyshev, _surd_table, eta_table, tau_table
+from .recurrence import (RecurrenceCoefficients, _chebyshev, _recurrence_from_inverse, eta_table,
+                         tau_table)
 from .scalars import RATIONAL, one, zero
 
 
 class PolynomialSystem:
     """Moment matrix, its factor L, the coefficient table Pi = L^-1, and the
-    recurrence, all to a fixed order.
+    recurrence, all to a fixed order: a view of ``hankel``.
 
-    ``L``, ``roots`` (its diagonal) and ``deltas`` are read from ``hankel``.
-    Without a ready ``Pi``, as in rational mode, ``Pi`` is scaled from the
-    eta fill of ``rec`` on first read.
+    ``rec`` is read from ``hankel`` when the system is made, so a matrix that
+    is not positive definite raises :class:`NotPositiveDefinite` here; ``L``,
+    ``Pi``, ``roots`` (the diagonal of L) and ``deltas`` are read from it
+    when first asked for.
     """
 
-    def __init__(self, hankel: HankelMoments, rec: RecurrenceCoefficients,
-                 Pi: TriangularTable | None = None):
-        self.hankel, self.moments, self.rec, self._Pi = hankel, hankel.source, rec, Pi
+    def __init__(self, hankel: HankelMoments):
+        self.hankel, self.moments, self.rec = hankel, hankel.source, hankel.recurrence
 
     @property
     def mode(self) -> str:
@@ -51,9 +52,7 @@ class PolynomialSystem:
 
     @property
     def Pi(self) -> TriangularTable:
-        if self._Pi is None:
-            self._Pi = _surd_table("Pi", self.rec, self.roots, self.order)
-        return self._Pi
+        return self.hankel.inverse
 
     @property
     def Lambda(self) -> TriangularTable:
@@ -72,42 +71,26 @@ class PolynomialSystem:
 def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
     """Assemble the order-n system from m_0..m_{2n}.
 
-    Rational mode takes the recurrence from the Hankel matrix's Chebyshev
-    pass; ``Pi`` and ``L`` are built on first read, and connection, ribbon,
+    The recurrence is read at once, in rational mode from the Hankel
+    matrix's Chebyshev pass and in float mode from Pi after Cholesky and
+    inversion; a d_k <= 0 raises :class:`NotPositiveDefinite` at the same
+    order and with the same pivot as the Cholesky factorization.  Rational
+    ``Pi`` and ``L`` are built on first read, and connection, ribbon,
     Radon-Nikodym and linearization tables read the recurrence and ``roots``
-    instead.  A d_k <= 0 raises :class:`NotPositiveDefinite` at the same
-    order and with the same pivot as the Cholesky factorization.
+    instead.
     """
-    hank = hankel_matrix(m, n)
-    if m.mode == RATIONAL:
-        return PolynomialSystem(hank, hank.recurrence)
-    # the Chebyshev route is not bit-identical in floats; this branch
-    # goes once a change of the float output is accepted
-    Pi = invert_lower_triangular(hank.factor, role="Pi")
-    sys_ = PolynomialSystem(hank, None, Pi)  # type: ignore[arg-type]
-    sys_.rec = recurrence_from_tables(sys_)
-    return sys_
+    return PolynomialSystem(hankel_matrix(m, n))
 
 
 def recurrence_from_tables(sys_: PolynomialSystem) -> RecurrenceCoefficients:
-    """Recurrence coefficients from ratios of leading Pi entries.
+    """Recurrence coefficients from ratios of leading Pi entries of a system:
+    the route that float mode's :attr:`HankelMoments.recurrence` takes.
 
     a_n = pi[n-1][n-1] / pi[n][n] and
     b_n = pi[n][n-1]/pi[n][n] - pi[n+1][n]/pi[n+1][n+1]; both ratios are
     rational in exact mode because each Pi row carries a single radical.
     """
-    pi = sys_.Pi.rows
-    n = sys_.Pi.order
-    mode = sys_.mode
-    a2 = [zero(mode)]
-    for k in range(1, n + 1):
-        ratio = pi[k - 1][k - 1] / pi[k][k]
-        a2.append(ratio * ratio)
-    b = []
-    for k in range(n):
-        lead = pi[k][k - 1] / pi[k][k] if k >= 1 else zero(mode)
-        b.append(lead - pi[k + 1][k] / pi[k + 1][k + 1])
-    return RecurrenceCoefficients(tuple(a2), tuple(b), mode, label=sys_.label)
+    return _recurrence_from_inverse(sys_.Pi, sys_.label)
 
 
 def recurrence_from_moments(m: MomentSequence) -> RecurrenceCoefficients:

@@ -19,16 +19,19 @@ the lcm of the row's reduced denominators.  The fill hands the numerators on,
 and each consumer reduces to a ``Fraction`` only the entries it reads: the
 printed tables every entry, the moments column 0, the near-diagonal report the
 band it compares, a linearization one row, the ribbon test and the
-Radon-Nikodym expansion weighted sums of rows, and ``Pi`` and ``L`` scale the
-numerators when first read.  Every reader builds its ``Fraction`` from coprime
-parts (see ``_coprime``).  Where a reader reads only part of a fill, the fill
-computes only a column window that holds that part and is closed under the
-recursion: the band row - col <= 4 for the near-diagonal report (O(n)
-entries per table) and the shrinking edge col <= count - 1 - row for the
-moments.  Float mode runs the same fill with D = 1.0 and no row
-denominators.  The Chebyshev pass (``_chebyshev``) runs the other way, from
-moments to the recurrence and the monic norms that a Hankel matrix factors
-with, and holds its rows in the same format.
+Radon-Nikodym expansion weighted sums of rows, and a rational Hankel
+matrix's ``Pi`` and ``L`` scale the numerators when first read.  Every reader
+builds its ``Fraction`` from coprime parts (see ``_coprime``).  Where a reader
+reads only part of a fill, the fill computes only a column window that holds
+that part and is closed under the recursion: the band row - col <= 4 for
+the near-diagonal report (O(n) entries per table) and the shrinking edge
+col <= count - 1 - row for the moments.  Float mode runs the same fill with
+D = 1.0 and no row denominators.  The Chebyshev pass (``_chebyshev``) runs
+the other way, from moments to the recurrence and the monic norms that a
+rational Hankel matrix factors with, and holds its rows in the same format.
+A float Hankel matrix goes back by the other route,
+``_recurrence_from_inverse``: Cholesky, inversion, and ratios of the entries
+of Pi = L^-1.
 
 The four closed-form fills and the near-diagonal report check exact
 identities with ``==``, so they are rational only.  A closed-form entry with k
@@ -366,23 +369,6 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
     return _Numerators(rows, dens)
 
 
-def _surd_table(role: str, rec: RecurrenceCoefficients, roots: list, n: int) -> TriangularTable:
-    """Rational ``Pi`` or ``L`` from the monic fills and roots[k] = sqrt(d_k).
-
-    ``Pi[i][j] = eta[i][j] / sqrt(d_i)`` and ``L[i][j] = tau[i][j] * sqrt(d_j)``.
-    Each nonzero entry is built as it is, from the fill's integer numerator:
-    ``Surd(eta[i][j] / d_i, {d_i})`` and ``Surd(tau[i][j], {d_j})``, or a
-    plain ``Fraction`` when the d_k is a perfect square (see
-    :meth:`_Numerators.scaled`).
-    """
-    if role == "Pi":
-        rows = _banded_fill(RATIONAL, n, target=(rec.a2, rec.b)).scaled([1 / r for r in roots],
-                                                                       by_row=True)
-    else:
-        rows = _banded_fill(RATIONAL, n, source=(rec.a2, rec.b)).scaled(roots, by_row=False)
-    return TriangularTable(role=role, mode=RATIONAL, rows=rows)
-
-
 def _chebyshev(m: MomentSequence, top: int):
     """Recurrence and monic norms d_0..d_n from m_0..m_top, n = top // 2.
 
@@ -449,6 +435,27 @@ def _chebyshev(m: MomentSequence, top: int):
             nxt, e_next = _reduce_row(nxt, e_next)
         prev, cur, e_prev, e = cur, nxt, e, e_next
     return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms
+
+
+def _recurrence_from_inverse(pi: TriangularTable, label: str) -> RecurrenceCoefficients:
+    """Recurrence coefficients from ratios of leading entries of Pi = L^-1.
+
+    a_n = pi[n-1][n-1] / pi[n][n] and
+    b_n = pi[n][n-1]/pi[n][n] - pi[n+1][n]/pi[n+1][n+1]; both ratios are
+    rational in exact mode because each Pi row carries a single radical.
+    This is the float route from moments to a recurrence, after Cholesky and
+    inversion; :func:`_chebyshev` is the rational one.
+    """
+    rows, n, mode = pi.rows, pi.order, pi.mode
+    a2 = [zero(mode)]
+    for k in range(1, n + 1):
+        ratio = rows[k - 1][k - 1] / rows[k][k]
+        a2.append(ratio * ratio)
+    b = []
+    for k in range(n):
+        lead = rows[k][k - 1] / rows[k][k] if k >= 1 else zero(mode)
+        b.append(lead - rows[k + 1][k] / rows[k + 1][k + 1])
+    return RecurrenceCoefficients(tuple(a2), tuple(b), mode, label=label)
 
 
 def eta_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:

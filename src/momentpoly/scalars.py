@@ -266,7 +266,11 @@ def check_mode(mode: str) -> str:
 
 
 def as_scalar(value, mode: str):
-    """Convert a file-level number (int, float, or 'p/q' string) to a backend scalar."""
+    """Convert a file-level number (int, float, or 'p/q' string) to a backend scalar.
+
+    Rational mode refuses every non-finite float; float mode refuses +-inf
+    and still lets NaN through (NaN pivots pass :func:`check_pivot` too).
+    """
     if isinstance(value, bool):
         raise ValueError(f"cannot interpret boolean {value!r} as a number")
     if mode == RATIONAL:
@@ -278,9 +282,10 @@ def as_scalar(value, mode: str):
             # exact binary value of the literal; deterministic round trip
             return Fraction(value)
         raise ValueError(f"cannot interpret {value!r} as a rational scalar")
-    if isinstance(value, str):
-        return float(Fraction(value))
-    return float(value)
+    out = float(Fraction(value)) if isinstance(value, str) else float(value)
+    if math.isinf(out):
+        raise ValueError(f"cannot interpret {value!r} as a finite float scalar")
+    return out
 
 
 def as_scalars(values, mode: str, message: str) -> tuple:

@@ -126,6 +126,16 @@ class TestDecompose:
         assert res.returncode == 1
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity"])
+    def test_infinite_float_moment_exits_one(self, tmp_path, value):
+        # refused as input, not reported as a pivot of inf
+        bad = tmp_path / "inf.json"
+        bad.write_text(f'{{"mode": "float", "moments": [1, 0, {value}, 0, 3]}}')
+        res = run_cli("decompose", str(bad), "-n", "2")
+        assert res.returncode == 1
+        assert res.stderr == f"error: cannot interpret {float(value)} as a finite float scalar\n"
+        assert res.stdout == ""
+
     def test_tol_flag_rejected(self, files):
         # --tol belongs to connect, whose --ribbon test is the only reader
         res = run_cli("decompose", files["gauss"], "-n", "1", "--tol", "1e-6")
@@ -232,6 +242,16 @@ class TestRecurrence:
         assert res.returncode == 1
         assert res.stderr == ("error: recurrence file must be an object with "
                               "'a2' and 'b' lists\n")
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity"])
+    def test_infinite_float_coefficient_exits_one(self, tmp_path, value):
+        # a bare Infinity on stdout would not be JSON
+        bad = tmp_path / "rec.json"
+        bad.write_text(f'{{"a2": [1, {value}], "b": [0, 0]}}')
+        res = run_cli("recurrence", str(bad), "--moments", "5", "--mode", "float")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
         assert res.stdout == ""
 
     def test_no_action_exits_one(self, files):

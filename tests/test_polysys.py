@@ -45,7 +45,6 @@ from momentpoly import recurrence as recurrence_module
 from momentpoly.cholesky import cholesky_decompose, invert_lower_triangular
 from momentpoly.moments import hankel_matrix
 from momentpoly.polysys import (
-    PolynomialSystem,
     eval_row,
     inverse_moment_matrix,
     recurrence_from_tables,
@@ -161,20 +160,21 @@ def cholesky_minors(L):
 
 
 def cholesky_route(m, n):
-    """The factor-then-invert build that float mode still runs, with L from
-    the Cholesky factorization and never from the Hankel matrix."""
-    hank = hankel_matrix(m, n)
-    L = cholesky_decompose(hank)
-    sys_ = PolynomialSystem(hank, None, invert_lower_triangular(L))
-    sys_.rec = recurrence_from_tables(sys_)
-    return SimpleNamespace(rec=sys_.rec, Pi=sys_.Pi, L=L, deltas=cholesky_minors(L))
+    """The factor-then-invert build that float mode runs, with L from the
+    Cholesky factorization and Pi its inverse, never from the Hankel matrix."""
+    L = cholesky_decompose(hankel_matrix(m, n))
+    tables = SimpleNamespace(Pi=invert_lower_triangular(L), label=m.label)
+    return SimpleNamespace(rec=recurrence_from_tables(tables), Pi=tables.Pi, L=L,
+                           deltas=cholesky_minors(L))
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    # calls of the Cholesky factorization and of the surd scaling
-    calls = {"cholesky": 0, "scaled": 0}
+    # calls of the Cholesky factorization, of the float inversion and of the
+    # surd scaling
+    calls = {"cholesky": 0, "invert": 0, "scaled": 0}
     factor, scaled = moments_module.cholesky_decompose, recurrence_module._Numerators.scaled
+    invert = moments_module.invert_lower_triangular
 
     def count(key, run):
         def wrapped(*args, **kwargs):
@@ -183,6 +183,7 @@ def counted(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(moments_module, "cholesky_decompose", count("cholesky", factor))
+    monkeypatch.setattr(moments_module, "invert_lower_triangular", count("invert", invert))
     monkeypatch.setattr(recurrence_module._Numerators, "scaled", count("scaled", scaled))
     return calls
 
@@ -273,6 +274,57 @@ class TestHankelFactor:
         assert hank.recurrence == build_system(m, 16).rec
 
 
+def float_hex(values):
+    return [v.hex() for v in values]
+
+
+class TestFloatOwner:
+    """A float Hankel matrix owns Cholesky, inversion and the recurrence, and
+    runs them in the order of the factor-then-invert route."""
+
+    @pytest.mark.parametrize("family, params", FAMILIES)
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_standalone_equals_cholesky_route(self, family, params, n):
+        m = make_moments(FamilySpec(family, 2 * n + 1, params), FLOAT)
+        hank, want = hankel_matrix(m, n), cholesky_route(m, n)
+        assert isinstance(hank.recurrence, RecurrenceCoefficients)
+        assert float_hex(hank.recurrence.a2) == float_hex(want.rec.a2)
+        assert float_hex(hank.recurrence.b) == float_hex(want.rec.b)
+        assert hank.recurrence.label == want.rec.label == m.label
+        assert [float_hex(row) for row in hank.inverse.rows] == \
+            [float_hex(row) for row in want.Pi.rows]
+
+    def test_norms_make_no_inversion(self, counted):
+        m = make_moments(FamilySpec("uniform", 25), FLOAT)
+        hank = hankel_matrix(m, 12)
+        assert len(hank.deltas) == len(hank.roots) == 13
+        assert counted == {"cholesky": 1, "invert": 0, "scaled": 0}
+        hank.recurrence
+        assert counted == {"cholesky": 1, "invert": 1, "scaled": 0}
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_system_is_a_view_of_its_hankel_matrix(self, mode):
+        m = make_moments(FamilySpec("q-hermite", 21, {"q": Fraction(1, 3)}), mode)
+        sys_ = build_system(m, 10)
+        assert sys_.rec is sys_.hankel.recurrence
+        assert sys_.Pi is sys_.hankel.inverse
+        assert sys_.L is sys_.hankel.factor
+
+    @pytest.mark.parametrize("moments, n", [
+        ((1, 0, 1, 0, 1), 2),            # two atoms: singular from order 2
+        ((1, 0, -1, 0, 3), 1),           # a negative pivot
+        ((1, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625), 3),  # one atom
+    ])
+    def test_not_positive_definite_like_cholesky(self, moments, n):
+        m = MomentSequence(tuple(float(v) for v in moments), FLOAT)
+        with pytest.raises(NotPositiveDefinite) as got:
+            build_system(m, n)
+        with pytest.raises(NotPositiveDefinite) as want:
+            cholesky_decompose(hankel_matrix(m, n))
+        assert got.value.order == want.value.order
+        assert str(got.value) == str(want.value)
+
+
 class TestLazyTables:
     """A rational build keeps the recurrence and the norms; Pi and L are
     scaled from the fills when first read, and nothing else reads them."""
@@ -285,7 +337,7 @@ class TestLazyTables:
         assert sys_.hankel.factor is sys_.L
         pi = sys_.Pi
         assert sys_.Pi is pi and sys_.Lambda is sys_.L and len(sys_.deltas) == 13
-        assert counted == {"cholesky": 0, "scaled": 2}
+        assert counted == {"cholesky": 0, "invert": 0, "scaled": 2}
         chol = cholesky_decompose(hankel_matrix(m, 12))
         assert as_strings(sys_.L) == as_strings(chol)
         assert sys_.deltas == cholesky_minors(chol)
@@ -308,7 +360,9 @@ class TestLazyTables:
             linearization_table(alpha_sys, 7, 8, basis=basis)
         rn_expansion(alpha, delta_sys, 15)
         assert ribbon_check(alpha_sys, delta, 2, 15).is_ribbon
-        assert counted == {"cholesky": 0, "scaled": 0}
+        assert counted == {"cholesky": 0, "invert": 0, "scaled": 0}
+        for sys_ in (alpha_sys, delta_sys):
+            assert not {"factor", "inverse"} & vars(sys_.hankel).keys()
 
     def test_no_reference_cycle(self):
         # a cycle through the Hankel matrix would keep both alive until the

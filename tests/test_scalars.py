@@ -146,3 +146,9 @@ def test_non_finite_float_has_no_rational_value(value):
     # ValueError at the boundary would miss
     with pytest.raises(ValueError, match="as a rational scalar"):
         as_scalar(value, RATIONAL)
+    # float mode refuses only the infinities; NaN is still let through
+    if math.isnan(value):
+        assert math.isnan(as_scalar(value, FLOAT))
+    else:
+        with pytest.raises(ValueError, match="as a finite float scalar"):
+            as_scalar(value, FLOAT)
