@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import RATIONAL, check_mode, one, scalar_sqrt, to_float, zero
+from .scalars import RATIONAL, check_mode, one, scalar_sqrt, sum_scalars, to_float, zero
 
 #: relative pivot floor in float mode; below this the matrix is treated as
 #: numerically rank deficient rather than merely ill conditioned
@@ -77,13 +77,6 @@ class TriangularTable:
 
     def to_floats(self) -> list:
         return [[to_float(v) for v in row] for row in self.rows]
-
-
-def sum_scalars(values, mode: str):
-    total = zero(mode)
-    for v in values:
-        total = total + v
-    return total
 
 
 def tri_multiply(a: TriangularTable, b: TriangularTable, role: str = "L") -> TriangularTable:
@@ -150,6 +143,8 @@ def invert_lower_triangular(table: TriangularTable, role: str = "Pi") -> Triangu
     for i in range(n + 1):
         row = []
         for j in range(i):
+            # subtracted from zero, not -sum_scalars(...): the two differ in
+            # the sign of a float zero
             s = zero(mode)
             for k in range(j, i):
                 s = s - table.rows[i][k] * inv[k][j]

@@ -21,7 +21,7 @@ from .moments import MomentSequence
 from .polysys import PolynomialSystem, moment_inner_product
 from .recurrence import (RecurrenceCoefficients, _banded_fill, _chebyshev, _common_scale, eta_table,
                          tau_table)
-from .scalars import RATIONAL, one, to_float, zero
+from .scalars import RATIONAL, one, sum_scalars, to_float
 
 BASES = ("orthonormal", "monic")
 
@@ -114,24 +114,15 @@ def closed_form_gamma(
     mode = rec_target.mode
     if k == n:
         return one(mode)
+    sb, tb = rec_source.b, rec_target.b
     if k == n - 1:
-        total = zero(mode)
-        for j in range(n):
-            total = total + (rec_source.b[j] - rec_target.b[j])
-        return total
+        return sum_scalars((sb[j] - tb[j] for j in range(n)), mode)
     if k == n - 2:
-        total = zero(mode)
-        for j in range(1, n):
-            total = total + (rec_source.a2[j] - rec_target.a2[j])
-        diff = zero(mode)
-        sqdiff = zero(mode)
-        for j in range(n - 1):
-            diff = diff + (rec_source.b[j] - rec_target.b[j])
-            sqdiff = sqdiff + (
-                rec_source.b[j] * rec_source.b[j] - rec_target.b[j] * rec_target.b[j]
-            )
+        total = sum_scalars((rec_source.a2[j] - rec_target.a2[j] for j in range(1, n)), mode)
+        diff = sum_scalars((sb[j] - tb[j] for j in range(n - 1)), mode)
+        sqdiff = sum_scalars((sb[j] * sb[j] - tb[j] * tb[j] for j in range(n - 1)), mode)
         half = Fraction(1, 2)  # times a float x, the float 0.5 * x: one constant for both modes
-        return total + half * diff * diff + half * sqdiff - rec_target.b[n - 1] * diff
+        return total + half * diff * diff + half * sqdiff - tb[n - 1] * diff
     raise ValueError(f"no closed form for (n, k) = ({n}, {k}); supported k: n, n-1, n-2")
 
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .polysys import PolynomialSystem
 from .recurrence import RecurrenceCoefficients, _banded_fill, _identity_check, _require_exact
-from .scalars import zero
+from .scalars import sum_scalars
 
 BASES = ("orthonormal", "monic")
 
@@ -74,41 +75,20 @@ def closed_form_linearization(
     """
     if s < 0:
         raise ValueError(f"no closed form for s = {s}; s must be non-negative")
-    mode = rec.mode
+    mode, a2, b = rec.mode, rec.a2, rec.b
     big, small = max(n, m), min(n, m)
     if s == n + m - 1:
-        total = zero(mode)
-        for j in range(big, n + m):
-            total = total + (rec.b[j] - rec.b[j - big])
-        return {"statement": total}
+        return {"statement": sum_scalars((b[j] - b[j - big] for j in range(big, n + m)), mode)}
     if s == n + m - 2:
-        a_part = zero(mode)
-        for j in range(big, n + m):
-            a_part = a_part + rec.a2[j]
-        for j in range(1, small):
-            a_part = a_part - rec.a2[j]
+        a_part = sum_scalars(chain((a2[j] for j in range(big, n + m)),
+                                   (-a2[j] for j in range(1, small))), mode)
+        upper, lower = range(big, n + m - 1), range(small)
+        d1 = sum_scalars(chain((b[j] for j in upper), (-b[j] for j in lower)), mode)
+        d2 = sum_scalars(chain((b[j] * b[j] for j in upper), (-(b[j] * b[j]) for j in lower)), mode)
         half = Fraction(1, 2)  # times a float x, the float 0.5 * x: one constant for both modes
-        d1 = zero(mode)
-        d2 = zero(mode)
-        for j in range(big, n + m - 1):
-            d1 = d1 + rec.b[j]
-            d2 = d2 + rec.b[j] * rec.b[j]
-        for j in range(small):
-            d1 = d1 - rec.b[j]
-            d2 = d2 - rec.b[j] * rec.b[j]
         statement = a_part - half * d1 * d1 - half * d2
-
-        bn = zero(mode)
-        bm = zero(mode)
-        bnm = zero(mode)
-        for j in range(n):
-            bn = bn + rec.b[j]
-        for j in range(m):
-            bm = bm + rec.b[j]
-        for j in range(n + m - 1):
-            bnm = bnm + rec.b[j]
+        bn, bm, bnm = (sum_scalars((b[j] for j in range(top)), mode) for top in (n, m, n + m - 1))
         proof = a_part - (bn + bm) * bnm + bn * bm
-
         return {"statement": statement, "proof_expansion": proof}
     raise ValueError(f"no closed form for s = {s}; supported: n+m-1 and n+m-2")
 

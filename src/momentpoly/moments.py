@@ -104,17 +104,9 @@ class FamilySpec:
             raise ValueError("count must be at least 1")
 
 
-def _double_factorial_odd(k: int) -> int:
-    # (2k-1)!! with the empty-product convention for k = 0
-    out = 1
-    for j in range(1, k + 1):
-        out *= 2 * j - 1
-    return out
-
-
 def _catalog_even_moment(family: str, k: int) -> Fraction:
     if family == "gaussian":
-        return Fraction(_double_factorial_odd(k))
+        return Fraction(math.prod(range(1, 2 * k, 2)))  # (2k-1)!!, and 1 at k = 0
     if family == "uniform":
         return Fraction(1, 2 * k + 1)
     if family == "semicircle":

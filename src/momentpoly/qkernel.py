@@ -17,6 +17,7 @@ other and the adopted recurrence normalization.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,10 +59,7 @@ def q_factorial(n: int, q):
     if n < 0:
         raise ValueError(f"q-factorial needs n >= 0, got n = {n}")
     qv, mode = _coerce_q(q)
-    out = one(mode)
-    for bracket in itertools.islice(_brackets(qv, mode), n):
-        out = out * bracket
-    return out
+    return math.prod(itertools.islice(_brackets(qv, mode), n), start=one(mode))
 
 
 def q_pochhammer(a, n: int, q):
@@ -71,7 +69,7 @@ def q_pochhammer(a, n: int, q):
     qv, mode = _coerce_q(q, a)
     av = Fraction(a) if mode == RATIONAL else float(a)
     out = one(mode)
-    power = one(mode)
+    power = one(mode)  # a running product, whose float bits are not those of q**i
     for _ in range(n):
         out = out * (1 - av * power)
         power = power * qv

@@ -834,9 +834,7 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
             if t % 2 == 1:
                 return _ZERO
             k = t // 2
-            out = _ONE
-            for j in range(1, k + 1):
-                out = out * rec.a2[2 * j - 1]
+            out = math.prod((rec.a2[2 * j - 1] for j in range(1, k + 1)), start=_ONE)
             return -out if k % 2 == 1 else out
 
         checks.append(_identity_check("eta_column0_symmetric",

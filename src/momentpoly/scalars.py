@@ -255,6 +255,18 @@ def one(mode: str):
     return Fraction(1) if mode == RATIONAL else 1.0
 
 
+def sum_scalars(values, mode: str):
+    """Left fold of ``values`` under ``+``, starting at ``zero(mode)``.
+
+    The library sums backend scalars with this fold, never the builtin
+    ``sum``: from Python 3.12 that adds floats with compensated summation,
+    so its float bits would depend on the Python version.  A difference of
+    sums is one fold over the negated terms, since ``x + (-y)`` is ``x - y``
+    bit for bit in IEEE arithmetic.
+    """
+    return functools.reduce(operator.add, values, zero(mode))
+
+
 def to_float(x) -> float:
     return float(x)
 

@@ -15,6 +15,7 @@ from momentpoly.scalars import (
     exact_sqrt,
     format_scalar,
     scalar_sqrt,
+    sum_scalars,
 )
 
 
@@ -124,6 +125,26 @@ def test_float_conversion():
 def test_scalar_sqrt_per_mode():
     assert scalar_sqrt(Fraction(2), RATIONAL) == exact_sqrt(Fraction(2))
     assert scalar_sqrt(2.0, FLOAT) == pytest.approx(math.sqrt(2))
+
+
+def test_sum_scalars_is_a_left_fold():
+    # 1e16 + 1.0 rounds back to 1e16, so a left fold loses the 1.0 that the
+    # builtin sum keeps from Python 3.12 on (compensated summation)
+    terms = [1e16, 1.0, -1e16]
+    assert sum_scalars(terms, FLOAT) == (0.0 + 1e16 + 1.0) - 1e16 == 0.0
+    assert sum_scalars([], FLOAT) == 0.0 and isinstance(sum_scalars([], FLOAT), float)
+    total = sum_scalars([Fraction(1, 3), Fraction(1, 6), exact_sqrt(Fraction(2)) ** 2], RATIONAL)
+    assert total == Fraction(5, 2) and type(total) is Fraction
+    assert type(sum_scalars([], RATIONAL)) is Fraction
+    # a difference of sums folds the negated terms: x + (-y) is x - y bit for bit
+    a, b = 0.1 + 0.2, 0.3
+    assert sum_scalars([a, -b], FLOAT).hex() == (a - b).hex()
+
+
+def test_sum_scalars_has_one_definition():
+    from momentpoly import cholesky, scalars
+
+    assert cholesky.sum_scalars is scalars.sum_scalars
 
 
 def test_serialization_forms():
