@@ -27,28 +27,14 @@ BASES = ("orthonormal", "monic")
 
 
 @dataclass
-class ConnectionTable:
-    """gamma[n][k]: row n expands the n-th target polynomial in the source basis."""
+class ConnectionTable(TriangularTable):
+    """gamma[n][k]: row n expands the n-th target polynomial in the source
+    basis.  The role is ``"Pi"`` in the orthonormal basis and ``"Eta"`` in
+    the monic one."""
 
-    table: TriangularTable
     basis: str
     target_label: str
     source_label: str
-
-    @property
-    def order(self) -> int:
-        return self.table.order
-
-    @property
-    def mode(self) -> str:
-        return self.table.mode
-
-    def entry(self, n: int, k: int):
-        return self.table.entry(n, k)
-
-    @property
-    def rows(self) -> list:
-        return self.table.rows
 
 
 def connection_table(
@@ -77,29 +63,19 @@ def connection_table(
     if target.mode != RATIONAL:
         # float bits pinned by the benchmark digests, until a float-output rule
         if basis == "orthonormal":
-            left, right = _truncate(target.Pi, n), _truncate(source.Lambda, n)
+            left, right = (TriangularTable(t.role, t.mode, t.rows[: n + 1])
+                           for t in (target.Pi, source.Lambda))
         else:
             left, right = eta_table(target.rec, n), tau_table(source.rec, n)
-        prod = tri_multiply(left, right, role=left.role)
+        rows = tri_multiply(left, right).rows
     else:
         t, s = target.rec, source.rec
         rows = _banded_fill(RATIONAL, n, target=(t.a2, t.b), source=(s.a2, s.b)).table()
         if basis == "orthonormal":
             down, up = target.roots, source.roots
             rows = [[v * up[k] / down[i] for k, v in enumerate(row)] for i, row in enumerate(rows)]
-        prod = TriangularTable("Pi" if basis == "orthonormal" else "Eta", RATIONAL, rows)
-    return ConnectionTable(
-        table=prod,
-        basis=basis,
-        target_label=target.label,
-        source_label=source.label,
-    )
-
-
-def _truncate(table: TriangularTable, n: int) -> TriangularTable:
-    if table.order == n:
-        return table
-    return TriangularTable(role=table.role, mode=table.mode, rows=table.rows[: n + 1])
+    return ConnectionTable("Pi" if basis == "orthonormal" else "Eta", target.mode, rows,
+                           basis=basis, target_label=target.label, source_label=source.label)
 
 
 def closed_form_gamma(
@@ -111,6 +87,8 @@ def closed_form_gamma(
     """Printed closed forms for the monic connection coefficients near the
     diagonal: k = n (unit), k = n-1 (difference of b sums) and k = n-2
     (a^2 differences plus quadratic b corrections)."""
+    if n < 0 or k < 0:
+        raise ValueError(f"indices must be non-negative, got n = {n}, k = {k}")
     mode = rec_target.mode
     if k == n:
         return one(mode)

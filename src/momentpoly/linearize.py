@@ -73,6 +73,8 @@ def closed_form_linearization(
     returned (keys ``"statement"`` and ``"proof_expansion"``) so callers can
     report each against the table value without adjudicating.
     """
+    if n < 0 or m < 0:
+        raise ValueError(f"degrees must be non-negative, got n = {n}, m = {m}")
     if s < 0:
         raise ValueError(f"no closed form for s = {s}; s must be non-negative")
     mode, a2, b = rec.mode, rec.a2, rec.b

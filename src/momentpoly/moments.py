@@ -169,11 +169,17 @@ class HankelMoments:
     ``inverse`` inverts L, and reading ``recurrence`` takes ratios of the
     entries of ``inverse``.  Either way the first d_k <= 0 raises
     :class:`NotPositiveDefinite`, at the order and with the pivot that the
-    Cholesky factorization names.
+    Cholesky factorization names.  Making one checks ``order >= 0`` and that
+    ``source`` reaches m_2n.
     """
 
     order: int
     source: MomentSequence
+
+    def __post_init__(self):
+        if self.order < 0:
+            raise ValueError("order must be nonnegative")
+        self.source.require(2 * self.order)
 
     @property
     def mode(self) -> str:
@@ -250,9 +256,6 @@ class HankelMoments:
 
 def hankel_matrix(m: MomentSequence, n: int) -> HankelMoments:
     """Moment matrix of order n (requires m_0..m_{2n})."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    m.require(2 * n)
     return HankelMoments(order=n, source=m)
 
 

@@ -1,9 +1,9 @@
 """Orthonormal polynomial system of a measure given by finitely many moments.
 
-The system is the moment matrix with its factor L, Pi = L^-1 and the
-three-term recurrence.  The moment matrix (:class:`HankelMoments`) owns all
-of them in both modes: L, its diagonal sqrt(d_k), the minors Delta_k, Pi and
-the recurrence, each built on first read.  Rational mode takes the
+A system is its moment matrix: :class:`PolynomialSystem` is a
+:class:`HankelMoments`, which owns in both modes the factor L, its diagonal
+sqrt(d_k), the minors Delta_k, Pi = L^-1 and the three-term recurrence,
+each built on first read.  Rational mode takes the
 recurrence from one Chebyshev pass and scales Pi and L from its fills; float
 mode factors, inverts and reads the recurrence off Pi.
 Evaluation, associated polynomials, the reproducing kernel and the
@@ -12,60 +12,37 @@ finite-order spectral identities are derived from the tables.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .cholesky import TriangularTable
-from .moments import HankelMoments, MomentSequence, hankel_matrix
+from .moments import HankelMoments, MomentSequence
 from .recurrence import (RecurrenceCoefficients, _chebyshev, _recurrence_from_inverse, eta_table,
                          tau_table)
 from .scalars import RATIONAL, one, sum_scalars, zero
 
 
-class PolynomialSystem:
-    """Moment matrix, its factor L, the coefficient table Pi = L^-1, and the
-    recurrence, all to a fixed order: a view of ``hankel``.
+class PolynomialSystem(HankelMoments):
+    """The moment matrix of order n with its factor L, the coefficient table
+    Pi = L^-1 and the recurrence: a :class:`HankelMoments` that reads its
+    recurrence when it is made.
 
-    ``rec`` is read from ``hankel`` when the system is made, so a matrix that
-    is not positive definite raises :class:`NotPositiveDefinite` here; ``L``,
-    ``Pi``, ``roots`` (the diagonal of L) and ``deltas`` are read from it
-    when first asked for.
+    ``rec`` is read in ``__post_init__``, so a matrix that is not positive
+    definite raises :class:`NotPositiveDefinite` here.  ``L`` and ``Lambda``
+    (the expansion of monomials in the orthonormal polynomials) name
+    :attr:`factor`, ``Pi`` names :attr:`inverse` and ``moments`` names
+    ``source``; each table is built when first read.  ``hankel`` is the
+    system itself.
     """
 
-    def __init__(self, hankel: HankelMoments):
-        self.hankel, self.moments, self.rec = hankel, hankel.source, hankel.recurrence
+    def __post_init__(self):
+        super().__post_init__()
+        self.rec = self.recurrence
 
-    @property
-    def mode(self) -> str:
-        return self.hankel.mode
-
-    @property
-    def order(self) -> int:
-        return self.hankel.order
-
-    @property
-    def L(self) -> TriangularTable:
-        return self.hankel.factor
-
-    @property
-    def roots(self) -> list:
-        return self.hankel.roots
-
-    @property
-    def Pi(self) -> TriangularTable:
-        return self.hankel.inverse
-
-    @property
-    def Lambda(self) -> TriangularTable:
-        """Expansion of monomials in the orthonormal polynomials (equals L)."""
-        return self.L
-
-    @property
-    def deltas(self) -> list:
-        return self.hankel.deltas
-
-    @property
-    def label(self) -> str:
-        return self.moments.label
+    L = Lambda = property(operator.attrgetter("factor"))
+    Pi = property(operator.attrgetter("inverse"))
+    moments = property(operator.attrgetter("source"))
+    label = property(operator.attrgetter("source.label"))
+    hankel = property(lambda self: self)
 
 
 def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
@@ -79,7 +56,7 @@ def build_system(m: MomentSequence, n: int) -> PolynomialSystem:
     Radon-Nikodym and linearization tables read the recurrence and ``roots``
     instead.
     """
-    return PolynomialSystem(hankel_matrix(m, n))
+    return PolynomialSystem(order=n, source=m)
 
 
 def recurrence_from_tables(sys_: PolynomialSystem) -> RecurrenceCoefficients:
@@ -181,14 +158,16 @@ def associated_polys(sys_: PolynomialSystem) -> list:
 # -- reproducing kernel -------------------------------------------------------
 
 
+def _values(sys_: PolynomialSystem, x) -> list:
+    """p_0(x)..p_n(x), each evaluated from its Pi row."""
+    return [eval_row(row, x, sys_.mode) for row in sys_.Pi.rows]
+
+
 def kernel(sys_: PolynomialSystem, x, y):
     """Reproducing kernel sum_i p_i(x) p_i(y); rational for exact inputs."""
-    total = zero(sys_.mode)
-    for i in range(sys_.order + 1):
-        px = eval_row(sys_.Pi.rows[i], x, sys_.mode)
-        py = px if y == x else eval_row(sys_.Pi.rows[i], y, sys_.mode)
-        total = total + px * py
-    return total
+    px = _values(sys_, x)
+    py = px if y == x else _values(sys_, y)
+    return sum_scalars((u * v for u, v in zip(px, py)), sys_.mode)
 
 
 def christoffel(sys_: PolynomialSystem, x):
@@ -270,7 +249,7 @@ def diagnostics(sys_: PolynomialSystem, points=None, eig_tol: float = 1e-8) -> S
 
         import numpy as np
 
-        dense = np.array(sys_.hankel.dense(), dtype=float)
+        dense = np.array(sys_.dense(), dtype=float)
         vals, vecs = np.linalg.eigh(dense)
         resid = np.linalg.norm(dense @ vecs - vecs * vals, ord=2)
         checks["eigen_residual"] = bool(resid <= eig_tol * np.linalg.norm(dense, 2))
@@ -292,12 +271,15 @@ def diagnostics(sys_: PolynomialSystem, points=None, eig_tol: float = 1e-8) -> S
             points = [(0.3, -0.7), (1.0, 0.5), (-1.0, -0.25), (0.9, 0.9)]
         ok_bound, ok_sandwich = True, True
         for x, y in points:
-            kxy = float(kernel(sys_, float(x), float(y)))
-            sx = sum(float(x) ** (2 * i) for i in range(n + 1))
-            sy = sum(float(y) ** (2 * i) for i in range(n + 1))
+            x, y = float(x), float(y)
+            # each p_i is evaluated once per point, for both K(x, y) and K(x, x)
+            px = _values(sys_, x)
+            py = px if y == x else _values(sys_, y)
+            kxy = sum_scalars((u * v for u, v in zip(px, py)), mode)
+            sx = sum(x ** (2 * i) for i in range(n + 1))
+            sy = sum(y ** (2 * i) for i in range(n + 1))
             ok_bound &= abs(kxy) <= (1.0 / lo) * (sx * sy) ** 0.5 * (1 + 1e-10)
-            kxx = float(kernel(sys_, float(x), float(x)))
-            chris = 1.0 / kxx
+            chris = 1.0 / sum_scalars((u * u for u in px), mode)
             ok_sandwich &= lo / sx * (1 - 1e-10) <= chris <= hi / sx * (1 + 1e-10)
         checks["kernel_upper_bound"] = bool(ok_bound)
         checks["christoffel_sandwich"] = bool(ok_sandwich)

@@ -24,6 +24,7 @@ from momentpoly import (
     ribbon_check,
     rn_expansion,
 )
+from momentpoly.cholesky import TriangularTable
 from momentpoly.scalars import FLOAT, RATIONAL
 
 from conftest import CATALOG, positive_fractions, random_recurrence, signed_fractions
@@ -127,6 +128,19 @@ class TestConnectionTable:
         bc = connection_table(b, c, _ORDER, basis=basis)
         assert compose(ab, bc) == connection_table(a, c, _ORDER, basis=basis).rows
 
+    @pytest.mark.parametrize("basis", ["orthonormal", "monic"])
+    def test_float_table_is_the_table_product(self, basis):
+        # float tables multiply Pi(target) by L(source), or eta by tau, cut
+        # to order n, with every bit of the product kept
+        target, source = (build_system(make_moments(FamilySpec(family, 21), FLOAT), 10)
+                          for family in ("semicircle", "uniform"))
+        for n in (0, 6, 10):
+            table = connection_table(target, source, n, basis=basis)
+            want = connection_by_tables(target, source, n, basis)
+            assert [[v.hex() for v in row] for row in table.rows] == \
+                [[v.hex() for v in row] for row in want]
+            assert_table_fields(table, target, source, n, basis)
+
     def test_order_mismatch_rejected(self, systems):
         with pytest.raises(ValueError):
             connection_table(systems["gaussian"], systems["uniform"], 11)
@@ -173,6 +187,13 @@ class TestClosedForms:
     def test_unsupported_band_rejected(self, systems):
         with pytest.raises(ValueError):
             closed_form_gamma(systems["uniform"].rec, systems["gaussian"].rec, 5, 1)
+
+    @pytest.mark.parametrize("n, k", [(0, -1), (0, -2), (1, -1), (-1, -1), (-1, 0)])
+    def test_negative_index_rejected(self, systems, n, k):
+        # k = n, n - 1 or n - 2 below zero used to return a closed form
+        rec = systems["uniform"].rec
+        with pytest.raises(ValueError, match=f"got n = {n}, k = {k}$"):
+            closed_form_gamma(rec, rec, n, k)
 
 
 class TestRibbon:
@@ -315,8 +336,9 @@ def assert_matches_table_routes(target, source, alpha, n, r):
     """Connection tables, RN coefficients and the ribbon report against the
     routes through Pi, L and the moment sums: target is delta, source alpha."""
     for basis in ("orthonormal", "monic"):
-        got = connection_table(target, source, n, basis=basis).rows
-        assert same_exact(got, connection_by_tables(target, source, n, basis))
+        table = connection_table(target, source, n, basis=basis)
+        assert same_exact(table.rows, connection_by_tables(target, source, n, basis))
+        assert_table_fields(table, target, source, n, basis)
     exp = rn_expansion(alpha, target, n)
     want = rn_by_moments(alpha, target, n)
     assert same_exact(exp.omegas, want)
@@ -327,6 +349,18 @@ def assert_matches_table_routes(target, source, alpha, n, r):
     assert (got.is_ribbon, got.order) == (want.is_ribbon, n)
     assert got.max_off_ribbon.hex() == want.max_off_ribbon.hex()
     assert same_exact(got.witness, want.witness)
+
+
+def assert_table_fields(table, target, source, n, basis):
+    """A connection table is a triangular table that carries its basis and
+    the labels of its two systems."""
+    assert isinstance(table, TriangularTable)
+    assert (table.role, table.mode, table.order, table.basis) == (
+        "Pi" if basis == "orthonormal" else "Eta", target.mode, n, basis)
+    assert (table.target_label, table.source_label) == (target.label, source.label)
+    zero = table.rows[0][0] * 0
+    assert all(table.entry(i, j) == (table.rows[i][j] if j <= i else zero)
+               for i in range(n + 1) for j in range(n + 1))
 
 
 class TestRecurrenceRoute:

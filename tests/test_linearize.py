@@ -262,3 +262,9 @@ class TestClosedForms:
         # s = n + m - 1 or n + m - 2 below zero used to return a closed form
         with pytest.raises(ValueError, match=f"s = {s};"):
             closed_form_linearization(systems["gaussian"].rec, n, m, s)
+
+    @pytest.mark.parametrize("n, m, s", [(-1, 2, 0), (2, -1, 0), (-1, 0, -2)])
+    def test_negative_degree_rejected(self, systems, n, m, s):
+        # s = n + m - 1 used to return a closed form for a degree below zero
+        with pytest.raises(ValueError, match=f"got n = {n}, m = {m}$"):
+            closed_form_linearization(systems["gaussian"].rec, n, m, s)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from momentpoly import (
     FamilySpec,
+    HankelMoments,
     InsufficientMoments,
     MomentSequence,
     NotPositiveDefinite,
@@ -159,6 +160,18 @@ class TestHankel:
         m = make_moments(FamilySpec("gaussian", 5))
         with pytest.raises(InsufficientMoments):
             hankel_matrix(m, 3)
+        # the constructor checks too: m_0..m_8 reach order 4, not 5
+        nine = make_moments(FamilySpec("gaussian", 9))
+        with pytest.raises(InsufficientMoments, match="need moments up to m_10"):
+            HankelMoments(5, nine)
+        assert HankelMoments(4, nine).order == 4
+
+    @pytest.mark.parametrize("make", [hankel_matrix, lambda m, n: HankelMoments(n, m),
+                                      build_system], ids=["hankel_matrix", "HankelMoments",
+                                                          "build_system"])
+    def test_negative_order_rejected(self, make):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            make(make_moments(FamilySpec("gaussian", 5)), -1)
 
     def test_minors_match_pivoted_determinants(self):
         # the test oracle itself: Bareiss single pass vs pivoted elimination
@@ -230,6 +243,15 @@ class TestDeltas:
         m = MomentSequence(tuple(Fraction(1 - k % 2) for k in range(5)), RATIONAL)
         with pytest.raises(NotPositiveDefinite) as err:
             hankel_matrix(m, 2).deltas
+        assert err.value.order == 2
+        # a system reads its recurrence when it is made; the matrix alone
+        # is made without error and fails where it is read
+        with pytest.raises(NotPositiveDefinite) as err:
+            build_system(m, 2)
+        assert err.value.order == 2
+        hank = hankel_matrix(m, 2)
+        with pytest.raises(NotPositiveDefinite) as err:
+            hank.recurrence
         assert err.value.order == 2
 
 

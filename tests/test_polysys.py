@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from momentpoly import (
     FamilySpec,
+    HankelMoments,
     MomentSequence,
     NotPositiveDefinite,
     RecurrenceCoefficients,
@@ -309,6 +310,14 @@ class TestFloatOwner:
         assert sys_.rec is sys_.hankel.recurrence
         assert sys_.Pi is sys_.hankel.inverse
         assert sys_.L is sys_.hankel.factor
+        # the system is its Hankel matrix, with the system names as aliases
+        assert isinstance(sys_, HankelMoments) and sys_.hankel is sys_
+        assert sys_.Lambda is sys_.L and sys_.moments is sys_.source is m
+        assert (sys_.order, sys_.mode, sys_.label) == (10, mode, m.label)
+        # it compares by order and moments, and like HankelMoments is unhashable
+        assert sys_ == build_system(m, 10) != build_system(m, 9)
+        with pytest.raises(TypeError):
+            hash(sys_)
 
     @pytest.mark.parametrize("moments, n", [
         ((1, 0, 1, 0, 1), 2),            # two atoms: singular from order 2
@@ -323,6 +332,11 @@ class TestFloatOwner:
             cholesky_decompose(hankel_matrix(m, n))
         assert got.value.order == want.value.order
         assert str(got.value) == str(want.value)
+        # the matrix alone is made without error and fails when first read
+        hank = hankel_matrix(m, n)
+        with pytest.raises(NotPositiveDefinite) as read:
+            hank.recurrence
+        assert str(read.value) == str(want.value)
 
 
 class TestLazyTables:
@@ -757,6 +771,22 @@ class TestDiagnostics:
         assert d.all_passed()
         assert d.q_zero_sum == d.q_moment_quadratic
         assert d.qp_zero_sum == d.qp_moment_sum
+
+    def test_float_points_evaluate_each_row_once(self, monkeypatch):
+        # K(x, y) and K(x, x) share the p_i(x) of a point; a point with
+        # x == y evaluates its rows once
+        calls = []
+        original = polysys_module.eval_row
+
+        def counting(row, x, mode):
+            calls.append(x)
+            return original(row, x, mode)
+
+        monkeypatch.setattr(polysys_module, "eval_row", counting)
+        sys_ = build_system(make_moments(FamilySpec("uniform", 13), FLOAT), 6)
+        d = diagnostics(sys_, points=[(0.3, -0.7), (0.9, 0.9)])
+        assert d.all_passed(), d.checks
+        assert calls == [0.3] * 7 + [-0.7] * 7 + [0.9] * 7
 
     @pytest.mark.parametrize("family", CATALOG)
     def test_float_spectral_identities(self, family):
