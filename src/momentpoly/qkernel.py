@@ -49,7 +49,7 @@ def _brackets(qv, mode: str):
 def q_bracket(n: int, q):
     """[n]_q = 1 + q + ... + q^(n-1), with [n]_1 = n."""
     if n < 0:
-        raise ValueError("q-bracket needs n >= 0")
+        raise ValueError(f"q-bracket needs n >= 0, got n = {n}")
     qv, mode = _coerce_q(q)
     return [zero(mode), *itertools.islice(_brackets(qv, mode), n)][-1]
 

@@ -33,7 +33,8 @@ A float Hankel matrix goes back by the other route,
 ``_recurrence_from_inverse``: Cholesky, inversion, and ratios of the entries
 of Pi = L^-1.
 
-The four closed-form fills and the near-diagonal report check exact
+The four closed-form fills read one index sum with four gaps
+(``_index_sums``).  They and the near-diagonal report check exact
 identities with ``==``, so they are rational only.  A closed-form entry with k
 coefficient factors is an integer over D^k; ``aux_tables`` compares it with
 the recursion entry N / E_m by cross-multiplying integers, and reduces a
@@ -505,111 +506,75 @@ def _signed(v, k: int):
     return -v if k % 2 == 1 else v
 
 
-def _even_gap_fill(n: int, d: int, value) -> _GapScaled:
-    """Zero at odd row - col, one on the diagonal, the integer
-    ``value(row, col, k)`` over D^k at row - col = 2k > 0."""
+def _index_sums(seq, n: int, gap: int, depth: int) -> tuple:
+    """(D, levels) with ``levels[k][h + 2]`` = D^k * S_k(h) for h >= -2.
+
+    S_k(h) sums C_{j_1} * ... * C_{j_k} over index sequences with j_1 >= 0,
+    j_k <= h and j_{m+1} - j_m >= ``gap``, so S_0 = 1, and S_k(h) = 0 for
+    k >= 1 and h < 0.  Either j_k < h or j_k = h, so
+    S_k(h) = S_k(h - 1) + C_h * S_{k-1}(h - gap): one prefix sweep per level,
+    for k = 1..``depth``.  The four closed forms are this sum with gap 2
+    (xi1, C = a^2), 1 (xi2, C = b), 0 (zeta2, C = b) and -1 (zeta1,
+    C = a^2).  C is ``seq[:n]`` on the integers D*C of :func:`_common_scale`,
+    so a k-factor sum is an integer over D^k.  Level k runs to h = n - 1, or
+    for a negative gap, which reads level k - 1 one index further on, to
+    h = n - k; level 0 runs to h = n + 1.
+    """
+    d, (C,) = _common_scale(RATIONAL, seq[:n])
+    levels = [[1] * (n + 4)]
+    for k in range(1, depth + 1):
+        below, level = levels[-1], [0, 0]
+        for h in range(n if gap >= 0 else n - k + 1):
+            level.append(level[-1] + C[h] * below[h + 2 - gap])
+        levels.append(level)
+    return d, levels
+
+
+def _gap_fill(n: int, d: int, step: int, value) -> _GapScaled:
+    """Zero where ``step`` does not divide row - col, and the integer
+    ``value(row, col, k)`` over D^k at row - col = step*k."""
     rows = []
     for row in range(n + 1):
-        out = []
-        for col in range(row + 1):
-            k, odd = divmod(row - col, 2)
-            out.append(0 if odd else 1 if k == 0 else value(row, col, k))
+        out = [0] * (row + 1)
+        for k in range(row // step + 1):
+            col = row - step * k
+            out[col] = value(row, col, k)
         rows.append(out)
-    return _GapScaled(rows, [d ** (g // 2) for g in range(n + 1)])
+    return _GapScaled(rows, [d ** (g // step) for g in range(n + 1)])
 
 
 def _xi1_closed(rec: RecurrenceCoefficients, n: int) -> _GapScaled:
     """Gap-constrained products of a^2: entry (row, row - 2k) is (-1)^k times
     the sum over 1 <= j_1 < ... < j_k <= row-1 with j_{m+1} - j_m >= 2 of
-    prod a_{j_m}^2; zero for odd row - col.
-
-    With r factors left after the current one, the current index runs
-    lo..row-2r-1 and the next starts at index + 2.  So N(r, lo), the sum with
-    the current index >= lo, is the suffix sum
-    N(r, lo) = N(r, lo + 1) + A_lo*N(r - 1, lo + 2), and entry k of the row is
-    N(k - 1, 1): one level per r serves every k of a row.  The sums run on the
-    integers A_j = D*a_j^2, D the lcm of their denominators; a k-factor sum is
-    an integer over D^k.
-    """
-    d, (A,) = _common_scale(RATIONAL, rec.a2[:n])
-    sums = []  # sums[row][k - 1]: D^k times the k-factor sum of the row
-    for row in range(n + 1):
-        level, out = [1] * (row + 2), []  # r = -1: the empty product
-        for r in range(row // 2):
-            hi = row - 2 * r - 1
-            nxt = [0] * (hi + 2)
-            for lo in range(hi, 0, -1):
-                nxt[lo] = nxt[lo + 1] + A[lo] * level[lo + 2]
-            level = nxt
-            out.append(level[1])
-        sums.append(out)
-    return _even_gap_fill(n, d, lambda row, col, k: _signed(sums[row][k - 1], k))
+    prod a_{j_m}^2, the index sum S_k(row - 1) with gap 2 (the a_0^2 = 0 slot
+    adds nothing); zero for odd row - col."""
+    d, levels = _index_sums(rec.a2, n, 2, n // 2)
+    return _gap_fill(n, d, 2, lambda row, col, k: _signed(levels[k][row + 1], k))
 
 
 def _xi2_closed(rec: RecurrenceCoefficients, n: int) -> _GapScaled:
     """Signed elementary symmetric sums: entry (row, col) is
-    (-1)^j e_j(b_0..b_{row-1}), j = row - col.
-
-    One running vector serves every row: row r reads e_j(b_0..b_{r-1}), then
-    one pass of the e_j recurrence folds in b_r for the next row.  The vector
-    holds E_j = D^j e_j over the integers B = D*b, D the lcm of their
-    denominators, so the pass is E_t += E_{t-1}*B.
-    """
-    d, (B,) = _common_scale(RATIONAL, rec.b[:n])
-    e = [1] + [0] * n
-    rows = []
-    for row in range(n + 1):
-        rows.append([_signed(e[row - col], row - col) for col in range(row + 1)])
-        if row < n:
-            x = B[row]
-            for t in range(row + 1, 0, -1):
-                e[t] = e[t] + e[t - 1] * x
-    return _GapScaled(rows, [d**j for j in range(n + 1)])
+    (-1)^j e_j(b_0..b_{row-1}), j = row - col, the index sum S_j(row - 1)
+    with gap 1."""
+    d, levels = _index_sums(rec.b, n, 1, n)
+    return _gap_fill(n, d, 1, lambda row, col, j: _signed(levels[j][row + 1], j))
 
 
 def _zeta1_closed(rec: RecurrenceCoefficients, n: int) -> _GapScaled:
     """Nested a^2 sums: entry (col + 2k, col) is sum_{j_1=1}^{col+1} a_{j_1}^2
     sum_{j_2=1}^{j_1+1} a_{j_2}^2 ... over k factors; zero for odd row - col.
-
-    With r factors left after the current one, a level sums j = 1..hi and
-    hands hi = j + 1 down; that depends on (r, hi) only, so one level per r
-    serves the whole table, as the prefix sums
-    N(r, hi) = N(r, hi - 1) + A_hi*N(r - 1, hi + 1).  They run on the integers
-    A_j = D*a_j^2, D the lcm of their denominators, so a k-factor sum is an
-    integer over D^k.
-    """
-    d, (A,) = _common_scale(RATIONAL, rec.a2[:n])
-    levels, below = [], [1] * (n + 1)  # r = -1: the empty product
-    for r in range(n // 2):
-        level = [0]
-        for hi in range(1, n - 2 * r):
-            level.append(level[hi - 1] + A[hi] * below[hi + 1])
-        levels.append(level)
-        below = level
-    return _even_gap_fill(n, d, lambda row, col, k: levels[k - 1][col + 1])
+    Read from j_k to j_1, each index is at least the one before minus 1: the
+    index sum S_k(col + 1) with gap -1."""
+    d, levels = _index_sums(rec.a2, n, -1, n // 2)
+    return _gap_fill(n, d, 2, lambda row, col, k: levels[k][col + 3])
 
 
 def _zeta2_closed(rec: RecurrenceCoefficients, n: int) -> _GapScaled:
     """Monotone multi-indexed b products: entry (col + j, col) is the complete
-    homogeneous symmetric sum h_j(b_0..b_col).
-
-    One running vector serves every column: column c folds b_c into
-    h_1..h_{n-c}, the entries that it and the later columns read, and b_n is
-    never read.  The vector holds H_j = D^j h_j over the integers B = D*b, D
-    the lcm of their denominators, so the fold is H_t += H_{t-1}*B.
-    """
-    d, (B,) = _common_scale(RATIONAL, rec.b[:n])
-    rows = [[None] * (row + 1) for row in range(n + 1)]
-    h = [1] + [0] * n
-    for col in range(n + 1):
-        top = n - col
-        if top:
-            x = B[col]
-            for t in range(1, top + 1):
-                h[t] = h[t] + h[t - 1] * x
-        for j in range(top + 1):
-            rows[col + j][col] = h[j]
-    return _GapScaled(rows, [d**j for j in range(n + 1)])
+    homogeneous symmetric sum h_j(b_0..b_col), the index sum S_j(col) with
+    gap 0."""
+    d, levels = _index_sums(rec.b, n, 0, n)
+    return _gap_fill(n, d, 1, lambda row, col, j: levels[j][col + 2])
 
 
 def _aux_table(index: int) -> cached_property:

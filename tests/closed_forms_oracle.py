@@ -1,9 +1,10 @@
 """The auxiliary closed forms evaluated one entry at a time.
 
-The library fills each closed-form table in one pass per row or column
-(``momentpoly.recurrence.aux_tables``); these routines evaluate every entry
-from a^2 and b on its own, in rational arithmetic, so the tests can require
-the library's fills to equal them with ``==`` and ``repr``.
+The library reads all four closed-form tables off one index sum, swept once
+per factor count (``momentpoly.recurrence._index_sums``); these routines
+evaluate every entry from a^2 and b on its own, in rational arithmetic, so
+the tests can require the library's fills to equal them with ``==`` and
+``repr``.
 """
 
 from momentpoly.scalars import one, zero

@@ -145,6 +145,20 @@ class TestInversion:
         assert tri_multiply(pi, L).rows == eye
         assert tri_multiply(L, pi).rows == eye
 
+    def test_unequal_orders_rejected(self):
+        one = TriangularTable("L", RATIONAL, [[Fraction(1)]])
+        two = TriangularTable("L", RATIONAL, [[Fraction(1)], [Fraction(1), Fraction(1)]])
+        with pytest.raises(ValueError, match="equal order"):
+            tri_multiply(one, two)
+
+    @pytest.mark.parametrize("role, mode, message", [
+        ("Q", RATIONAL, "unknown table role 'Q'"),
+        ("L", "decimal", "unknown mode 'decimal'"),
+    ])
+    def test_unknown_role_or_mode_rejected(self, role, mode, message):
+        with pytest.raises(ValueError, match=message):
+            TriangularTable(role, mode, [[Fraction(1)]])
+
     def test_zero_diagonal_rejected(self):
         t = TriangularTable("L", RATIONAL, [[Fraction(1)], [Fraction(1), Fraction(0)]])
         with pytest.raises(ZeroDivisionError):

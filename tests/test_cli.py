@@ -226,6 +226,29 @@ class TestRecurrence:
         b = run_cli("recurrence", "--verify-closed-forms", "6", "--seed", "7").stdout
         assert a == b
 
+    @pytest.mark.parametrize("broken", ["aux_tables", "partial_solutions"])
+    def test_genuine_failure_exits_three(self, broken, monkeypatch, capsys):
+        # a mismatch that is not a documented misprint fails the run
+        real = getattr(cli_module, broken)
+
+        def failing(rec, n):
+            out = real(rec, n)
+            if broken == "aux_tables":
+                out.first_mismatch = lambda: ("xi1", 2, 0, Fraction(1), Fraction(2))
+            else:
+                out.checks[0].passed = False  # eta_offdiag1
+            return out
+
+        monkeypatch.setattr(cli_module, broken, failing)
+        assert cli_main(["recurrence", "--verify-closed-forms", "6", "--seed", "1"]) == 3
+        draw = json.loads(capsys.readouterr().out)["draws"][0]
+        if broken == "aux_tables":
+            assert draw["aux_closed_forms"] == "FAIL"
+        else:
+            assert draw["checks"][0]["name"] == "eta_offdiag1"
+            assert draw["checks"][0]["status"] == "FAIL"
+            assert draw["checks"][0]["expected_misprint"] is False
+
     def test_malformed_rec_file(self, tmp_path):
         bad = tmp_path / "rec.json"
         bad.write_text('{"b": ["1"]}')

@@ -145,6 +145,16 @@ class TestConnectionTable:
         with pytest.raises(ValueError):
             connection_table(systems["gaussian"], systems["uniform"], 11)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda s, f: connection_table(s, s, 4, basis="legendre"), "basis must be one of"),
+        (lambda s, f: connection_table(s, f, 4), "share a numeric mode"),
+        (lambda s, f: connection_table(f, s, 4), "share a numeric mode"),
+    ], ids=["unknown-basis", "float-source", "float-target"])
+    def test_precondition_rejected(self, systems, call, message):
+        floats = build_system(make_moments(FamilySpec("uniform", 21), FLOAT), 10)
+        with pytest.raises(ValueError, match=message):
+            call(systems["uniform"], floats)
+
 
 class TestClosedForms:
     def test_identical_recurrences_vanish(self, systems):
@@ -253,6 +263,10 @@ class TestRibbon:
             ribbon_check(systems["uniform"], delta, 1, 8)
         assert err.value.order == 3
 
+    def test_alpha_below_order_rejected(self, systems):
+        with pytest.raises(ValueError, match="alpha system order 10 below requested 11"):
+            ribbon_check(systems["uniform"], systems["gaussian"].moments, 1, 11)
+
     def test_short_delta_rejected(self, systems):
         # order 8 reads m_0..m_16 of delta; this one stops at m_15
         delta = make_moments(FamilySpec("gaussian", 16))
@@ -299,10 +313,25 @@ class TestRadonNikodym:
         assert exp.bessel_residual == pytest.approx(0.0, abs=1e-5)
         assert exp.parseval_partial_sums[-1] <= integral + 1e-12
 
+    def test_float_omegas_equal_exact(self):
+        # semicircle against uniform at n = 12: float error about 2e-13
+        alpha = make_moments(FamilySpec("semicircle", 13))
+        delta = make_moments(FamilySpec("uniform", 25))
+        exact = rn_expansion(alpha, build_system(delta, 12), 12)
+        floats = rn_expansion(alpha.to_floats(), build_system(delta.to_floats(), 12), 12)
+        assert all(isinstance(w, float) for w in floats.omegas)
+        errors = [abs(w - float(e)) for w, e in zip(floats.omegas, exact.omegas, strict=True)]
+        assert max(errors) < 1e-10
+
     def test_insufficient_alpha_moments(self, systems):
         alpha = make_moments(FamilySpec("semicircle", 5))
         with pytest.raises(Exception):
             rn_expansion(alpha, systems["uniform"], 10)
+
+    def test_delta_below_order_rejected(self, systems):
+        alpha = make_moments(FamilySpec("semicircle", 21))
+        with pytest.raises(ValueError, match="delta system order 10 below requested 11"):
+            rn_expansion(alpha, systems["uniform"], 11)
 
     def test_mixed_modes_rejected(self, systems):
         exact = make_moments(FamilySpec("semicircle", 11))

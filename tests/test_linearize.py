@@ -206,6 +206,10 @@ class TestTables:
         with pytest.raises(ValueError):
             linearization_table(systems["uniform"], 8, 5)
 
+    def test_unknown_basis_rejected(self, systems):
+        with pytest.raises(ValueError, match="basis must be one of"):
+            linearization_table(systems["uniform"], 2, 3, basis="legendre")
+
 
 class TestClosedForms:
     def test_symmetric_top_minus_one_vanishes(self, systems):

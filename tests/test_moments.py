@@ -94,6 +94,16 @@ class TestCatalog:
         with pytest.raises(ValueError):
             FamilySpec("lognormal", 5)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: MomentSequence((), RATIONAL), "needs at least m_0"),
+        (lambda: FamilySpec("uniform", 0), "count must be at least 1"),
+        (lambda: make_moments(FamilySpec("explicit", 3, {"moments": [1, 0]})),
+         "explicit moment list shorter than count"),
+    ], ids=["empty-sequence", "zero-count", "short-explicit"])
+    def test_empty_or_short_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_q_hermite_parameter_validation(self):
         with pytest.raises(ValueError):
             make_moments(FamilySpec("q-hermite", 5, {"q": Fraction(3, 2)}))

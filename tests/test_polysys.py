@@ -33,6 +33,7 @@ from momentpoly import (
     moment_inner_product,
     moments_from_recurrence,
     monic_tables,
+    q_bracket,
     q_factorial,
     q_hermite,
     q_pochhammer,
@@ -666,8 +667,9 @@ class TestEvaluation:
         (lambda s: q_hermite(-1, 0.5, 0.5, orthonormal=True), "n"),
         (lambda s: q_pochhammer(Fraction(1, 4), -1, Fraction(1, 2)), "n"),
         (lambda s: q_factorial(-1, Fraction(1, 2)), "n"),
+        (lambda s: q_bracket(-1, 0.5), "n"),
     ], ids=["connection", "connection-monic", "eval_poly", "eval_monic", "q_hermite",
-            "q_hermite-float", "q_pochhammer", "q_factorial"])
+            "q_hermite-float", "q_pochhammer", "q_factorial", "q_bracket"])
     def test_negative_degree_rejected(self, systems, call, name):
         # each used to return 1 or an empty table, or raise islice's message
         with pytest.raises(ValueError, match=rf"\b{name} = -1\b"):

@@ -184,6 +184,20 @@ class TestKernelIdentity:
         with pytest.raises(ValueError):
             QParams(q=0.5, rho=-1.0)
 
+    @pytest.mark.parametrize("q, rho, message", [
+        (Fraction(1), Fraction(1, 2), r"\|q\| < 1 required, got 1"),
+        (-1.5, 0.5, r"\|q\| < 1 required, got -1.5"),
+        (Fraction(1, 2), Fraction(-1), r"\|rho\| < 1 required, got -1"),
+        (0.5, 1.0, r"\|rho\| < 1 required, got 1.0"),
+    ])
+    def test_al_salam_chihara_domains(self, q, rho, message):
+        with pytest.raises(ValueError, match=message):
+            al_salam_chihara_recurrence(0, rho, q, 6)
+
+    def test_nonpositive_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            pm_product(0.0, 0.0, QParams(q=0.5, rho=0.3), tol=0)
+
     def test_series_magnitude_measures_cancellation(self):
         # H_j(-x) = (-1)^j H_j(x): the terms at (x, -x) are those at (x, x)
         # with alternating signs, all positive at (x, x)

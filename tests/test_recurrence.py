@@ -432,6 +432,18 @@ class TestAuxiliaryTables:
                 expect = [oracle(rec, row, col) for col in range(row + 1)]
                 assert repr(closed.row(row)) == repr(expect), (name, row)
 
+    def test_closed_fills_equal_per_entry_oracle_at_30(self):
+        # past the orders the property test draws
+        rec = random_recurrence(random.Random(17), 30)
+        for fill, oracle in ((recurrence_module._xi1_closed, closed_xi1),
+                             (recurrence_module._xi2_closed, closed_xi2),
+                             (recurrence_module._zeta1_closed, closed_zeta1),
+                             (recurrence_module._zeta2_closed, closed_zeta2)):
+            closed = fill(rec, 30)
+            for row in range(31):
+                expect = [oracle(rec, row, col) for col in range(row + 1)]
+                assert closed.row(row) == expect, (fill.__name__, row)
+
     @pytest.mark.parametrize("build", [aux_tables, partial_solutions, eta_table, tau_table])
     def test_negative_order_rejected(self, build):
         rec = random_recurrence(random.Random(15), 6)
@@ -444,6 +456,41 @@ class TestAuxiliaryTables:
         )
         with pytest.raises(ValueError, match="a_k\\^2 up to k = 2"):
             aux_tables(rec, 4)
+
+
+def _index_sequences(n: int, k: int, gap: int):
+    """Every (j_1, ..., j_k) with 0 <= j_m < n and j_{m+1} - j_m >= gap."""
+    if k == 0:
+        yield ()
+        return
+    for head in _index_sequences(n, k - 1, gap):
+        for j in range(max(head[-1] + gap, 0) if head else 0, n):
+            yield (*head, j)
+
+
+class TestIndexSums:
+    """The one sweep behind the four closed fills, against enumeration."""
+
+    @pytest.mark.parametrize("gap", [2, 1, 0, -1])
+    @pytest.mark.parametrize("n", range(8))
+    def test_levels_equal_enumerated_sums(self, gap, n):
+        rng = random.Random(100 * n + gap)
+        # signed, with C_0 != 0: the sweep reads slot 0 as any other
+        seq = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+               for _ in range(n + 2)]
+        depth = n  # the readers of gaps 2 and -1 stop at n // 2
+        d, levels = recurrence_module._index_sums(seq, n, gap, depth)
+        assert d == math.lcm(*(v.denominator for v in seq[:n]))
+        assert len(levels) == depth + 1
+        assert levels[0] == [1] * (n + 4)  # S_0 = 1 at h = -2 .. n + 1
+        for k in range(1, depth + 1):
+            top = n - 1 if gap >= 0 else n - k
+            sums = [Fraction(0)] * (top + 3)  # S_k(h) at index h + 2
+            for js in _index_sequences(n, k, gap):
+                term = prod(seq[j] for j in js)
+                for h in range(js[-1], top + 1):
+                    sums[h + 2] += term
+            assert levels[k] == [s * d**k for s in sums], (k, levels[k])
 
 
 class TestAuxBuildCounts:
@@ -558,6 +605,21 @@ class TestBoundaryErrors:
         with pytest.raises(ValueError) as info:
             build(rec, n)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: RecurrenceCoefficients((), (), RATIONAL), "a2 must start with the a_0 = 0 slot"),
+        (lambda: RecurrenceCoefficients((Fraction(1), Fraction(2)), (Fraction(0),) * 2, RATIONAL),
+         "a2 must start with the a_0 = 0 slot"),
+        (lambda: RecurrenceCoefficients((Fraction(0), Fraction(1), Fraction(0)),
+                                        (Fraction(0),) * 3, RATIONAL),
+         "a_k\\^2 must be positive"),
+        (lambda: RecurrenceCoefficients((0.0, -0.5), (0.0, 0.0), FLOAT), "a_k\\^2 must be positive"),
+        (lambda: recurrence_module.recurrence_from_dict([["0", "1"], ["0", "0"]]),
+         "recurrence file must be an object with 'a2' and 'b' lists"),
+    ], ids=["empty", "no-a0-slot", "zero-a2", "negative-float-a2", "list"])
+    def test_malformed_coefficients_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     @pytest.mark.parametrize("rec, count", [(_SHORT_A2, 6), (_SHORT_B, 5)])
     def test_moments_need_only_their_prefix(self, rec, count):
