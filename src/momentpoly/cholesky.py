@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import RATIONAL, check_mode, one, scalar_sqrt, sum_scalars, to_float, zero
+from .scalars import RATIONAL, check_mode, one, scalar_sqrt, sum_scalars, zero
 
 #: relative pivot floor in float mode; below this the matrix is treated as
 #: numerically rank deficient rather than merely ill conditioned
@@ -76,7 +76,7 @@ class TriangularTable:
         return [[self.entry(i, j) for j in range(n + 1)] for i in range(n + 1)]
 
     def to_floats(self) -> list:
-        return [[to_float(v) for v in row] for row in self.rows]
+        return [list(map(float, row)) for row in self.rows]
 
 
 def tri_multiply(a: TriangularTable, b: TriangularTable, role: str = "L") -> TriangularTable:

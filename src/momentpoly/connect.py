@@ -21,7 +21,7 @@ from .moments import MomentSequence
 from .polysys import PolynomialSystem, moment_inner_product
 from .recurrence import (RecurrenceCoefficients, _banded_fill, _chebyshev, _common_scale, eta_table,
                          tau_table)
-from .scalars import RATIONAL, one, sum_scalars, to_float
+from .scalars import RATIONAL, one, sum_scalars
 
 BASES = ("orthonormal", "monic")
 
@@ -162,7 +162,7 @@ def ribbon_check(
     for i in range(n + 1):
         for j in range(i - r):  # off the band: i - j > r
             v = inner(i, j)
-            mag = abs(to_float(v))
+            mag = abs(float(v))
             if mode == RATIONAL:
                 if v != 0:
                     exact_ok = False
@@ -248,7 +248,7 @@ def rn_expansion(
         eta = _banded_fill(RATIONAL, n, target=(d.a2, d.b))
         e, (weights,) = _common_scale(RATIONAL, alpha_moments.moments[: n + 1])
         omegas = [eta.pairing(weights, e, j) / root for j, root in enumerate(delta_sys.roots[: n + 1])]
-    partial = list(itertools.accumulate(to_float(w) ** 2 for w in omegas))
+    partial = list(itertools.accumulate(float(w) ** 2 for w in omegas))
     residual = None
     if square_integral is not None:
         residual = square_integral - partial[-1]

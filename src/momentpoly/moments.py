@@ -24,7 +24,6 @@ from .scalars import (
     check_mode,
     exact_sqrt,
     format_scalar,
-    to_float,
 )
 
 FAMILIES = (
@@ -84,7 +83,7 @@ class MomentSequence:
         if self.mode == FLOAT:
             return self
         return MomentSequence(
-            tuple(to_float(v) for v in self.moments), FLOAT, self.label
+            tuple(map(float, self.moments)), FLOAT, self.label
         )
 
 
@@ -111,9 +110,7 @@ def _catalog_even_moment(family: str, k: int) -> Fraction:
         return Fraction(1, 2 * k + 1)
     if family == "semicircle":
         return Fraction(math.comb(2 * k, k), (k + 1) * 4**k)
-    if family == "chebyshev1":
-        return Fraction(math.comb(2 * k, k), 4**k)
-    raise ValueError(family)
+    return Fraction(math.comb(2 * k, k), 4**k)  # chebyshev1, the last of SYMMETRIC_CATALOG
 
 
 def make_moments(spec: FamilySpec, mode: str = RATIONAL) -> MomentSequence:
@@ -278,7 +275,7 @@ def carleman_diagnostic(m: MomentSequence) -> CarlemanReport:
     orders, terms, sums = [], [], []
     total = 0.0
     for n in range(1, m.top_order // 2 + 1):
-        v = to_float(m.m(2 * n))
+        v = float(m.m(2 * n))
         if v <= 0:
             raise ValueError(f"even moment m_{2 * n} = {v} is not positive")
         term = v ** (-1.0 / (2 * n))

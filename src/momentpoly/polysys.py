@@ -16,8 +16,8 @@ import operator
 from dataclasses import dataclass
 
 from .moments import HankelMoments, MomentSequence
-from .recurrence import (RecurrenceCoefficients, _chebyshev, _recurrence_from_inverse, eta_table,
-                         tau_table)
+from .recurrence import (RecurrenceCoefficients, _chebyshev, _monic_values, _recurrence_from_inverse,
+                         eta_table, tau_table)
 from .scalars import RATIONAL, one, sum_scalars, zero
 
 
@@ -91,7 +91,12 @@ def monic_tables(sys_: PolynomialSystem, n: int | None = None):
 
 
 def eval_poly(sys_: PolynomialSystem, k: int, x):
-    """p_k(x) by the forward three-term recurrence (orthonormal normalization)."""
+    """p_k(x) by the forward three-term recurrence (orthonormal normalization).
+
+    Each step divides by a_{k+1}, so this keeps its own walk rather than
+    reading :func:`eval_monic`: ptilde_k(x) / sqrt(d_k) rounds to other
+    float bits.
+    """
     if not 0 <= k <= sys_.order:
         raise ValueError(f"degree k = {k} must lie in 0..{sys_.order}, the system order")
     prev = zero(sys_.mode)  # p_{-1}
@@ -107,12 +112,7 @@ def eval_monic(sys_: PolynomialSystem, k: int, x):
     """Monic ptilde_k(x) by the monic three-term recurrence."""
     if not 0 <= k <= sys_.order:
         raise ValueError(f"degree k = {k} must lie in 0..{sys_.order}, the system order")
-    prev = zero(sys_.mode)
-    cur = one(sys_.mode)
-    for j in range(k):
-        nxt = (x - sys_.rec.b[j]) * cur - sys_.rec.a2[j] * prev
-        prev, cur = cur, nxt
-    return cur
+    return _monic_values(sys_.rec.a2, sys_.rec.b, x, k, sys_.mode)[k]
 
 
 def eval_row(row, x, mode: str):
@@ -233,20 +233,16 @@ def diagnostics(sys_: PolynomialSystem, points=None, eig_tol: float = 1e-8) -> S
                                       for i in range(1, n + 1) for j in range(1, n + 1)), mode)
     qp_moment_sum = sum_scalars((m.m(i - 1) * mu[0][i] for i in range(1, n + 1)), mode)
 
-    q_sandwich = None
-    if mode == RATIONAL:
-        checks["p_zero_identity"] = p_zero_sum == mu[0][0]
-        checks["q_zero_identity"] = q_zero_sum == q_moment_quadratic
-        checks["qp_identity"] = qp_zero_sum == qp_moment_sum
-        eigenvalues = None
-    else:
+    rel = lambda a, b: abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
+    same = operator.eq if mode == RATIONAL else rel
+    checks["p_zero_identity"] = same(p_zero_sum, mu[0][0])
+    checks["q_zero_identity"] = same(q_zero_sum, q_moment_quadratic)
+    checks["qp_identity"] = same(qp_zero_sum, qp_moment_sum)
+
+    q_sandwich = eigenvalues = None
+    if mode != RATIONAL:
         # the builtin sums below stay: they feed only checks and the sandwich
         # bounds, and sum_scalars would change their bits on Python 3.12
-        rel = lambda a, b: abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
-        checks["p_zero_identity"] = rel(p_zero_sum, mu[0][0])
-        checks["q_zero_identity"] = rel(q_zero_sum, q_moment_quadratic)
-        checks["qp_identity"] = rel(qp_zero_sum, qp_moment_sum)
-
         import numpy as np
 
         dense = np.array(sys_.dense(), dtype=float)

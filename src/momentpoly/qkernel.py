@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .recurrence import RecurrenceCoefficients
+from .recurrence import RecurrenceCoefficients, _monic_values
 from .scalars import FLOAT, RATIONAL, one, scalar_sqrt, zero
 
 MAX_PM_TERMS = 10**4
@@ -44,6 +44,12 @@ def _brackets(qv, mode: str):
     while True:
         bracket = bracket * qv + 1
         yield bracket
+
+
+def _powers(qv, mode: str):
+    """Yield 1, q, q^2, ... as running products, whose float bits are not
+    those of ``q**i``."""
+    return itertools.accumulate(itertools.repeat(qv), operator.mul, initial=one(mode))
 
 
 def q_bracket(n: int, q):
@@ -68,12 +74,8 @@ def q_pochhammer(a, n: int, q):
         raise ValueError(f"q-Pochhammer symbol needs n >= 0, got n = {n}")
     qv, mode = _coerce_q(q, a)
     av = Fraction(a) if mode == RATIONAL else float(a)
-    out = one(mode)
-    power = one(mode)  # a running product, whose float bits are not those of q**i
-    for _ in range(n):
-        out = out * (1 - av * power)
-        power = power * qv
-    return out
+    return math.prod((1 - av * power for power in itertools.islice(_powers(qv, mode), n)),
+                     start=one(mode))
 
 
 class QBracketCache:
@@ -110,15 +112,16 @@ def q_hermite(n: int, x, q, orthonormal: bool = False):
 
 
 def q_hermite_values(n: int, x, q, orthonormal: bool = False) -> list:
-    """All of H_0(x|q) .. H_n(x|q) from the three-term recurrence."""
+    """All of H_0(x|q) .. H_n(x|q) from the three-term recurrence.
+
+    The walk reads a_j^2 = [j]_q straight from the bracket stream, not from
+    :func:`q_hermite_recurrence`, so q = 1 (the Hermite case) works too.
+    """
     if n < 0:
         raise ValueError(f"q-Hermite degree needs n >= 0, got n = {n}")
     qv, mode = _coerce_q(q, x)
-    vals = [one(mode)]
-    if n >= 1:
-        vals.append(x * vals[0])
-    for j, bracket in zip(range(1, n), _brackets(qv, mode)):
-        vals.append(x * vals[j] - bracket * vals[j - 1])
+    vals = _monic_values(itertools.chain((0,), _brackets(qv, mode)), itertools.repeat(0), x, n,
+                         mode)
     if not orthonormal:
         return vals
     # [j]_q! grows by the same Horner step as q_bracket, so values match it
@@ -154,17 +157,10 @@ def al_salam_chihara_recurrence(
     if not -1 < rv < 1:
         raise ValueError(f"|rho| < 1 required, got {rv}")
     top = max(count, 2)
-    a2 = [zero(mode)]
-    b = []
-    qpow = one(mode)  # q^(n-1) for a2, q^n for b
-    for bracket in itertools.islice(_brackets(qv, mode), top):
-        a2.append(bracket * (1 - rv * rv * qpow))
-        qpow = qpow * qv
-    qpow = one(mode)
-    for n in range(top + 1):
-        b.append(rv * yv * qpow)
-        qpow = qpow * qv
-    return RecurrenceCoefficients(tuple(a2), tuple(b), mode, label=label)
+    a2 = (bracket * (1 - rv * rv * power)  # power = q^(n-1)
+          for bracket, power in zip(itertools.islice(_brackets(qv, mode), top), _powers(qv, mode)))
+    b = (rv * yv * power for power in itertools.islice(_powers(qv, mode), top + 1))
+    return RecurrenceCoefficients((zero(mode), *a2), tuple(b), mode, label=label)
 
 
 @dataclass(frozen=True)
@@ -249,6 +245,12 @@ def pm_series(x: float, y: float, p: QParams, tol: float = 1e-12) -> PMSeriesRes
     Terms vanish identically at symmetric points, so the stop rule requires a
     run of below-tolerance terms; persistently growing terms beyond the cap
     raise instead of silently returning garbage.
+
+    H_j(x|q) and H_j(y|q) are stepped inline, both points in one loop, rather
+    than read from two lazy copies of the monic walk that
+    :func:`q_hermite_values` uses.  Those give the same bits, but made
+    ``pm_grid_report`` at q = 0.5, rho = 0.9 about 60% slower (best of 7:
+    3.2-3.4 ms against 5.1-5.4 ms per report, Python 3.11 on a 2-core Xeon).
     """
     _check_point(x, y, p, tol)
     q, rho = float(p.q), float(p.rho)

@@ -49,10 +49,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 from .cholesky import TriangularTable, check_pivot
-from .scalars import FLOAT, RATIONAL, Surd, as_scalars, check_mode, one, scalar_sqrt, to_float, zero
+from .scalars import FLOAT, RATIONAL, Surd, as_scalars, check_mode, one, scalar_sqrt, zero
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ class RecurrenceCoefficients:
         if self.mode == FLOAT:
             return self
         return RecurrenceCoefficients(
-            tuple(to_float(v) for v in self.a2),
-            tuple(to_float(v) for v in self.b),
+            tuple(map(float, self.a2)),
+            tuple(map(float, self.b)),
             FLOAT,
             self.label,
         )
@@ -457,6 +457,18 @@ def _recurrence_from_inverse(pi: TriangularTable, label: str) -> RecurrenceCoeff
         lead = rows[k][k - 1] / rows[k][k] if k >= 1 else zero(mode)
         b.append(lead - rows[k + 1][k] / rows[k + 1][k + 1])
     return RecurrenceCoefficients(tuple(a2), tuple(b), mode, label=label)
+
+
+def _monic_values(a2, b, x, n: int, mode: str) -> list:
+    """ptilde_0(x)..ptilde_n(x) by ``(x - b_k)*ptilde_k - a_k^2*ptilde_{k-1}``
+    from ptilde_{-1} = 0 and ptilde_0 = 1; ``a2`` and ``b`` are iterables
+    from k = 0, and only their first n entries are read."""
+    prev, cur = zero(mode), one(mode)
+    out = [cur]
+    for a2_k, b_k in islice(zip(a2, b), n):
+        prev, cur = cur, (x - b_k) * cur - a2_k * prev
+        out.append(cur)
+    return out
 
 
 def eta_table(rec: RecurrenceCoefficients, n: int) -> TriangularTable:

@@ -225,7 +225,7 @@ class Surd:
         return f"Surd({self.coef!r}, sqrt({self.radicand()!r}))"
 
     def __str__(self):
-        return f"{format_fraction(self.coef)}*sqrt({format_fraction(self.radicand())})"
+        return f"{str(self.coef)}*sqrt({str(self.radicand())})"
 
 
 def exact_sqrt(x):
@@ -265,10 +265,6 @@ def sum_scalars(values, mode: str):
     bit for bit in IEEE arithmetic.
     """
     return functools.reduce(operator.add, values, zero(mode))
-
-
-def to_float(x) -> float:
-    return float(x)
 
 
 def check_mode(mode: str) -> str:
@@ -311,20 +307,10 @@ def as_scalars(values, mode: str, message: str) -> tuple:
     return tuple(as_scalar(v, mode) for v in values)
 
 
-def format_fraction(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def format_scalar(x) -> str | float:
     """JSON-ready form: floats as-is, rationals as 'p/q', surds as 'p/q*sqrt(r/s)'."""
     if isinstance(x, float):
         return x
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return format_fraction(x)
-    if isinstance(x, Surd):
+    if isinstance(x, (int, Fraction, Surd)):
         return str(x)
     raise TypeError(f"cannot serialize scalar of type {type(x)!r}")

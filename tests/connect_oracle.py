@@ -12,7 +12,7 @@ from momentpoly.cholesky import TriangularTable, tri_multiply
 from momentpoly.connect import RibbonReport
 from momentpoly.polysys import moment_inner_product
 from momentpoly.recurrence import eta_table, tau_table
-from momentpoly.scalars import one, to_float
+from momentpoly.scalars import one
 
 
 def connection_by_tables(target, source, n, basis="orthonormal"):
@@ -33,7 +33,7 @@ def ribbon_by_moments(alpha_sys, delta_moments, r, n):
         for j in range(i - r):
             v = moment_inner_product(delta_moments, pi[i], pi[j])
             exact_ok = exact_ok and v == 0
-            mag = abs(to_float(v))
+            mag = abs(float(v))
             if mag > worst:
                 worst, witness = mag, (i, j, v)
     return RibbonReport(is_ribbon=exact_ok, ribbon_width=r, order=n,

@@ -22,7 +22,7 @@ from momentpoly.moments import hankel_matrix
 from momentpoly.polysys import build_system, inverse_moment_matrix
 from momentpoly.recurrence import RecurrenceCoefficients, eta_table
 from momentpoly.cholesky import check_pivot
-from momentpoly.scalars import RATIONAL, one, to_float, zero
+from momentpoly.scalars import RATIONAL, one, zero
 
 
 def recurrence_delta_form(sys_):
@@ -100,7 +100,7 @@ def ribbon_loop(alpha_sys, delta_moments, r, n, tol=1e-10):
                     if not pi[j][ll]:
                         continue
                     v = v + pi[i][kk] * hank.entry(kk, ll) * pi[j][ll]
-            mag = abs(to_float(v))
+            mag = abs(float(v))
             if mode == RATIONAL:
                 if v != 0:
                     exact_ok = False

@@ -19,6 +19,7 @@ from momentpoly import (
     save_moment_file,
 )
 import momentpoly.cli as cli_module
+import momentpoly.qkernel as qkernel_module
 from momentpoly.cli import build_parser
 from momentpoly.cli import main as cli_main
 from momentpoly.recurrence import recurrence_from_dict
@@ -438,6 +439,22 @@ class TestVerifyPM:
         data = json.loads(res.stdout)
         assert len(data["points"]) == 2
         assert data["max_error"] < 1e-8
+
+    @pytest.mark.parametrize("patch, q, message", [
+        # pm_product refuses a weight w_k <= 0
+        (("kernel_weight", lambda x, y, p, k: 0.0), "0.5", "kernel weight w_0 = 0.0"),
+        # at q = 0.5 the product needs more than two factors
+        (("MAX_PM_TERMS", 2), "0.5", "product truncation did not converge"),
+        # at q = 0 every factor past w_0 is 1, so the product stops after four,
+        # while the series at (0, 0) needs about 260 terms for rho = 0.9
+        (("MAX_PM_TERMS", 10), "0", "series truncation did not converge"),
+    ])
+    def test_truncation_failure_exits_one(self, patch, q, message, monkeypatch, capsys):
+        monkeypatch.setattr(qkernel_module, *patch)
+        assert cli_main(["verify-pm", "--q", q, "--rho", "0.9", "--points", "0,0"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert message in out.err
 
 
 GOLDEN_RECURRENCE = Path(__file__).with_name("data") / "golden_recurrence.json"

@@ -9,7 +9,9 @@ Records come from ``build_system`` (rec, deltas, roots, L and Pi),
 ``associated_polys``, ``inverse_moment_matrix``, ``kernel``, ``christoffel``,
 the pure-Python fields of ``diagnostics``, ``closed_form_gamma``,
 ``closed_form_linearization``, ``verify_linearization_closed_forms``,
-``q_factorial`` and ``q_pochhammer``.  They span the four catalog families,
+``eval_monic``, ``q_factorial``, ``q_pochhammer``, ``q_hermite_values`` (both
+normalizations, over rational, float and mixed q and x, q = 1 included) and
+``al_salam_chihara_recurrence``.  They span the four catalog families,
 q-hermite (q = 1/3) and two seeded b != 0 recurrences at n in {0, 1, 5, 10},
 in both modes.  The eigenvalues, ``q_sandwich_bounds`` and float ``checks`` of
 ``diagnostics`` are left out: they read numpy or the builtin ``sum``, whose
@@ -28,12 +30,14 @@ from conftest import CATALOG, random_recurrence
 
 from momentpoly import (
     FamilySpec,
+    al_salam_chihara_recurrence,
     associated_polys,
     build_system,
     christoffel,
     closed_form_gamma,
     closed_form_linearization,
     diagnostics,
+    eval_monic,
     kernel,
     make_moments,
     moments_from_recurrence,
@@ -42,12 +46,13 @@ from momentpoly import (
     verify_linearization_closed_forms,
 )
 from momentpoly.polysys import inverse_moment_matrix
+from momentpoly.qkernel import q_hermite_values
 from momentpoly.scalars import FLOAT, MODES, RATIONAL
 
 ORDERS = (0, 1, 5, 10)
 COUNT = 2 * max(ORDERS) + 2
-DIGEST = "8e3a719af82d87798068f3759c73a591921c04f2706415c220d897b0edb35f56"
-RECORDS = 12535
+DIGEST = "35da044fa01043c6d7a6011dd0bb685d63c1c0571e25302d5b13cc00e60465ef"
+RECORDS = 14447
 
 _DIAGNOSTIC_FIELDS = ("mu", "moment_trace", "inverse_trace", "p_zero_sum", "q_zero_sum",
                       "q_moment_quadratic", "qp_zero_sum", "qp_moment_sum")
@@ -93,6 +98,7 @@ def _system_records(m, mode, out):
         _flatten(f"{tag}/assoc", associated_polys(sys_), out)
         _flatten(f"{tag}/inverse", inverse_moment_matrix(sys_), out)
         for x, y in points:
+            _flatten(f"{tag}/eval_monic({x})", [eval_monic(sys_, k, x) for k in range(n + 1)], out)
             _flatten(f"{tag}/kernel({x},{y})", kernel(sys_, x, y), out)
             _flatten(f"{tag}/christoffel({x})", christoffel(sys_, x), out)
         diag = diagnostics(sys_)
@@ -125,6 +131,15 @@ def _q_records(out):
             _flatten(f"q_factorial({n},{q!r})", q_factorial(n, q), out)
             for a in (Fraction(1, 2), Fraction(-3), 0.5):
                 _flatten(f"q_pochhammer({a!r},{n},{q!r})", q_pochhammer(a, n, q), out)
+            for x in (Fraction(3, 2), Fraction(-2), 2, 0.75, -0.0):
+                for orthonormal in (False, True):
+                    _flatten(f"q_hermite_values({n},{x!r},{q!r},{orthonormal})",
+                             q_hermite_values(n, x, q, orthonormal), out)
+    for q in (Fraction(1, 3), Fraction(-1, 2), 1 / 3, -0.5):
+        for y, rho in ((Fraction(1, 2), Fraction(3, 10)), (-1, Fraction(-2, 3)), (0.4, 0.9),
+                       (Fraction(1, 2), 0.3)):
+            rec = al_salam_chihara_recurrence(y, rho, q, max(ORDERS))
+            _flatten(f"al_salam_chihara({y!r},{rho!r},{q!r})", (rec.a2, rec.b), out)
 
 
 def library_records() -> list:

@@ -127,6 +127,10 @@ class TestCatalog:
         with pytest.raises(ValueError):
             MomentSequence((Fraction(2),), RATIONAL)
 
+    def test_float_sequence_converts_to_itself(self):
+        m = make_moments(FamilySpec("uniform", 5), FLOAT)
+        assert m.to_floats() is m
+
     def test_float_mode_catalog(self):
         m = make_moments(FamilySpec("gaussian", 5), FLOAT)
         assert m.moments == (1.0, 0.0, 1.0, 0.0, 3.0)

@@ -152,6 +152,13 @@ def test_serialization_forms():
     assert format_scalar(Fraction(5)) == "5"
     assert format_scalar(Fraction(1, 2) * exact_sqrt(Fraction(2))) == "1/2*sqrt(2)"
     assert format_scalar(0.5) == 0.5
+    assert format_scalar(-12) == "-12"
+
+
+@pytest.mark.parametrize("value", ["1/2", None, 1j])
+def test_serialization_refuses_non_scalars(value):
+    with pytest.raises(TypeError, match="cannot serialize scalar"):
+        format_scalar(value)
 
 
 def test_file_value_parsing():
