@@ -5,8 +5,10 @@ The factorization runs the classical row-by-row recursion
     l[n][n]   = sqrt(m_{2n} - sum_j l[n][j]^2)
     l[i][k]   = (m_{i+k} - sum_{j<k} l[i][j] * l[k][j]) / l[k][k]
 
-directly on the backend scalars, so the same code path produces exact surd
-entries in rational mode and doubles in float mode.
+directly on the backend scalars.  The library runs it in float mode only:
+a rational Hankel matrix scales its ``L`` from the tau fill of its own
+recurrence (``HankelMoments.factor``).  On rational input the recursion still
+gives exact surd entries, which the tests use as an independent oracle.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .cholesky import NotPositiveDefinite
-from .connect import connection_table, ribbon_check, rn_expansion
+from .connect import BASES, connection_table, ribbon_check, rn_expansion
 from .linearize import linearization_table
 from .moments import InsufficientMoments, load_moment_file
 from .polysys import build_system
@@ -59,6 +59,28 @@ def _encode(obj):
     return format_scalar(obj)
 
 
+def _csv(payload: dict, prefix: str = ""):
+    """CSV lines of an encoded payload.  An object field is written under
+    dotted keys; a list is a table, one row if flat and a header row plus one
+    row per object if it holds objects.  A cell that still holds a list or an
+    object raises ``ValueError``."""
+    for key, value in payload.items():
+        name = prefix + key
+        if isinstance(value, dict):
+            yield from _csv(value, name + ".")
+        elif not isinstance(value, list):
+            yield f"{name},{value}"
+        else:
+            yield f"# {name}"
+            if value and isinstance(value[0], dict):
+                yield ",".join(value[0])
+                value = [list(v.values()) for v in value]
+            for row in value if value and isinstance(value[0], list) else [value]:
+                if any(isinstance(v, (list, dict)) for v in row):
+                    raise ValueError(f"CSV cannot hold field {name!r}: it nests a list or an object")
+                yield ",".join(str(v) for v in row)
+
+
 def _emit(payload: dict, args) -> None:
     # the int -> str digit limit of CPython 3.10.7+ guards the parsing of
     # untrusted text; the CLI's own exact output may have any size, so the
@@ -70,17 +92,7 @@ def _emit(payload: dict, args) -> None:
         if args.format == "json":
             text = json.dumps(_encode(payload), indent=2)
         else:
-            lines = []
-            for key, value in _encode(payload).items():
-                if isinstance(value, list) and value and isinstance(value[0], list):
-                    lines.append(f"# {key}")
-                    lines.extend(",".join(str(v) for v in row) for row in value)
-                elif isinstance(value, list):
-                    lines.append(f"# {key}")
-                    lines.append(",".join(str(v) for v in value))
-                else:
-                    lines.append(f"{key},{value}")
-            text = "\n".join(lines)
+            text = "\n".join(_csv(_encode(payload)))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -195,12 +207,10 @@ def _cmd_recurrence(args) -> int:
 def _cmd_connect(args) -> int:
     alpha = load_moment_file(args.alphafile, mode=args.mode)
     delta = load_moment_file(args.deltafile, mode=args.mode)
-    payload: dict = {"alpha": alpha.label, "delta": delta.label, "n": args.n}
     alpha_sys = build_system(alpha, args.n)
     delta_sys = build_system(delta, max(args.n, args.rn or 0))
-    gamma = connection_table(delta_sys, alpha_sys, args.n, basis=args.basis)
-    payload["basis"] = args.basis
-    payload["gamma"] = gamma.rows
+    payload = {"alpha": alpha.label, "delta": delta.label, "n": args.n, "basis": args.basis,
+               "gamma": connection_table(delta_sys, alpha_sys, args.n, basis=args.basis).rows}
     if args.rn is not None:
         expansion = rn_expansion(alpha, delta_sys, args.rn)
         payload["rn"] = {
@@ -296,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("alphafile")
     p.add_argument("deltafile")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--basis", choices=["orthonormal", "monic"], default="orthonormal")
+    p.add_argument("--basis", choices=BASES, default="orthonormal")
     p.add_argument("--rn", type=int, default=None, metavar="N",
                    help="expand d(alpha)/d(delta) in the delta system to order N")
     p.add_argument("--ribbon", type=int, default=None, metavar="R",
@@ -310,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("momentfile")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--basis", choices=["orthonormal", "monic"], default="orthonormal")
+    p.add_argument("--basis", choices=BASES, default="orthonormal")
     _common(p)
     p.set_defaults(func=_cmd_linearize)
 
@@ -342,12 +352,9 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotPositiveDefinite, InsufficientMoments) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, ArithmeticError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (NotPositiveDefinite, InsufficientMoments)) else 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cholesky import TriangularTable, tri_multiply
-from .moments import MomentSequence
+from .moments import FamilySpec, MomentSequence, make_moments
 from .polysys import PolynomialSystem, moment_inner_product
 from .recurrence import (RecurrenceCoefficients, _banded_fill, _chebyshev, _common_scale, eta_table,
                          tau_table)
@@ -182,18 +182,14 @@ def ribbon_check(
 
 def builtin_ribbon_pair(count: int, mode: str = RATIONAL):
     """The shipped demonstration pair: alpha uniform on [-1, 1] and delta with
-    density proportional to 1 + x^2 there, whose ratio is 1 over a quadratic."""
-    from .moments import FamilySpec, make_moments
+    density (3/8)(1 + x^2) there, whose ratio is 1 over a quadratic.
 
+    delta's moments are (3/4)(u_k + u_{k+2}) over the uniform moments u_k.
+    """
     alpha = make_moments(FamilySpec("uniform", count, label="uniform"), mode)
-    vals = []
-    for k in range(count):
-        if k % 2 == 1:
-            vals.append(Fraction(0))
-        else:
-            t = k // 2
-            vals.append(Fraction(3, 4) * (Fraction(1, 2 * t + 1) + Fraction(1, 2 * t + 3)))
-    delta = MomentSequence(tuple(vals), RATIONAL, "quadratic-weight")
+    u = make_moments(FamilySpec("uniform", count + 2))
+    delta = MomentSequence(tuple(Fraction(3, 4) * (u.m(k) + u.m(k + 2)) for k in range(count)),
+                           RATIONAL, "quadratic-weight")
     return alpha, (delta if mode == RATIONAL else delta.to_floats())
 
 

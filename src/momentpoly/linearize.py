@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+from .connect import BASES
 from .polysys import PolynomialSystem
 from .recurrence import RecurrenceCoefficients, _banded_fill, _identity_check, _require_exact
 from .scalars import sum_scalars
-
-BASES = ("orthonormal", "monic")
 
 
 @dataclass

@@ -270,7 +270,7 @@ def pm_series(x: float, y: float, p: QParams, tol: float = 1e-12) -> PMSeriesRes
         total += term
         magnitude += abs(term)
         small_run = small_run + 1 if abs(term) < tol else 0
-        if small_run >= 4 and j >= 4:
+        if small_run >= 4:
             return PMSeriesResult(value=total, terms=j + 1, magnitude=magnitude)
         prev = bracket
     raise ArithmeticError("series truncation did not converge within the cap")

@@ -106,25 +106,16 @@ def recurrence_from_dict(data: dict, mode: str = RATIONAL, label: str = "") -> R
     return RecurrenceCoefficients(a2, b, mode, label=str(data.get("label", label)))
 
 
-def _require(rec: RecurrenceCoefficients, a2_top: int, b_top: int) -> None:
-    if a2_top >= len(rec.a2):
-        raise ValueError(
-            f"recurrence {rec.label!r} provides a_k^2 up to k = {len(rec.a2) - 1}, "
-            f"need k = {a2_top}"
-        )
-    if b_top >= len(rec.b):
-        raise ValueError(
-            f"recurrence {rec.label!r} provides b_k up to k = {len(rec.b) - 1}, "
-            f"need k = {b_top}"
-        )
-
-
 def _check_order(rec: RecurrenceCoefficients, n: int) -> None:
     """Reject a negative order, and coefficients too short for rows 0..n."""
     if n < 0:
         raise ValueError(f"table order must be non-negative, got {n}")
-    if n > 0:
-        _require(rec, n - 1, n - 1)
+    for name, seq in (("a_k^2", rec.a2), ("b_k", rec.b)):
+        if n > len(seq):
+            raise ValueError(
+                f"recurrence {rec.label!r} provides {name} up to k = {len(seq) - 1}, "
+                f"need k = {n - 1}"
+            )
 
 
 def _require_exact(mode: str, what: str) -> None:

@@ -233,8 +233,6 @@ def exact_sqrt(x):
     f = x if isinstance(x, Fraction) else Fraction(x)
     if f < 0:
         raise ValueError(f"exact_sqrt of negative value {f}")
-    if f == 0:
-        return Fraction(0)
     r = _perfect_square_root(f)
     if r is not None:
         return r
@@ -282,9 +280,7 @@ def as_scalar(value, mode: str):
     if isinstance(value, bool):
         raise ValueError(f"cannot interpret boolean {value!r} as a number")
     if mode == RATIONAL:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (str, int, Fraction)):
             return Fraction(value)
         if isinstance(value, float) and math.isfinite(value):
             # exact binary value of the literal; deterministic round trip

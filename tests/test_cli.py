@@ -566,3 +566,86 @@ class TestGoldenProductOutput:
         # in-process: thirty subprocess starts would dominate the suite's time
         assert cli_main([a.format(**moment_files) for a in case["args"].split()]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == case["sha256"]
+
+
+def _csv_run(args, capsys):
+    """Exit code, stdout and stderr of one in-process ``--format csv`` call."""
+    code = cli_main([*args, "--format", "csv"])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestCsvOutput:
+    """``--format csv``: a list is a table, an object field is written under
+    dotted keys, a list of objects is a header row plus one row per object,
+    and a field that nests deeper is refused.  The table digests were taken
+    before nested fields were written under dotted keys."""
+
+    @pytest.mark.parametrize("args, digest", [
+        ("decompose {gauss} -n 3",
+         "c6ada5ad72db46cd8b4e3d107fd68aa72fedeacae0e28c0a595544909df95528"),
+        ("decompose {gauss_float} -n 3",
+         "507b01103954d3700b603239a2042da4218b1d4ec4ae62d6710d17b5db0d1b3d"),
+        ("decompose {semicircle} -n 4",
+         "ee0baca9b21572e4a479f45802e14d94c0bae199fa10fcfdfc413c49cf7df68c"),
+        ("linearize {semicircle} -n 2 -m 3",
+         "7d087cea4a2c9389aa44249e77f2cc3b95a257d6878a51a23e4e61db1190af35"),
+        ("linearize {semicircle} -n 2 -m 3 --basis monic",
+         "ee85df7b4354482d250a704e5fa6be6e91a812e594bbacdb0d26253e895bf247"),
+        ("linearize {gauss_float} -n 2 -m 2",
+         "cf820ed9998027e37d5d2f226abfb2cb5eee8d1bf2f8abe0646cebaff0a764a6"),
+        ("recurrence {golden} --eta 8",
+         "c178e7677cf6d814a7379cf0105d86819b3d20b3e0e1ea7b850dea7e24fed20a"),
+        ("recurrence {golden} --tau 8",
+         "69393702e1ba8c6c1335a732e486fddd11b9f832e85732b5c04066ead2c4cabc"),
+        ("recurrence {golden} --moments 9",
+         "db68b63be1499e0cbdd60e34059e05341f49121f19db45088d4747cc59344bc1"),
+        ("recurrence {golden} --eta 8 --mode float",
+         "0543bd6bdb59e9682d0d3d437833d60f7b0e2e0e8189fbfc2659e0406bc23e09"),
+        ("connect {semicircle} {uniform} -n 4",
+         "888732a5a48504c0edc1f18c16b3cf02533c2c94269c14cbc500d401b7718f30"),
+        ("connect {semicircle} {uniform} -n 4 --basis monic",
+         "5a30b9866fd225573205b161ad3db3a47bc4dc29bc7c04fff88d28cae920e283"),
+        ("connect {rib_alpha} {rib_delta} -n 4 --mode float",
+         "7194d844c0a444c07c144e8356fb12e05ade8362cb49b311bfb19401fa4df919"),
+    ])
+    def test_table_digest(self, args, digest, files, capsys):
+        code, out, _ = _csv_run(args.format(golden=GOLDEN_RECURRENCE, **files).split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_object_fields_under_dotted_keys(self, mode, files, capsys):
+        args = ["connect", files["rib_alpha"], files["rib_delta"], "-n", "2",
+                "--rn", "2", "--ribbon", "1", "--mode", mode]
+        assert cli_main(args) == 0
+        data = json.loads(capsys.readouterr().out)
+        code, out, _ = _csv_run(args, capsys)
+        assert code == 0 and "{" not in out
+        lines = out.splitlines()
+        for key, values in data["rn"].items():
+            at = lines.index(f"# rn.{key}")
+            assert lines[at + 1] == ",".join(str(v) for v in values)
+        assert [line for line in lines if line.startswith("ribbon.")] == [
+            f"ribbon.{key},{value}" for key, value in data["ribbon"].items()]
+        assert "ribbon.r,1" in lines and "ribbon.is_ribbon,False" in lines
+
+    def test_list_of_objects_is_header_and_rows(self, capsys):
+        args = ["verify-pm", "--q", "0.5", "--rho", "0.3", "--points", "0,0;1,-1"]
+        assert cli_main(args) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        code, out, _ = _csv_run(args, capsys)
+        assert code == 0 and "{" not in out
+        lines = out.splitlines()
+        at = lines.index("# points")
+        assert lines[at + 1] == "x,y,product,series,terms,error"
+        assert lines[at + 2:] == [",".join(str(v) for v in p.values()) for p in points]
+
+    def test_nested_cells_exit_one(self, tmp_path, capsys):
+        out_file = tmp_path / "report.csv"
+        args = ["recurrence", "--verify-closed-forms", "4", "--draws", "1"]
+        for extra in ([], ["--out", str(out_file)]):
+            code, out, err = _csv_run(args + extra, capsys)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "'draws'" in err
+        assert not out_file.exists()

@@ -227,6 +227,19 @@ class TestRibbon:
         i, j, _ = rep.witness
         assert abs(i - j) == 2
 
+    @pytest.mark.parametrize("count", [1, 2, 17, 41])
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_delta_moments_of_quadratic_density(self, count, mode):
+        # (3/8)(1 + x^2) on [-1, 1]: m_k = (3/4)(1/(k+1) + 1/(k+3)) for even k
+        want = [Fraction(3, 4) * (Fraction(1, k + 1) + Fraction(1, k + 3)) if k % 2 == 0
+                else Fraction(0) for k in range(count)]
+        delta = builtin_ribbon_pair(count, mode)[1]
+        assert (delta.mode, delta.label) == (mode, "quadratic-weight")
+        if mode == RATIONAL:
+            assert list(map(repr, delta.moments)) == list(map(repr, want))
+        else:
+            assert [v.hex() for v in delta.moments] == [float(v).hex() for v in want]
+
     def test_float_mode_pair(self):
         alpha, delta = builtin_ribbon_pair(17, FLOAT)
         rep = ribbon_check(build_system(alpha, 8), delta, 2, 8, tol=1e-10)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from momentpoly import (
@@ -44,7 +44,7 @@ from momentpoly import (
 from momentpoly import moments as moments_module
 from momentpoly import polysys as polysys_module
 from momentpoly import recurrence as recurrence_module
-from momentpoly.cholesky import cholesky_decompose, invert_lower_triangular
+from momentpoly.cholesky import FLOAT_PIVOT_RELATIVE, cholesky_decompose, invert_lower_triangular
 from momentpoly.moments import hankel_matrix
 from momentpoly.polysys import (
     eval_row,
@@ -240,15 +240,28 @@ class TestChebyshevBuild:
 
     @settings(max_examples=60, deadline=None)
     @given(rational_recurrences(max_order=8))
+    # exact d_8 / m_16 = 9.8e-13: float mode refuses order 8 by design
+    @example((RecurrenceCoefficients(
+        tuple(map(Fraction, (0, 1, 1, 1, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4),
+                             Fraction(1, 4)))),
+        (Fraction(4),) + (Fraction(0),) * 7, RATIONAL), 8))
     def test_float_build_within_condition_scaled_bound(self, drawn):
         # the bench's tolerance 1000 * eps * m_2k / d_k, relative to the
         # coefficient once it exceeds 1; b_k takes the top order's factor.
         # At n = 12 the worst draws reach half the bound, so n stays <= 8
         rec, n = drawn
         m = moments_from_recurrence(rec, 2 * n + 1)
-        want, got = build_system(m, n).rec, build_system(m.to_floats(), n).rec
+        want = build_system(m, n).rec
         eps = Fraction(sys.float_info.epsilon)
         d = list(itertools.accumulate(want.a2[1:], operator.mul, initial=Fraction(1)))
+        try:
+            got = build_system(m.to_floats(), n).rec
+        except NotPositiveDefinite as exc:
+            # float mode refuses a pivot d_k <= FLOAT_PIVOT_RELATIVE * m_2k;
+            # under the same error model the exact pivot is that small too
+            k = exc.order
+            assert d[k] / m.m(2 * k) <= Fraction(FLOAT_PIVOT_RELATIVE) + 1000 * eps
+            return
 
         def within(value, exact, k):
             bound = 1000 * eps * m.m(2 * k) / d[k] * max(1, abs(exact))

@@ -621,6 +621,10 @@ class TestBoundaryErrors:
         with pytest.raises(ValueError, match=message):
             make()
 
+    def test_float_recurrence_converts_to_itself(self):
+        rec = _SHORT_A2.to_floats()
+        assert rec.mode == FLOAT and rec.to_floats() is rec
+
     @pytest.mark.parametrize("rec, count", [(_SHORT_A2, 6), (_SHORT_B, 5)])
     def test_moments_need_only_their_prefix(self, rec, count):
         # the longest count each recurrence serves, read with no padding

@@ -73,6 +73,32 @@ def test_ordering_via_squares():
     assert r2 > 1
     assert r2 < Fraction(3, 2)
     assert r2 > 1.2
+    assert r2 <= r2 <= r3 and r3 >= r2 >= 1
+    assert not r3 <= r2 and not 1 >= r2
+    assert abs(-r2) == r2 and isinstance(abs(-r2), Surd)
+
+
+def test_equality_with_floats_and_foreign_types():
+    r2 = exact_sqrt(Fraction(2))
+    assert r2 == math.sqrt(2) and r2 != 1.4
+    assert r2 != "sqrt(2)" and r2 != object()
+
+
+@pytest.mark.parametrize("op", [
+    lambda s, o: s * o, lambda s, o: s + o, lambda s, o: s - o,
+    lambda s, o: s / o, lambda s, o: s ** o,
+], ids=["mul", "add", "sub", "truediv", "pow"])
+def test_arithmetic_with_foreign_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(exact_sqrt(Fraction(2)), object())
+
+
+@pytest.mark.parametrize("op", [
+    lambda s, o: s < o, lambda s, o: s <= o, lambda s, o: s > o, lambda s, o: s >= o,
+], ids=["lt", "le", "gt", "ge"])
+def test_ordering_against_a_string_raises_type_error(op):
+    with pytest.raises(TypeError, match="cannot compare Surd"):
+        op(exact_sqrt(Fraction(2)), "1")
 
 
 _factors = st.lists(st.tuples(st.builds(Fraction, st.integers(1, 30), st.integers(1, 6)),
