@@ -8,6 +8,7 @@ verification failure (a verified identity exceeded its tolerance).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import random
@@ -29,7 +30,7 @@ from .recurrence import (
     recurrence_from_dict,
     tau_table,
 )
-from .scalars import RATIONAL, format_scalar
+from .scalars import MODES, RATIONAL, format_scalar
 
 #: closed-form checks whose printed source is a documented misprint; a FAIL
 #: from these is reported but does not flip the exit code
@@ -42,15 +43,17 @@ def _output(parser: argparse.ArgumentParser) -> None:
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=["rational", "float"], default=None,
+    parser.add_argument("--mode", choices=MODES, default=None,
                         help="override the numeric mode of the input files")
     _output(parser)
 
 
 def _encode(obj):
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (str, int, bool)) or obj is None:
+    # json.dumps(payload, indent=2, default=format_scalar) gives the same
+    # text, but with indent the stdlib runs its pure-Python encoder, where
+    # the hook costs a nested generator per scalar: an n = 20 rational
+    # decompose payload took 2.2 ms that way against 1.3 ms through here
+    if isinstance(obj, float) or isinstance(obj, (str, int)) or obj is None:
         return obj
     if isinstance(obj, dict):
         return {k: _encode(v) for k, v in obj.items()}
@@ -60,25 +63,33 @@ def _encode(obj):
 
 
 def _csv(payload: dict, prefix: str = ""):
-    """CSV lines of an encoded payload.  An object field is written under
-    dotted keys; a list is a table, one row if flat and a header row plus one
-    row per object if it holds objects.  A cell that still holds a list or an
-    object raises ``ValueError``."""
+    """CSV rows of a payload.  An object field is written under dotted keys;
+    a list is a table, one row if flat and a header row plus one row per
+    object if it holds objects.  A cell that still holds a list or an object
+    raises ``ValueError``.  Cells stay raw: ``csv.writer`` writes a scalar by
+    its ``str``, which is the text :func:`format_scalar` gives it."""
     for key, value in payload.items():
         name = prefix + key
         if isinstance(value, dict):
             yield from _csv(value, name + ".")
-        elif not isinstance(value, list):
-            yield f"{name},{value}"
+        elif not isinstance(value, (list, tuple)):
+            yield name, value
         else:
-            yield f"# {name}"
+            yield [f"# {name}"]
             if value and isinstance(value[0], dict):
-                yield ",".join(value[0])
+                yield list(value[0])
                 value = [list(v.values()) for v in value]
-            for row in value if value and isinstance(value[0], list) else [value]:
-                if any(isinstance(v, (list, dict)) for v in row):
+            for row in value if value and isinstance(value[0], (list, tuple)) else [value]:
+                if any(isinstance(v, (list, tuple, dict)) for v in row):
                     raise ValueError(f"CSV cannot hold field {name!r}: it nests a list or an object")
-                yield ",".join(str(v) for v in row)
+                yield row
+
+
+class _Records(list):
+    """A file for :func:`csv.writer`: the writer hands it each record whole,
+    terminator included, in one ``write`` call."""
+
+    write = list.append
 
 
 def _emit(payload: dict, args) -> None:
@@ -92,7 +103,11 @@ def _emit(payload: dict, args) -> None:
         if args.format == "json":
             text = json.dumps(_encode(payload), indent=2)
         else:
-            text = "\n".join(_csv(_encode(payload)))
+            # a "\r\n" terminator makes the writer quote a cell that holds
+            # CR or LF on every Python; each record then ends in "\n" alone
+            records = _Records()
+            csv.writer(records, lineterminator="\r\n").writerows(_csv(payload))
+            text = "\n".join(record[:-2] for record in records)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

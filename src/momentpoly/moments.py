@@ -242,7 +242,7 @@ class HankelMoments:
             fill = _banded_fill(RATIONAL, self.order, target=(rec.a2, rec.b))
             return TriangularTable("Pi", RATIONAL,
                                    fill.scaled([1 / r for r in self.roots], by_row=True))
-        return invert_lower_triangular(self.factor, role="Pi")
+        return invert_lower_triangular(self.factor)
 
     @property
     def deltas(self) -> list:

@@ -822,19 +822,15 @@ def _moment_prefix(rec: RecurrenceCoefficients, count: int) -> tuple:
     """(a2, b): the prefix of the coefficients that the first ``count``
     moments depend on, a_1^2..a_{floor(j/2)}^2 and b_0..b_{floor((j-1)/2)}
     for j = count - 1; ``ValueError`` when the recurrence stops short of it."""
-    jmax = count - 1
-    need_a2, need_b = jmax // 2, (jmax - 1) // 2
-    if len(rec.a2) <= need_a2:
-        raise ValueError(
-            f"{count} moments need a_k^2 up to k = {need_a2}; "
-            f"recurrence stops at k = {len(rec.a2) - 1}"
-        )
-    if len(rec.b) <= need_b:
-        raise ValueError(
-            f"{count} moments need b_k up to k = {need_b}; "
-            f"recurrence stops at k = {len(rec.b) - 1}"
-        )
-    return rec.a2[:need_a2 + 1], rec.b[:need_b + 1]
+    prefix = []
+    for name, seq, need in (("a_k^2", rec.a2, (count - 1) // 2), ("b_k", rec.b, (count - 2) // 2)):
+        if len(seq) <= need:
+            raise ValueError(
+                f"{count} moments need {name} up to k = {need}; "
+                f"recurrence stops at k = {len(seq) - 1}"
+            )
+        prefix.append(seq[:need + 1])
+    return tuple(prefix)
 
 
 def moments_from_recurrence(rec: RecurrenceCoefficients, count: int, label: str = ""):

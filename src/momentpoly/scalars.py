@@ -272,24 +272,27 @@ def check_mode(mode: str) -> str:
 
 
 def as_scalar(value, mode: str):
-    """Convert a file-level number (int, float, or 'p/q' string) to a backend scalar.
+    """Convert a file-level number to a backend scalar.
 
-    Rational mode refuses every non-finite float; float mode refuses +-inf
-    and still lets NaN through (NaN pivots pass :func:`check_pivot` too).
+    In either mode the entry must be a ``str`` ('p/q' or a decimal), ``int``,
+    ``float`` or ``Fraction``, and not a ``bool``; anything else raises
+    ``ValueError``.  Rational mode refuses every non-finite float; float mode
+    refuses +-inf and still lets NaN through (NaN pivots pass
+    :func:`check_pivot` too).
     """
     if isinstance(value, bool):
         raise ValueError(f"cannot interpret boolean {value!r} as a number")
-    if mode == RATIONAL:
-        if isinstance(value, (str, int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, float) and math.isfinite(value):
-            # exact binary value of the literal; deterministic round trip
-            return Fraction(value)
-        raise ValueError(f"cannot interpret {value!r} as a rational scalar")
-    out = float(Fraction(value)) if isinstance(value, str) else float(value)
-    if math.isinf(out):
-        raise ValueError(f"cannot interpret {value!r} as a finite float scalar")
-    return out
+    if isinstance(value, (str, int, float, Fraction)):
+        if mode == RATIONAL:
+            if not isinstance(value, float) or math.isfinite(value):
+                # a float literal is read as its exact binary value
+                return Fraction(value)
+        else:
+            out = float(Fraction(value)) if isinstance(value, str) else float(value)
+            if not math.isinf(out):
+                return out
+    kind = "rational" if mode == RATIONAL else "finite float"
+    raise ValueError(f"cannot interpret {value!r} as a {kind} scalar")
 
 
 def as_scalars(values, mode: str, message: str) -> tuple:

@@ -194,6 +194,14 @@ def test_file_value_parsing():
     assert as_scalar(0.25, RATIONAL) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("value", [[0], {}, None, 1j])
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_non_number_entry_is_refused_in_both_modes(value, mode):
+    # one type check for both modes: float() would raise TypeError on these
+    with pytest.raises(ValueError, match="cannot interpret"):
+        as_scalar(value, mode)
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_float_has_no_rational_value(value):
     # Fraction(inf) raises OverflowError, which a caller that handles
