@@ -19,6 +19,7 @@ from .recurrence import (RecurrenceCoefficients, _banded_fill, _chebyshev, _recu
 from .scalars import (
     FLOAT,
     RATIONAL,
+    _product,
     as_scalar,
     as_scalars,
     check_mode,
@@ -211,7 +212,13 @@ class HankelMoments:
 
     @functools.cached_property
     def roots(self) -> list:
-        """sqrt(d_0)..sqrt(d_n), the diagonal of :attr:`factor`."""
+        """sqrt(d_0)..sqrt(d_n), the diagonal of :attr:`factor`.
+
+        Rational mode gives ``exact_sqrt(d_k)``: a Fraction when d_k is a
+        perfect square, otherwise ``Surd(1, {d_k})``, the form that
+        :meth:`_Numerators.scaled` divides ``Pi`` by with d_k's parts
+        swapped and no division.
+        """
         if self.mode == RATIONAL:
             return [exact_sqrt(d) for d in self._monic[1]]
         return self.factor.diagonal()
@@ -235,20 +242,23 @@ class HankelMoments:
         p_k, built on first read.
 
         Rational ``Pi[i][j] = eta[i][j] / sqrt(d_i)``, scaled like
-        :attr:`factor`.
+        :attr:`factor`: row i is multiplied by (1 / d_i) * sqrt(d_i), d_i
+        with its coprime parts swapped, so no ``1 / root`` runs.
         """
         if self.mode == RATIONAL:
             rec = self.recurrence
             fill = _banded_fill(RATIONAL, self.order, target=(rec.a2, rec.b))
-            return TriangularTable("Pi", RATIONAL,
-                                   fill.scaled([1 / r for r in self.roots], by_row=True))
+            return TriangularTable("Pi", RATIONAL, fill.scaled(self.roots, by_row=True))
         return invert_lower_triangular(self.factor)
 
     @property
     def deltas(self) -> list:
         """Leading principal minors Delta_0..Delta_n, the running products of
-        the d_k."""
-        return list(itertools.accumulate(self._monic[1], operator.mul))
+        the d_k: in rational mode each product is filled from the coprime
+        parts of two Fractions after the two cross gcds of ``Fraction``
+        multiplication (``scalars._product``), in float mode it is ``*``."""
+        return list(itertools.accumulate(self._monic[1],
+                                         _product if self.mode == RATIONAL else operator.mul))
 
 
 def hankel_matrix(m: MomentSequence, n: int) -> HankelMoments:

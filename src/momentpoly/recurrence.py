@@ -21,17 +21,19 @@ printed tables every entry, the moments column 0, the near-diagonal report the
 band it compares, a linearization one row, the ribbon test and the
 Radon-Nikodym expansion weighted sums of rows, and a rational Hankel
 matrix's ``Pi`` and ``L`` scale the numerators when first read.  Every reader
-builds its ``Fraction`` from coprime parts (see ``_coprime``).  Where a reader
+builds its ``Fraction`` (and each surd of ``Pi`` and ``L``) from coprime
+integer parts, a whole row with one gcd per entry (``_entries``), with no
+``fractions`` operator (see ``scalars._coprime``).  Where a reader
 reads only part of a fill, the fill computes only a column window that holds
 that part and is closed under the recursion: the band row - col <= 4 for
 the near-diagonal report (O(n) entries per table) and the shrinking edge
 col <= count - 1 - row for the moments.  Float mode runs the same fill with
 D = 1.0 and no row denominators.  The Chebyshev pass (``_chebyshev``) runs
 the other way, from moments to the recurrence and the monic norms that a
-rational Hankel matrix factors with, and holds its rows in the same format.
-A float Hankel matrix goes back by the other route,
-``_recurrence_from_inverse``: Cholesky, inversion, and ratios of the entries
-of Pi = L^-1.
+rational Hankel matrix factors with.  It holds its rows in the same format
+and makes d_k, a_k^2 and b_k from coprime integer parts too.  A float
+Hankel matrix goes back by the other route, ``_recurrence_from_inverse``:
+Cholesky, inversion, and ratios of the entries of Pi = L^-1.
 
 The four closed-form fills read one index sum with four gaps
 (``_index_sums``).  They and the near-diagonal report check exact
@@ -49,10 +51,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from .cholesky import TriangularTable, check_pivot
-from .scalars import FLOAT, RATIONAL, Surd, as_scalars, check_mode, one, scalar_sqrt, zero
+from .scalars import (FLOAT, RATIONAL, _ONE, _ZERO, Surd, _difference, _over, _product, _quotient,
+                      as_scalars, check_mode, one, scalar_sqrt, zero)
 
 
 @dataclass(frozen=True)
@@ -125,9 +128,6 @@ def _require_exact(mode: str, what: str) -> None:
         raise ValueError(f"{what} compares exact identities; pass a rational-mode recurrence")
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
 def _common_scale(mode: str, *seqs) -> tuple:
     """(D, seqs scaled by D): in rational mode D is the lcm of the
     denominators and each sequence becomes the integers D*v; float mode keeps
@@ -150,23 +150,33 @@ def _reduce_row(row: list, e: int) -> tuple:
     return [v // g for v in row], e // g
 
 
-def _coprime(n: int, d: int) -> Fraction:
-    """``Fraction(n, d)`` for coprime ints n and d > 0, made without the gcd
-    and the type checks of ``Fraction.__new__``: it fills the two slots of
-    ``fractions.Fraction``, as ``Fraction._from_coprime_ints`` (Python 3.12
-    and later) does."""
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = n, d
-    return f
+def _entries(row, p: int, q: int, radicals=None) -> list:
+    """The entries v * p / q of an integer row, for coprime ints p and q > 0,
+    each nonzero one times sqrt(r) where ``radicals`` (an iterable beside the
+    row) holds the radical set {r} rather than None.
 
-
-def _over(v: int, e: int) -> Fraction:
-    """``Fraction(v, e)`` for e > 0, sharing one zero: one gcd, then
-    :func:`_coprime`."""
-    if not v:
-        return _ZERO
-    g = math.gcd(v, e)
-    return _coprime(v // g, e // g)
+    The reducer of every fill reader that reads a whole row: one gcd and one
+    slot fill (as in ``_coprime``) per nonzero entry, with no helper call,
+    since v * p / q is v * p / g over q / g in lowest terms, g = gcd(v, q).
+    The numerator is a quotient, not a product: CPython sizes a product's
+    int for the digits of both factors, so ``v // g * p`` would keep a spare
+    digit in every entry, even for p = 1.  An entry with a radical set is
+    filled into a ``Surd`` the same way, and a zero entry is the one shared
+    ``Fraction(0)``.
+    """
+    new, gcd, out = object.__new__, math.gcd, []
+    for v, rad in zip(row, radicals or repeat(None)):
+        if not v:
+            out.append(_ZERO)
+            continue
+        g = gcd(v, q)
+        f = new(Fraction)
+        f._numerator, f._denominator = v * p // g, q // g
+        if rad:
+            f, coef = new(Surd), f
+            f.coef, f.radicals = coef, rad
+        out.append(f)
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,8 +200,7 @@ class _Numerators:
     def row(self, m: int) -> list:
         if self.dens is None:
             return self.rows[m]
-        e = self.dens[m]
-        return [_over(v, e) for v in self.rows[m]]
+        return _entries(self.rows[m], 1, self.dens[m])
 
     def column(self, j: int) -> list:
         if self.dens is None:
@@ -204,46 +213,41 @@ class _Numerators:
         out = []
         for m, (row, e) in enumerate(zip(self.rows, self.dens)):
             lo = max(m - width, 0)
-            got = [None] * lo + [_over(v, e) for v in row[lo:]]
+            got = [None] * lo + _entries(row[lo:], 1, e)
             for j in columns:
                 if j < lo:
                     got[j] = _over(row[j], e)
             out.append(got)
         return out
 
-    def scaled(self, scales, by_row: bool) -> list:
-        """Rows with entry (i, j) multiplied by ``scales[i]`` (``by_row``) or
-        ``scales[j]``.
+    def scaled(self, roots, by_row: bool) -> list:
+        """Rows with entry (i, j) divided by ``roots[i]`` (``by_row``, Pi) or
+        multiplied by ``roots[j]`` (L).
 
-        A scale is a Fraction or a one-radical :class:`Surd` c * sqrt(r).  Entry
-        (i, j) is N / E_i times it.  c / E_i is first brought to lowest terms
-        p / q, once per row for row scales (``Pi``) and per entry for column
-        scales (``L``), so the coefficient N * p / q costs one gcd, of N and
-        q.  The entry is ``Surd(coef, {r})``: the normalized value that generic
-        surd arithmetic would reach.  Zero numerators give ``Fraction(0)``.
+        A root is what ``exact_sqrt`` gives: a Fraction c, or
+        ``Surd(1, {r})`` = sqrt(r).  Entry (i, j) is N / E_i.  Row i of Pi is
+        divided by its root as N * (1 / c) / E_i, or as
+        N * (1 / r) / E_i * sqrt(r) since 1 / sqrt(r) = (1 / r) * sqrt(r):
+        c or r with its parts swapped, brought to lowest terms p / q over
+        E_i by one gcd per row.  Column j of L is N * C_j / (E_i * B) times
+        sqrt(r_j), where B is the lcm of the denominators of the rational
+        roots, C_j = c_j * B for a rational root and C_j = B for sqrt(r_j).
+        :func:`_entries` reduces each entry with one gcd into the normalized
+        value that generic surd arithmetic would reach, so a zero numerator
+        gives ``Fraction(0)``.
         """
-        parts = [(c.numerator, c.denominator, radicals) for c, radicals in
-                 ((s.coef, s.radicals) if isinstance(s, Surd) else (s, None) for s in scales)]
-
-        def lowest(k: int, e: int) -> tuple:  # (p, q, radicals): c_k / e = p / q
-            cn, cd, radicals = parts[k]
-            g = math.gcd(cn, e)
-            return cn // g, cd * (e // g), radicals
-
-        out = []
-        for i, (row, e) in enumerate(zip(self.rows, self.dens)):
-            per_row = lowest(i, e) if by_row else None
-            new = []
-            for j, v in enumerate(row):
-                if not v:
-                    new.append(_ZERO)
-                    continue
-                p, q, radicals = per_row or lowest(j, e)
-                g = math.gcd(v, q)
-                coef = _coprime(v // g * p, q // g)
-                new.append(Surd(coef, radicals) if radicals else coef)
-            out.append(new)
-        return out
+        radicals = [root.radicals if isinstance(root, Surd) else None for root in roots]
+        if by_row:
+            out = []
+            for row, e, root, rad in zip(self.rows, self.dens, roots, radicals):
+                c = root.radicand() if rad else root
+                g = math.gcd(c.denominator, e)
+                out.append(_entries(row, c.denominator // g, c.numerator * (e // g), repeat(rad)))
+            return out
+        b, (c,) = _common_scale(RATIONAL, [_ONE if rad else root for root, rad in zip(roots, radicals)])
+        scale = any(v != 1 for v in c)  # every C_j is 1 when each rational root is 1
+        return [_entries(list(map(operator.mul, row, c)) if scale else row, 1, e * b, radicals)
+                for row, e in zip(self.rows, self.dens)]
 
     def pairing(self, weights: list, e: int, i: int, j: int | None = None) -> Fraction:
         """sum_k entry(i, k) * entry(j, k) * weights[k] / e, or without ``j``
@@ -384,16 +388,22 @@ def _chebyshev(m: MomentSequence, top: int):
     all plain ints; the row and E are then divided by their common gcd
     (:func:`_reduce_row`, shared with the fill), without which the rows of
     q-hermite grow without bound.  Only d_k, a_k^2 and b_k are made as
-    ``Fraction``s: d_k = N_k[k] / E_k and
-    s_k[k+1] / d_k = N_k[k+1] / N_k[k].  Float mode runs the same loop with
-    E = 1.0 and the factors (1.0, b_k, a_k^2), whose products are the plain
-    floats bit for bit.
+    ``Fraction``s, each filled from coprime integer parts with no
+    ``fractions`` operator: d_k = N_k[k] / E_k and
+    s_k[k+1] / d_k = N_k[k+1] / N_k[k] by one gcd each (``_over``; N_k[k] > 0
+    once the pivot passed), a_k^2 = d_k / d_{k-1} by the two cross gcds of
+    a product (``_quotient``), and b_k as one integer difference over the
+    product of the denominators (``_difference``).  p, q, r and t are the
+    parts of these values.  Float mode runs the same loop with E = 1.0, the
+    float operators, and the factors (1.0, b_k, a_k^2), whose products are
+    the plain floats bit for bit.
     """
     exact = m.mode == RATIONAL
     z = zero(m.mode)
     n = top // 2
     e, (cur,) = _common_scale(m.mode, m.moments[: top + 1])
-    ratio, blank = (Fraction, 0) if exact else (operator.truediv, z)
+    ratio, divide, minus, blank = ((_over, _quotient, _difference, 0) if exact else
+                                   (operator.truediv, operator.truediv, operator.sub, z))
     prev, e_prev = [blank] * (top + 1), e
     a2, b, norms, lead = [z], [], [], z
     for k in range(n + 1):
@@ -401,11 +411,11 @@ def _chebyshev(m: MomentSequence, top: int):
         check_pivot(k, d, m.m(2 * k), m.mode)
         norms.append(d)
         if k:
-            a2.append(d / norms[k - 1])
+            a2.append(divide(d, norms[k - 1]))
         if 2 * k == top:
             break
-        quotient = ratio(cur[k + 1], cur[k])  # s_k[k+1] / d_k
-        b.append(quotient - lead)
+        quotient = ratio(cur[k + 1], cur[k])  # s_k[k+1] / d_k, and N_k[k] > 0
+        b.append(minus(quotient, lead))
         lead = quotient
         if exact:
             q, t = b[k].denominator, a2[k].denominator

@@ -25,12 +25,54 @@ MODES = (RATIONAL, FLOAT)
 _EMPTY: frozenset = frozenset()
 
 
+def _coprime(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for coprime ints n and d > 0, made without the gcd
+    and the type checks of ``Fraction.__new__``: it fills the two slots of
+    ``fractions.Fraction``, as ``Fraction._from_coprime_ints`` (Python 3.12
+    and later) does."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _over(v: int, e: int) -> Fraction:
+    """``Fraction(v, e)`` for e > 0, sharing one zero: one gcd, then
+    :func:`_coprime`."""
+    if not v:
+        return _ZERO
+    g = math.gcd(v, e)
+    return _coprime(v // g, e // g)
+
+
+def _product(x: Fraction, y: Fraction) -> Fraction:
+    """``x * y`` from the parts of two Fractions: the two cross gcds of
+    ``Fraction`` multiplication, then :func:`_coprime`."""
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    g, h = math.gcd(xn, yd), math.gcd(yn, xd)
+    return _coprime((xn // g) * (yn // h), (xd // h) * (yd // g))
+
+
+def _quotient(x: Fraction, y: Fraction) -> Fraction:
+    """``x / y`` for y > 0: :func:`_product` with y's parts swapped."""
+    return _product(x, _coprime(y.denominator, y.numerator))
+
+
+def _difference(x: Fraction, y: Fraction) -> Fraction:
+    """``x - y``: one integer difference over the product of the
+    denominators, then :func:`_over`."""
+    return _over(x.numerator * y.denominator - y.numerator * x.denominator,
+                 x.denominator * y.denominator)
+
+
 def _perfect_square_root(f: Fraction) -> Fraction | None:
     """Rational square root of ``f`` if it is a perfect square, else None."""
     n, d = f.numerator, f.denominator
     rn, rd = math.isqrt(n), math.isqrt(d)
     if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
+        return _coprime(rn, rd)  # the roots of coprime squares are coprime
     return None
 
 
@@ -229,14 +271,13 @@ class Surd:
 
 
 def exact_sqrt(x):
-    """Square root of a nonnegative rational: Fraction if perfect, Surd otherwise."""
+    """Square root of a nonnegative rational: Fraction if perfect, otherwise
+    ``Surd(1, {x})`` (the form that ``_Numerators.scaled`` reads)."""
     f = x if isinstance(x, Fraction) else Fraction(x)
-    if f < 0:
+    if f.numerator < 0:
         raise ValueError(f"exact_sqrt of negative value {f}")
     r = _perfect_square_root(f)
-    if r is not None:
-        return r
-    return Surd(Fraction(1), frozenset((f,)))
+    return Surd(_ONE, frozenset((f,))) if r is None else r
 
 
 def scalar_sqrt(x, mode: str):
@@ -277,8 +318,8 @@ def as_scalar(value, mode: str):
     In either mode the entry must be a ``str`` ('p/q' or a decimal), ``int``,
     ``float`` or ``Fraction``, and not a ``bool``; anything else raises
     ``ValueError``.  Rational mode refuses every non-finite float; float mode
-    refuses +-inf and still lets NaN through (NaN pivots pass
-    :func:`check_pivot` too).
+    refuses +-inf and every number past the float range, and still lets NaN
+    through (NaN pivots pass :func:`check_pivot` too).
     """
     if isinstance(value, bool):
         raise ValueError(f"cannot interpret boolean {value!r} as a number")
@@ -288,7 +329,10 @@ def as_scalar(value, mode: str):
                 # a float literal is read as its exact binary value
                 return Fraction(value)
         else:
-            out = float(Fraction(value)) if isinstance(value, str) else float(value)
+            try:
+                out = float(Fraction(value)) if isinstance(value, str) else float(value)
+            except OverflowError:  # an int, Fraction or decimal string past the range
+                out = math.inf
             if not math.isinf(out):
                 return out
     kind = "rational" if mode == RATIONAL else "finite float"

@@ -413,6 +413,15 @@ class TestInputBoundary:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    def test_float_overflow_entry_exits_one(self, tmp_path):
+        # "1e400" is past the float range: refused as Infinity is, not an
+        # OverflowError
+        bad = tmp_path / "moments.json"
+        bad.write_text('{"mode": "float", "moments": [1, 0, "1e400"]}')
+        code, out, err = _main_output(["decompose", str(bad), "-n", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot interpret")
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: float mode still reads NaN, "
                                            "and prints NaN tokens with exit 0")
     @pytest.mark.parametrize("body, args", [

@@ -25,6 +25,7 @@ from momentpoly import (
 )
 from momentpoly import cli as cli_module
 from momentpoly import recurrence as recurrence_module
+from momentpoly import scalars as scalars_module
 from momentpoly.recurrence import AuxTables, _banded_fill
 from momentpoly.scalars import FLOAT, RATIONAL, zero
 
@@ -191,7 +192,7 @@ class TestIntegerFill:
         # _coprime fills the slots of fractions.Fraction directly
         g = math.gcd(n, d)
         n, d = n // g, d // g
-        got, want = recurrence_module._coprime(n, d), Fraction(n, d)
+        got, want = scalars_module._coprime(n, d), Fraction(n, d)
         assert type(got) is Fraction
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
         assert (got.numerator, got.denominator) == (n, d)
@@ -620,6 +621,11 @@ class TestBoundaryErrors:
     def test_malformed_coefficients_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize("entry", [10**400, "1e400"], ids=["int", "str"])
+    def test_float_overflow_refused(self, entry):
+        with pytest.raises(ValueError, match="^cannot interpret .* as a finite float scalar$"):
+            recurrence_module.recurrence_from_dict({"a2": [0, entry], "b": [0, 0]}, FLOAT)
 
     def test_float_recurrence_converts_to_itself(self):
         rec = _SHORT_A2.to_floats()

@@ -214,3 +214,13 @@ def test_non_finite_float_has_no_rational_value(value):
     else:
         with pytest.raises(ValueError, match="as a finite float scalar"):
             as_scalar(value, FLOAT)
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400, "1e400", "-1e400", Fraction(10**400, 3)],
+                         ids=["int", "negative-int", "str", "negative-str", "fraction"])
+def test_float_overflow_is_refused_like_infinity(value):
+    # float() raises OverflowError past the float range, which a caller that
+    # handles ValueError at the boundary would miss
+    with pytest.raises(ValueError, match="as a finite float scalar"):
+        as_scalar(value, FLOAT)
+    assert as_scalar(value, RATIONAL) == Fraction(value)
