@@ -16,6 +16,7 @@ c_s = c~_s / sqrt(d_n) / sqrt(d_m) * sqrt(d_s), with sqrt(d_k) the system's
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -102,10 +103,11 @@ def verify_linearization_closed_forms(
     Returns one :class:`~momentpoly.recurrence.IdentityCheck` per printed form
     of the coefficients s = n + m - 1 and n + m - 2 that exist, so none for
     n = m = 0.  Raises ``ValueError`` on a float-mode system: the forms are
-    compared with ``!=``, so rounding alone would fail them.
+    compared exactly, so rounding alone would fail them.
     """
     _require_exact(sys_.mode, "verify_linearization_closed_forms")
     table = linearization_table(sys_, n, m, basis="monic")
-    return [_identity_check(f"top_minus_{gap}_{key}", [(s, table.entry(s), value)])
+    parts = operator.attrgetter("numerator", "denominator")  # the pairs _identity_check reads
+    return [_identity_check(f"top_minus_{gap}_{key}", [(s, parts(table.entry(s)), parts(value))])
             for s, gap in ((n + m - 1, "one"), (n + m - 2, "two")) if s >= 0
             for key, value in closed_form_linearization(sys_.rec, n, m, s).items()]

@@ -17,13 +17,15 @@ integer numerators: row m is held as integers over its own denominator E_m,
 and after each step the row and E_m are divided by their common gcd, so E_m is
 the lcm of the row's reduced denominators.  The fill hands the numerators on,
 and each consumer reduces to a ``Fraction`` only the entries it reads: the
-printed tables every entry, the moments column 0, the near-diagonal report the
-band it compares, a linearization one row, the ribbon test and the
-Radon-Nikodym expansion weighted sums of rows, and a rational Hankel
-matrix's ``Pi`` and ``L`` scale the numerators when first read.  Every reader
-builds its ``Fraction`` (and each surd of ``Pi`` and ``L``) from coprime
-integer parts, a whole row with one gcd per entry (``_entries``), with no
-``fractions`` operator (see ``scalars._coprime``).  Where a reader
+printed tables every entry, the moments column 0, a linearization one row,
+the ribbon test and the Radon-Nikodym expansion weighted sums of rows, and a
+rational Hankel matrix's ``Pi`` and ``L`` scale the numerators when first
+read.  The near-diagonal report reduces no entry it compares: it
+cross-multiplies their integer pairs (N, E_m) with its closed forms, and
+reduces only the first mismatch of each check.  Every reader builds its
+``Fraction`` (and each surd of ``Pi`` and ``L``) from coprime integer parts,
+a whole row with one gcd per entry (``_entries``), with no ``fractions``
+operator (see ``scalars._coprime``).  Where a reader
 reads only part of a fill, the fill computes only a column window that holds
 that part and is closed under the recursion: the band row - col <= 4 for
 the near-diagonal report (O(n) entries per table) and the shrinking edge
@@ -37,11 +39,11 @@ Cholesky, inversion, and ratios of the entries of Pi = L^-1.
 
 The four closed-form fills read one index sum with four gaps
 (``_index_sums``).  They and the near-diagonal report check exact
-identities with ``==``, so they are rational only.  A closed-form entry with k
+identities, so they are rational only.  A closed-form entry with k
 coefficient factors is an integer over D^k; ``aux_tables`` compares it with
 the recursion entry N / E_m by cross-multiplying integers, and reduces a
-table to ``Fraction``s only when it is read.  The report's prefix sums are
-integers over powers of D too, each term reduced once when a check reads it.
+table to ``Fraction``s only when it is read.  The report's closed forms are
+unreduced integer pairs too, its prefix sums integers over powers of D.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ class RecurrenceCoefficients:
         check_mode(self.mode)
         if len(self.a2) < 1 or self.a2[0] != 0:
             raise ValueError("a2 must start with the a_0 = 0 slot")
-        if any(v <= 0 for v in self.a2[1:]):
+        # a rational value's sign is its numerator's, read without Fraction.__le__
+        signs = self.a2[1:] if self.mode == FLOAT else (v.numerator for v in self.a2[1:])
+        if any(v <= 0 for v in signs):
             raise ValueError("a_k^2 must be positive for k >= 1")
 
     def a(self, k: int):
@@ -189,7 +193,7 @@ class _Numerators:
     reader reduces only the entries it returns, and builds every
     ``Fraction`` from coprime parts.  :meth:`row`, :meth:`column` and
     :meth:`table` serve both modes, float mode returning the entries as they
-    are; :meth:`band`, :meth:`scaled` and :meth:`pairing` are rational only.
+    are; :meth:`pair`, :meth:`scaled` and :meth:`pairing` are rational only.
     :meth:`table` reads every row and releases each one as it goes, so it is
     the last read of a fill.
     """
@@ -207,18 +211,9 @@ class _Numerators:
             return [row[j] for row in self.rows[j:]]
         return [_over(row[j], e) for row, e in zip(self.rows[j:], self.dens[j:])]
 
-    def band(self, width: int, columns=()) -> list:
-        """Rows with entry (m, j) read where m - j <= width or j is one of
-        ``columns``; every other entry is None."""
-        out = []
-        for m, (row, e) in enumerate(zip(self.rows, self.dens)):
-            lo = max(m - width, 0)
-            got = [None] * lo + _entries(row[lo:], 1, e)
-            for j in columns:
-                if j < lo:
-                    got[j] = _over(row[j], e)
-            out.append(got)
-        return out
+    def pair(self, m: int, j: int) -> tuple:
+        """Entry (m, j) as the integer pair (N, E_m), with no gcd."""
+        return self.rows[m][j], self.dens[m]
 
     def scaled(self, roots, by_row: bool) -> list:
         """Rows with entry (i, j) divided by ``roots[i]`` (``by_row``, Pi) or
@@ -671,16 +666,35 @@ class IdentityCheck:
     note: str = ""
 
 
-def _identity_check(name: str, pairs, note: str = "") -> IdentityCheck:
-    """Compare (index, table value, closed value) triples with ``!=`` up to
-    the first mismatch; ``checked`` counts the triples compared."""
-    checked, mismatch = 0, None
-    for idx, table, closed in pairs:
+def _identity_check(name: str, triples, note: str = "") -> IdentityCheck:
+    """Compare (index, table value, closed value) triples up to the first
+    mismatch; ``checked`` counts the triples compared.
+
+    Each value is an integer pair (num, den > 0), unreduced, and two values
+    agree when ``tn * cd == cn * td``.  Only the mismatch is reduced, to a
+    pair of ``Fraction``s."""
+    checked = 0
+    for idx, (tn, td), (cn, cd) in triples:
         checked += 1
-        if table != closed:
-            mismatch = (idx, table, closed)
-            break
-    return IdentityCheck(name, mismatch is None, checked, mismatch, note)
+        if tn * cd != cn * td:
+            return IdentityCheck(name, False, checked, (idx, _over(tn, td), _over(cn, cd)), note)
+    return IdentityCheck(name, True, checked, None, note)
+
+
+def _plus(*terms) -> tuple:
+    """The sum of integer pairs (num, den > 0) by cross terms, unreduced."""
+    num, den = 0, 1
+    for n, d in terms:
+        num, den = num * d + n * den, den * d
+    return num, den
+
+
+def _times(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0], x[1] * y[1]
+
+
+def _negative(x: tuple) -> tuple:
+    return -x[0], x[1]
 
 
 @dataclass
@@ -720,27 +734,28 @@ def _prefix_sums(rec: RecurrenceCoefficients, top: int) -> tuple:
     return (1, d, d * d, d**3), out
 
 
-def _eta3_printed(powers: tuple, sums: list, x2: list, count: int):
-    """Yield printed eta_{t+3,t} for t < count: the xi2 term at column 3 exactly
-    as printed, plus sum_{j=1}^{t+2} a_j^2 times the sum of b_k over
-    k = 0..t+2 with k not in {j - 1, j}.  That inner sum is
+def _eta3_printed(powers: tuple, sums: list, x2, count: int):
+    """Yield printed eta_{t+3,t} for t < count, as an integer pair: the xi2
+    term at column 3 exactly as printed, plus sum_{j=1}^{t+2} a_j^2 times the
+    sum of b_k over k = 0..t+2 with k not in {j - 1, j}.  That inner sum is
     e1 - b_{j-1} - b_j, so the outer sum is e1*A - P over D^2, read from
-    ``sums``, the :func:`_prefix_sums` at K = t + 2."""
+    ``sums``, the :func:`_prefix_sums` at K = t + 2.  ``x2(m, j)`` is the
+    pair of xi2 entry (m, j)."""
     for t in range(count):
         e1, _, A, P, _ = sums[t + 2]
-        yield x2[t + 3][3] + _over(e1 * A - P, powers[2])
+        yield _plus(x2(t + 3, 3), (e1 * A - P, powers[2]))
 
 
-def _eta4_printed(powers: tuple, sums: list, x1: list, x2: list, count: int):
-    """Yield printed eta_{t+4,t} for t < count: xi1 + xi2, plus
-    sum_{k=1}^{t+3} a_k^2 times the sum of b_i*b_j over 0 <= i < j <= t+3 with
-    neither index in {k - 1, k}.  With x = b_{k-1} and y = b_k that inner sum
-    is e2 - (x + y)*(e1 - x - y) - x*y, so the outer sum is
-    e2*A - e1*P + Q over D^3, read from ``sums``, the :func:`_prefix_sums` at
-    K = t + 3."""
+def _eta4_printed(powers: tuple, sums: list, x1, x2, count: int):
+    """Yield printed eta_{t+4,t} for t < count, as an integer pair: xi1 +
+    xi2, plus sum_{k=1}^{t+3} a_k^2 times the sum of b_i*b_j over
+    0 <= i < j <= t+3 with neither index in {k - 1, k}.  With x = b_{k-1} and
+    y = b_k that inner sum is e2 - (x + y)*(e1 - x - y) - x*y, so the outer
+    sum is e2*A - e1*P + Q over D^3, read from ``sums``, the
+    :func:`_prefix_sums` at K = t + 3."""
     for t in range(count):
         e1, e2, A, P, Q = sums[t + 3]
-        yield x1[t + 4][t] + x2[t + 4][t] + _over(e2 * A - e1 * P + Q, powers[3])
+        yield _plus(x1(t + 4, t), x2(t + 4, t), (e2 * A - e1 * P + Q, powers[3]))
 
 
 def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsReport:
@@ -756,17 +771,19 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     The sums over indices other than {j - 1, j} in the printed eta forms are
     taken as the full elementary symmetric sum minus the excluded terms, and
     the a^2-weighted sums of the printed forms read one list of integer prefix
-    sums (see ``_prefix_sums``), so each base index costs O(1) and each term
-    is reduced once.  The values are made lazily: a failing check stops at its
-    first mismatch.  The six order-(n+4) recursion fills compute only the
-    band row - col <= 4, plus the leftmost columns through the one a check
-    names (xi2 column 3, and eta column 0 when every b_k is zero): O(n)
-    entries each (see the windows of :func:`_banded_fill`).  They are read
-    through :meth:`_Numerators.band`, which reduces that band and those
-    columns to fractions.
+    sums (see ``_prefix_sums``), so each base index costs O(1).  The values
+    are made lazily: a failing check stops at its first mismatch.  The six
+    order-(n+4) recursion fills compute only the band row - col <= 4, plus
+    the leftmost columns through the one a check names (xi2 column 3, and eta
+    column 0 when every b_k is zero): O(n) entries each (see the windows of
+    :func:`_banded_fill`).  Every compared entry is read as its fill's pair
+    (N, E_m) through :meth:`_Numerators.pair`, with no gcd, and every closed
+    form is an unreduced integer pair made by cross terms; the checks
+    cross-multiply them, and only the first mismatch of a check is reduced to
+    ``Fraction``s (see :func:`_identity_check`).
 
-    Raises ``ValueError`` on a float-mode recurrence: every check compares
-    with ``!=``, so rounding alone would fail identities that hold exactly.
+    Raises ``ValueError`` on a float-mode recurrence: every check is exact,
+    so rounding alone would fail identities that hold exactly.
     """
     _require_exact(rec.mode, "partial_solutions")
     _check_order(rec, n)
@@ -776,22 +793,22 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
     sides = (*_aux_sides(rec), {"target": (rec.a2, rec.b)}, {"source": (rec.a2, rec.b)})
     columns = ((), (3,), (), (), (0,) if symmetric else (), ())
     x1, x2, z1, z2, eta, tau = (
-        _banded_fill(RATIONAL, top, band=4, left=max(cols, default=-1), **side).band(4, cols)
+        _banded_fill(RATIONAL, top, band=4, left=max(cols, default=-1), **side).pair
         for side, cols in zip(sides, columns))
     powers, sums = _prefix_sums(rec, top - 1)  # the printed forms read K <= top - 1
 
     # (name, table, l, closed values for t = 0, 1, ..., note): each row checks
-    # table[t + l][t] against its closed form
+    # table(t + l, t) against its closed form
     forms = (
         # l = 1: eta_{t+1,t} = xi2_{t+1,t} = -tau_{t+1,t}
-        ("eta_offdiag1", eta, 1, (x2[t + 1][t] for t in range(top)), ""),
-        ("tau_offdiag1", tau, 1, (-x2[t + 1][t] for t in range(top)), ""),
+        ("eta_offdiag1", eta, 1, (x2(t + 1, t) for t in range(top)), ""),
+        ("tau_offdiag1", tau, 1, (_negative(x2(t + 1, t)) for t in range(top)), ""),
         # l = 2: eta = xi1 + xi2, tau = zeta1 + zeta2
-        ("eta_offdiag2", eta, 2, (x1[t + 2][t] + x2[t + 2][t] for t in range(top - 1)), ""),
-        ("tau_offdiag2", tau, 2, (z1[t + 2][t] + z2[t + 2][t] for t in range(top - 1)), ""),
+        ("eta_offdiag2", eta, 2, (_plus(x1(t + 2, t), x2(t + 2, t)) for t in range(top - 1)), ""),
+        ("tau_offdiag2", tau, 2, (_plus(z1(t + 2, t), z2(t + 2, t)) for t in range(top - 1)), ""),
         # l = 3 printed forms; tau's a^2 sum over j = 1..t+1 is P of _prefix_sums
         ("tau_offdiag3_printed", tau, 3,
-         (z2[t + 3][t] + z1[t + 2][t] * z2[t + 1][t] + _over(sums[t + 1][3], powers[2])
+         (_plus(z2(t + 3, t), _times(z1(t + 2, t), z2(t + 1, t)), (sums[t + 1][3], powers[2]))
           for t in range(top - 2)), ""),
         ("eta_offdiag3_printed", eta, 3, _eta3_printed(powers, sums, x2, top - 2),
          "xi2 term evaluated at column 3 exactly as printed"),
@@ -799,10 +816,11 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
         ("eta_offdiag4_printed", eta, 4, _eta4_printed(powers, sums, x1, x2, top - 3),
          "the a^2 factor inside the outer sum is read as a_k^2"),
         ("tau_offdiag4_printed", tau, 4,
-         (-eta[t + 4][t] - eta[t + 4][t + 1] * tau[t + 1][t] - eta[t + 4][t + 2] * tau[t + 2][t]
-          - eta[t + 4][t + 3] * tau[t + 3][t] for t in range(top - 3)), ""),
+         (_negative(_plus(eta(t + 4, t), *(_times(eta(t + 4, t + k), tau(t + k, t))
+                                           for k in (1, 2, 3))))
+          for t in range(top - 3)), ""),
     )
-    checks = [_identity_check(name, ((t, table[t + l][t], v) for t, v in enumerate(values)), note)
+    checks = [_identity_check(name, ((t, table(t + l, t), v) for t, v in enumerate(values)), note)
               for name, table, l, values, note in forms]
 
     if symmetric:
@@ -810,14 +828,14 @@ def partial_solutions(rec: RecurrenceCoefficients, n: int) -> PartialSolutionsRe
         # the whole near-diagonal band reduces to the xi1/zeta1 tables
         def col0(t):
             if t % 2 == 1:
-                return _ZERO
-            k = t // 2
-            out = math.prod((rec.a2[2 * j - 1] for j in range(1, k + 1)), start=_ONE)
-            return -out if k % 2 == 1 else out
+                return 0, 1
+            odd = rec.a2[1:t:2]  # a_1^2, a_3^2, ..., a_{t-1}^2
+            return (_signed(math.prod(v.numerator for v in odd), t // 2),
+                    math.prod(v.denominator for v in odd))
 
         checks.append(_identity_check("eta_column0_symmetric",
-                                      ((t, eta[t][0], col0(t)) for t in range(1, top + 1))))
-        checks.extend(_identity_check(name, (((t, l), table[t + l][t], closed[t + l][t])
+                                      ((t, eta(t, 0), col0(t)) for t in range(1, top + 1))))
+        checks.extend(_identity_check(name, (((t, l), table(t + l, t), closed(t + l, t))
                                              for l in range(5) for t in range(top + 1 - l)))
                       for name, table, closed in (("eta_band_symmetric", eta, x1),
                                                   ("tau_band_symmetric", tau, z1)))

@@ -205,11 +205,14 @@ class TestIntegerFill:
         rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
         x1, x2 = (forward_oracle.banded_fill(rec, n, "XiZeta", expand=False, b=b, a2=a2)
                   for b, a2 in ((False, True), (True, False)))
-        # the library's prefix sums are integers over powers of D
+        # the library's prefix sums are integers over powers of D, and its
+        # printed forms read and yield integer pairs (num, den > 0)
         powers, sums = recurrence_module._prefix_sums(rec, n - 1)
-        got = list(recurrence_module._eta3_printed(powers, sums, x2.rows, n - 2))
+        p1, p2 = (lambda m, j, t=t: (t.rows[m][j].numerator, t.rows[m][j].denominator)
+                  for t in (x1, x2))
+        got = [Fraction(*v) for v in recurrence_module._eta3_printed(powers, sums, p2, n - 2)]
         assert repr(got) == repr([forward_oracle._eta3_printed(rec, x2, t) for t in range(n - 2)])
-        got = list(recurrence_module._eta4_printed(powers, sums, x1.rows, x2.rows, n - 3))
+        got = [Fraction(*v) for v in recurrence_module._eta4_printed(powers, sums, p1, p2, n - 3)]
         assert repr(got) == repr([forward_oracle._eta4_printed(rec, x1, x2, t)
                                   for t in range(n - 3)])
 
@@ -221,9 +224,16 @@ def _fill_sides(rec):
             {"source": (rec.a2, None)}, {"source": (None, rec.b)})
 
 
+# the flags (expand, b, a2) of forward_oracle.banded_fill for each report fill
+_ORACLE_FLAGS = {"eta": (False, True, True), "tau": (True, True, True),
+                 "xi1": (False, False, True), "xi2": (False, True, False),
+                 "zeta1": (True, False, True), "zeta2": (True, True, False)}
+
+
 class TestBandReader:
-    """The band reader of a fill against the fill's full table, and the
-    near-diagonal report that reads through it against the full-table one."""
+    """The pair reader on the windows the report reads against the fill's
+    full table, and the near-diagonal report that reads through it against
+    the full-table one."""
 
     @pytest.mark.parametrize("symmetric", [False, True])
     @settings(max_examples=25, deadline=None)
@@ -234,16 +244,15 @@ class TestBandReader:
             bs = [Fraction(0)] * (n + 1)
         rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
         for side in _fill_sides(rec):
-            band = _banded_fill(RATIONAL, n, **side).band(width, columns)
+            # the band, plus the left columns of a target-only fill
+            left = -1 if "source" in side else max(columns, default=-1)
+            fill = _banded_fill(RATIONAL, n, band=width, left=left, **side)
             table = _banded_fill(RATIONAL, n, **side).table()
-            assert [len(row) for row in band] == [len(row) for row in table]
-            for m, row in enumerate(band):
-                for j, v in enumerate(row):
-                    if m - j <= width or j in columns:
-                        assert v == table[m][j], (side, m, j)
-                        assert repr(v) == repr(table[m][j]), (side, m, j)
-                    else:
-                        assert v is None, (side, m, j)
+            for m in range(n + 1):
+                for j in range(m + 1):
+                    if m - j <= width or j <= left:
+                        num, den = fill.pair(m, j)
+                        assert den > 0 and Fraction(num, den) == table[m][j], (side, m, j)
 
     @pytest.mark.parametrize("symmetric", [False, True])
     @settings(max_examples=25, deadline=None)
@@ -263,6 +272,64 @@ class TestBandReader:
         assert got == summary(forward_oracle.partial_solutions(rec, n - 3))
         pure_a2 = all(v == 0 for v in bs)
         assert any(name == "eta_column0_symmetric" for name, *_ in got) == pure_a2
+
+    @pytest.mark.parametrize("fill", sorted(_ORACLE_FLAGS))
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @settings(max_examples=10, deadline=None)
+    @given(_fill_draws(12, min_n=3), st.data())
+    def test_damaged_entry_reports_fraction_values(self, symmetric, fill, drawn, data):
+        # one entry (m, j) of one report fill, its numerator plus 1, and the
+        # oracle's table entry plus 1 / E_m: every check, and the values of
+        # its first mismatch, as Fraction arithmetic on the damaged tables
+        n, a2s, bs = drawn
+        if symmetric:
+            bs = [Fraction(0)] * (n + 1)
+        rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
+        top = n + 1  # the report at order n - 3 fills rows 0..n + 1
+        m = data.draw(st.integers(1, top), label="row")
+        j = data.draw(st.sampled_from(sorted({max(m - l, 0) for l in range(5)}
+                                             | {c for c in (0, 3) if c <= m})), label="col")
+        flags, dens = _ORACLE_FLAGS[fill], []
+        real_fill, real_oracle = recurrence_module._banded_fill, forward_oracle.banded_fill
+
+        def damaged_fill(mode, steps, **kw):
+            out = real_fill(mode, steps, **kw)
+            a2, b = kw.get("target", kw.get("source"))
+            if ("source" in kw, b is not None, a2 is not None) == flags:
+                out.rows[m][j] += 1
+                dens.append(out.dens[m])
+            return out
+
+        def damaged_oracle(rec, n, role, *, expand, b, a2):
+            out = real_oracle(rec, n, role, expand=expand, b=b, a2=a2)
+            if (expand, b, a2) == flags:
+                out.rows[m][j] += Fraction(1, dens[0])
+            return out
+
+        def summary(report):
+            return [(c.name, c.passed, c.checked, repr(c.first_mismatch), c.note)
+                    for c in report.checks]
+
+        clean = {c.name: c for c in partial_solutions(rec, n - 3).checks}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrence_module, "_banded_fill", damaged_fill)
+            mp.setattr(forward_oracle, "banded_fill", damaged_oracle)
+            got = partial_solutions(rec, n - 3)
+            assert dens, "the report made no such fill"
+            assert summary(got) == summary(forward_oracle.partial_solutions(rec, n - 3))
+        # a check that passes clean and compares the damaged entry as its
+        # table value fails at that entry's index
+        l, report = m - j, {c.name: c for c in got.checks}
+        compared = {}
+        if fill in ("eta", "tau") and 1 <= l <= 4:
+            compared[f"{fill}_offdiag{l}" + ("_printed" if l > 2 else "")] = j
+        if fill in ("eta", "tau") and l <= 4:
+            compared[f"{fill}_band_symmetric"] = (j, l)
+        if fill == "eta" and j == 0:
+            compared["eta_column0_symmetric"] = m
+        for name, index in compared.items():
+            if name in clean and clean[name].passed:
+                assert report[name].first_mismatch[0] == index, name
 
 
 class TestColumnWindows:
@@ -615,9 +682,15 @@ class TestBoundaryErrors:
                                         (Fraction(0),) * 3, RATIONAL),
          "a_k\\^2 must be positive"),
         (lambda: RecurrenceCoefficients((0.0, -0.5), (0.0, 0.0), FLOAT), "a_k\\^2 must be positive"),
+        # rational mode tests the sign of the numerator, of a Fraction or an int
+        (lambda: RecurrenceCoefficients((Fraction(0), Fraction(1), Fraction(-1, 3)),
+                                        (Fraction(0),) * 3, RATIONAL),
+         "a_k\\^2 must be positive"),
+        (lambda: RecurrenceCoefficients((0, 2, -2), (0, 0, 0), RATIONAL), "a_k\\^2 must be positive"),
         (lambda: recurrence_module.recurrence_from_dict([["0", "1"], ["0", "0"]]),
          "recurrence file must be an object with 'a2' and 'b' lists"),
-    ], ids=["empty", "no-a0-slot", "zero-a2", "negative-float-a2", "list"])
+    ], ids=["empty", "no-a0-slot", "zero-a2", "negative-float-a2", "negative-fraction-a2",
+            "negative-int-a2", "list"])
     def test_malformed_coefficients_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
