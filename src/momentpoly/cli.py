@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -53,10 +54,15 @@ def _encode(obj):
     # text, but with indent the stdlib runs its pure-Python encoder, where
     # the hook costs a nested generator per scalar: an n = 20 rational
     # decompose payload took 2.2 ms that way against 1.3 ms through here
+    if isinstance(obj, float) and math.isinf(obj):
+        raise ValueError(f"cannot write {obj}: an output float is past the float range")
     if isinstance(obj, float) or isinstance(obj, (str, int)) or obj is None:
         return obj
     if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
+        # a value held under two keys (decompose's L and Lambda) is encoded once
+        once = {id(v): v for v in obj.values()}
+        text = {i: _encode(v) for i, v in once.items()}
+        return {k: text[id(v)] for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_encode(v) for v in obj]
     return format_scalar(obj)
@@ -66,8 +72,8 @@ def _csv(payload: dict, prefix: str = ""):
     """CSV rows of a payload.  An object field is written under dotted keys;
     a list is a table, one row if flat and a header row plus one row per
     object if it holds objects.  A cell that still holds a list or an object
-    raises ``ValueError``.  Cells stay raw: ``csv.writer`` writes a scalar by
-    its ``str``, which is the text :func:`format_scalar` gives it."""
+    raises ``ValueError``.  The payload comes from :func:`_encode`, so each
+    cell carries the JSON text of its scalar."""
     for key, value in payload.items():
         name = prefix + key
         if isinstance(value, dict):
@@ -100,8 +106,9 @@ def _emit(payload: dict, args) -> None:
     if old_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        payload = _encode(payload)  # the one scalar -> text pass of both formats
         if args.format == "json":
-            text = json.dumps(_encode(payload), indent=2)
+            text = json.dumps(payload, indent=2)
         else:
             # a "\r\n" terminator makes the writer quote a cell that holds
             # CR or LF on every Python; each record then ends in "\n" alone

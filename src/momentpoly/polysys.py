@@ -268,14 +268,10 @@ def diagnostics(sys_: PolynomialSystem, points=None, eig_tol: float = 1e-8) -> S
         ok_bound, ok_sandwich = True, True
         for x, y in points:
             x, y = float(x), float(y)
-            # each p_i is evaluated once per point, for both K(x, y) and K(x, x)
-            px = _values(sys_, x)
-            py = px if y == x else _values(sys_, y)
-            kxy = sum_scalars((u * v for u, v in zip(px, py)), mode)
             sx = sum(x ** (2 * i) for i in range(n + 1))
             sy = sum(y ** (2 * i) for i in range(n + 1))
-            ok_bound &= abs(kxy) <= (1.0 / lo) * (sx * sy) ** 0.5 * (1 + 1e-10)
-            chris = 1.0 / sum_scalars((u * u for u in px), mode)
+            ok_bound &= abs(kernel(sys_, x, y)) <= (1.0 / lo) * (sx * sy) ** 0.5 * (1 + 1e-10)
+            chris = christoffel(sys_, x)
             ok_sandwich &= lo / sx * (1 - 1e-10) <= chris <= hi / sx * (1 + 1e-10)
         checks["kernel_upper_bound"] = bool(ok_bound)
         checks["christoffel_sandwich"] = bool(ok_sandwich)

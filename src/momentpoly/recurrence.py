@@ -194,8 +194,7 @@ class _Numerators:
     ``Fraction`` from coprime parts.  :meth:`row`, :meth:`column` and
     :meth:`table` serve both modes, float mode returning the entries as they
     are; :meth:`pair`, :meth:`scaled` and :meth:`pairing` are rational only.
-    :meth:`table` reads every row and releases each one as it goes, so it is
-    the last read of a fill.
+    No reader changes the fill.
     """
 
     rows: list
@@ -253,11 +252,7 @@ class _Numerators:
         return _over(sum(map(operator.mul, terms, weights)), e)
 
     def table(self) -> list:
-        out = []
-        for m in range(len(self.rows)):
-            out.append(self.row(m))
-            self.rows[m] = None  # a printed table is never held twice
-        return out
+        return [self.row(m) for m in range(len(self.rows))]
 
 
 def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, None),

@@ -159,6 +159,19 @@ class TestDecompose:
         b = run_cli("decompose", files["gauss"], "-n", "3").stdout
         assert a == b
 
+    def test_l_and_lambda_are_encoded_once(self, files, capsys, monkeypatch):
+        # "L" and "Lambda" are one table: each of its scalars becomes text
+        # once, and every string scalar of the output comes from one call
+        calls = []
+        monkeypatch.setattr(cli_module, "format_scalar", lambda x: calls.append(x) or str(x))
+        assert cli_main(["decompose", files["gauss"], "-n", "3"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["Lambda"] == data["L"]
+        cells = [v for key in ("L", "Pi", "Delta", "a", "a2", "b") for v in data[key]]
+        flat = [v for c in cells for v in (c if isinstance(c, list) else [c])]
+        assert all(isinstance(v, str) for v in flat)
+        assert len(calls) == len(flat)
+
     def test_csv_format(self, files):
         res = run_cli("decompose", files["gauss"], "-n", "1", "--format", "csv")
         assert res.returncode == 0
@@ -435,16 +448,16 @@ class TestInputBoundary:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: float overflow of finite "
-                                           "input prints Infinity with exit 0")
-    def test_float_overflow_prints_no_infinity(self, tmp_path):
-        # m_2 = b_0^2 + a_1^2 overflows although every entry is finite
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_float_overflow_prints_no_infinity(self, fmt, tmp_path):
+        # m_2 = b_0^2 + a_1^2 overflows although every entry is finite; JSON
+        # and CSV read one encoding pass, which refuses an infinite float
         bad = tmp_path / "rec.json"
         bad.write_text('{"a2": [0, 1], "b": [1.3407807929942597e+154]}')
         code, out, err = _main_output([
-            "recurrence", str(bad), "--moments", "3", "--mode", "float"])
-        assert code in (1, 2) and out == ""
-        assert err.startswith("error:")
+            "recurrence", str(bad), "--moments", "3", "--mode", "float", "--format", fmt])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "past the float range" in err
 
     @staticmethod
     def _check(args, waive_json):
@@ -464,8 +477,8 @@ class TestInputBoundary:
         path = tmp_path_factory.getbasetemp() / "boundary_moments.json"
         path.write_text(f'{{{file_mode}"moments": {entries[0]}}}')
         float_mode = flag[1:] == ["float"] or (not flag and "float" in file_mode)
-        # a float-mode NaN or overflow still prints non-finite tokens with
-        # exit 0; the two strict xfails above pin that until item 1 mends it
+        # a float-mode NaN still prints NaN tokens with exit 0; the strict
+        # xfail above pins that until item 1 mends it
         self._check(["decompose", str(path), "-n", str(n), *flag], float_mode and entries[1])
 
     @settings(max_examples=150, deadline=None)

@@ -787,22 +787,6 @@ class TestDiagnostics:
         assert d.q_zero_sum == d.q_moment_quadratic
         assert d.qp_zero_sum == d.qp_moment_sum
 
-    def test_float_points_evaluate_each_row_once(self, monkeypatch):
-        # K(x, y) and K(x, x) share the p_i(x) of a point; a point with
-        # x == y evaluates its rows once
-        calls = []
-        original = polysys_module.eval_row
-
-        def counting(row, x, mode):
-            calls.append(x)
-            return original(row, x, mode)
-
-        monkeypatch.setattr(polysys_module, "eval_row", counting)
-        sys_ = build_system(make_moments(FamilySpec("uniform", 13), FLOAT), 6)
-        d = diagnostics(sys_, points=[(0.3, -0.7), (0.9, 0.9)])
-        assert d.all_passed(), d.checks
-        assert calls == [0.3] * 7 + [-0.7] * 7 + [0.9] * 7
-
     @pytest.mark.parametrize("family", CATALOG)
     def test_float_spectral_identities(self, family):
         sys_ = build_system(make_moments(FamilySpec(family, 21), FLOAT), 10)

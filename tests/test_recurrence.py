@@ -180,11 +180,22 @@ class TestIntegerFill:
             # a column reader reduces only the entries it returns
             for j in range(n + 1):
                 assert repr(fill.column(j)) == repr([row[j] for row in expect[j:]]), j
-            got = fill.table()  # the last read: it releases the integer rows
+            got = fill.table()
             assert got == expect
             # repr pins the type and, in float mode, every bit
             assert repr(got) == repr(expect)
-            assert fill.rows == [None] * (n + 1)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_fill_read_twice_gives_the_same_table(self, mode):
+        # no reader changes the fill: a second read of every reader gives
+        # the same values as the first
+        rec = random_recurrence(random.Random(12), 9)
+        rec = rec if mode == RATIONAL else rec.to_floats()
+        fill = _banded_fill(mode, 8, target=(rec.a2, rec.b))
+        first = fill.table()
+        assert repr(fill.table()) == repr(first)
+        assert repr([fill.row(m) for m in range(9)]) == repr(first)
+        assert repr(fill.column(0)) == repr([row[0] for row in first])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-2**300, 2**300), st.integers(1, 2**300))

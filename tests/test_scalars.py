@@ -78,6 +78,22 @@ def test_ordering_via_squares():
     assert abs(-r2) == r2 and isinstance(abs(-r2), Surd)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ordering_against_floats_by_value(sign):
+    # sqrt(2) = 1.41421...: floats on either side of it and equal to it, for
+    # each sign, with the float on either side of the operator
+    s = sign * exact_sqrt(Fraction(2))
+    below, above = sorted((sign * 1.4, sign * 1.5))
+    at = float(s)
+    assert s > below and s >= below and s < above and s <= above
+    assert not (s < below or s <= below or s > above or s >= above)
+    assert below < s < above and below <= s <= above
+    assert not (below > s or below >= s or above < s or above <= s)
+    assert s == at and at == s and s <= at and s >= at and at <= s and at >= s
+    assert not (s < at or s > at or at < s or at > s)
+    assert s != below and below != s and s != above and above != s
+
+
 def test_equality_with_floats_and_foreign_types():
     r2 = exact_sqrt(Fraction(2))
     assert r2 == math.sqrt(2) and r2 != 1.4
