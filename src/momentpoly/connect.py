@@ -5,9 +5,9 @@ If {p_n(x, target)} and {p_n(x, source)} are the orthonormal systems of two
 measures, then p_n(x, target) = sum_k gamma[n][k] p_k(x, source) with the
 lower-triangular table gamma = Pi(target) * Lambda(source); the monic
 variant is eta(target) * tau(source).  Rational mode reads all of them off the
-two recurrences, on the integer numerators of their banded fill g, with one
-square-root scale per entry; float mode multiplies the tables and sums
-moments, whose bits the benchmark digests pin.
+two recurrences, on the integer numerators of their banded fill g, whose rows
+are scaled as the rows of ``Pi`` are; float mode multiplies the tables and
+sums moments, whose bits the benchmark digests pin.
 """
 
 from __future__ import annotations
@@ -46,8 +46,10 @@ def connection_table(
     """Expansion coefficients of the target system in the source basis.
 
     Rational mode fills the monic table g from the target and source
-    recurrences; the orthonormal entry (n, k) is g[n][k] * sqrt(d_k) of the
-    source / sqrt(d_n) of the target.  Neither ``Pi`` nor ``L`` is read.
+    recurrences.  The orthonormal table is g scaled by the reader that
+    builds the target's ``Pi`` (row n over sqrt(d_n) of the target, see
+    :meth:`_Numerators.scaled`), with column k times sqrt(d_k) of the
+    source.  Neither ``Pi`` nor ``L`` is read.
     """
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}")
@@ -70,10 +72,11 @@ def connection_table(
         rows = tri_multiply(left, right).rows
     else:
         t, s = target.rec, source.rec
-        rows = _banded_fill(RATIONAL, n, target=(t.a2, t.b), source=(s.a2, s.b)).table()
-        if basis == "orthonormal":
-            down, up = target.roots, source.roots
-            rows = [[v * up[k] / down[i] for k, v in enumerate(row)] for i, row in enumerate(rows)]
+        g = _banded_fill(RATIONAL, n, target=(t.a2, t.b), source=(s.a2, s.b))
+        # r * v, not v * r: float() of a Surd multiplies its roots in set order,
+        # which for two radicals whose hashes collide is the order of insertion
+        rows = g.table() if basis == "monic" else [
+            [r * v for v, r in zip(row, source.roots)] for row in g.scaled(target.roots, by_row=True)]
     return ConnectionTable("Pi" if basis == "orthonormal" else "Eta", target.mode, rows,
                            basis=basis, target_label=target.label, source_label=source.label)
 

@@ -3,9 +3,10 @@
 The library reads connection tables, the ribbon matrix and the
 Radon-Nikodym coefficients off the two recurrences, on integer numerators
 of the banded fill.  These routines take them the long way, from the surd
-tables ``Pi`` and ``L`` of the systems and from moment sums, as the library
-once did, so the tests can require ``repr`` and ``str`` equality of every
-value and ``float.hex`` equality of every float derived from one.
+tables ``Pi`` and ``L`` of the systems, from moment sums and from generic
+surd quotients, as the library once did, so the tests can require ``repr``
+and ``str`` equality of every value and ``float.hex`` equality of every
+float derived from one.
 """
 
 from momentpoly.cholesky import TriangularTable, tri_multiply
@@ -23,6 +24,15 @@ def connection_by_tables(target, source, n, basis="orthonormal"):
     else:
         left, right = eta_table(target.rec, n), tau_table(source.rec, n)
     return tri_multiply(left, right, role=left.role).rows
+
+
+def connection_by_quotients(target, source, n):
+    """Row i of the monic table eta(target) * tau(source), entry k times
+    sqrt(d_k) of the source over sqrt(d_i) of the target, in generic surd
+    arithmetic."""
+    up, down = source.roots, target.roots
+    return [[v * up[k] / down[i] for k, v in enumerate(row)]
+            for i, row in enumerate(connection_by_tables(target, source, n, "monic"))]
 
 
 def ribbon_by_moments(alpha_sys, delta_moments, r, n):

@@ -28,7 +28,8 @@ from momentpoly.cholesky import TriangularTable
 from momentpoly.scalars import FLOAT, RATIONAL
 
 from conftest import CATALOG, positive_fractions, random_recurrence, signed_fractions
-from connect_oracle import connection_by_tables, rn_by_moments, ribbon_by_moments
+from connect_oracle import (connection_by_quotients, connection_by_tables, rn_by_moments,
+                            ribbon_by_moments)
 from polysys_oracle import as_text, ribbon_loop
 
 
@@ -242,8 +243,13 @@ class TestRibbon:
 
     def test_float_mode_pair(self):
         alpha, delta = builtin_ribbon_pair(17, FLOAT)
-        rep = ribbon_check(build_system(alpha, 8), delta, 2, 8, tol=1e-10)
-        assert rep.is_ribbon
+        alpha_sys = build_system(alpha, 8)
+        rep = ribbon_check(alpha_sys, delta, 2, 8, tol=1e-10)
+        assert rep.is_ribbon and rep.max_off_ribbon > 0
+        # tol bounds the off-ribbon magnitudes inclusively
+        worst = rep.max_off_ribbon
+        assert ribbon_check(alpha_sys, delta, 2, 8, tol=worst).is_ribbon
+        assert not ribbon_check(alpha_sys, delta, 2, 8, tol=math.nextafter(worst, 0)).is_ribbon
 
     @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
     def test_equals_hankel_loop(self, mode):
@@ -292,6 +298,12 @@ class TestRadonNikodym:
         alpha = make_moments(FamilySpec("semicircle", 11))
         exp = rn_expansion(alpha, systems["uniform"], 10)
         assert exp.omegas[0] == 1
+
+    @pytest.mark.parametrize("n", [0, 1, 10])
+    def test_order_is_the_last_index(self, systems, n):
+        alpha = make_moments(FamilySpec("semicircle", 11))
+        exp = rn_expansion(alpha, systems["uniform"], n)
+        assert exp.order == n and len(exp.omegas) == n + 1
 
     def test_symmetric_pair_kills_degree_one(self, systems):
         alpha = make_moments(FamilySpec("semicircle", 11))
@@ -381,6 +393,12 @@ def assert_matches_table_routes(target, source, alpha, n, r):
         table = connection_table(target, source, n, basis=basis)
         assert same_exact(table.rows, connection_by_tables(target, source, n, basis))
         assert_table_fields(table, target, source, n, basis)
+    # the monic table over the target's roots and times the source's, with the
+    # float bits of generic surd arithmetic: a radical set fixes the order in
+    # which float() multiplies the roots
+    floats = lambda rows: [[float(v).hex() for v in row] for row in rows]
+    assert floats(connection_table(target, source, n).rows) == \
+        floats(connection_by_quotients(target, source, n))
     exp = rn_expansion(alpha, target, n)
     want = rn_by_moments(alpha, target, n)
     assert same_exact(exp.omegas, want)
