@@ -3,15 +3,17 @@
 Run with pytest and hypothesis installed:
 
     python tests/mutation_report.py                      # every mapped module
-    python tests/mutation_report.py connect.py --sample 20 --seed 0
+    python tests/mutation_report.py connect.py --sample 20 --seed 202643
 
 For each module it lists the operator sites (``+``/``-``, ``*``/``//``,
 ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, in expressions, augmented
 assignments and comparisons), draws a fixed-seed sample of them, and for each
 drawn site writes a copy of the module with that one operator swapped, by
 ``ast``.  Each mutant runs the module's test files (``TESTS``) with ``-x`` and
-``HYPOTHESIS_PROFILE=ci``.  A mutant the tests fail, or that runs past the
-timeout, is killed; one they pass survives.  The report lists the survivors
+``HYPOTHESIS_PROFILE=ci``.  A mutant the tests fail, or that runs past
+``TIMEOUT``, is killed; one they pass survives.  The tests are derandomized,
+so one seed always draws and judges the same mutants: a new seed is what
+covers new sites.  The report lists the survivors
 per module as Markdown, minus the mutants in ``EQUIVALENT``, which cannot
 change what the library computes.
 
@@ -34,6 +36,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: seconds per mutant's test run, past which it counts as killed
+TIMEOUT = 600.0
 
 #: module -> test files that run for its mutants, the fastest and most
 #: specific first, since ``-x`` stops at the first failure
@@ -98,7 +103,7 @@ def mutate(source: str, k: int) -> tuple:
             SYMBOLS[old], SYMBOLS[SWAPS[old]])
 
 
-def run_tests(copy: Path, files: list, timeout: float) -> str:
+def run_tests(copy: Path, files: list) -> str:
     """"killed", "timeout" or "survived" for the package as it is in ``copy``."""
     # no bytecode cache: a mutant of the same size, written in the same
     # second as the one before, would otherwise run that one's stale .pyc
@@ -108,21 +113,22 @@ def run_tests(copy: Path, files: list, timeout: float) -> str:
            *(f"tests/{name}.py" for name in files)]
     try:
         done = subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout)
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if done.returncode == 0 else "killed"
 
 
-def report(module: str, copy: Path, sample: int, seed: int, timeout: float) -> bool:
+def report(module: str, copy: Path, sample: int, seed: int) -> bool:
     """Print the Markdown report of one module; False if its unmutated
     copy, written back by ``ast.unparse``, fails its own tests."""
     path = copy / "src" / "momentpoly" / module
     source = (ROOT / "src" / "momentpoly" / module).read_text(encoding="utf-8")
     files = TESTS[module]
     path.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
-    if run_tests(copy, files, timeout) != "survived":
-        print(f"### {module}\n\nthe unmutated module fails {', '.join(files)}: no report\n")
+    if run_tests(copy, files) != "survived":
+        print(f"### {module}\n\nthe unmutated module fails {', '.join(files)}: no report\n",
+              flush=True)
         path.write_text(source, encoding="utf-8")
         return False
     count = len(sites(ast.parse(source)))
@@ -131,7 +137,7 @@ def report(module: str, copy: Path, sample: int, seed: int, timeout: float) -> b
     for k in drawn:
         text, line, segment, old, new = mutate(source, k)
         path.write_text(text, encoding="utf-8")
-        outcome = run_tests(copy, files, timeout)
+        outcome = run_tests(copy, files)
         print(f"{module}:{line} `{segment}` {old} -> {new}: {outcome}", file=sys.stderr, flush=True)
         tally[outcome] += 1
         if outcome == "survived":
@@ -140,11 +146,12 @@ def report(module: str, copy: Path, sample: int, seed: int, timeout: float) -> b
             else:
                 survivors.append(f"- line {line}: `{segment}`, `{old}` -> `{new}`")
     path.write_text(source, encoding="utf-8")
+    # flushed per module: a run cut short by a job limit keeps what it wrote
     print(f"### {module}\n\n{len(drawn)} of {count} sites (seed {seed}) against "
           f"{', '.join(files)}: {tally['killed']} killed, {tally['timeout']} timed out, "
           f"{tally['survived']} survived, {equivalent} of them known equivalent\n")
     print("\n".join(survivors) if survivors else "no survivor outside the known equivalents")
-    print()
+    print(flush=True)
     return True
 
 
@@ -154,8 +161,6 @@ def main(argv=None) -> int:
                         help=f"modules under src/momentpoly (default: all of {', '.join(TESTS)})")
     parser.add_argument("--sample", type=int, default=15, help="mutants per module (default 15)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the sample (default 0)")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds per mutant's test run, past which it counts as killed")
     args = parser.parse_args(argv)
     unknown = set(args.modules) - TESTS.keys()
     if unknown:
@@ -166,9 +171,9 @@ def main(argv=None) -> int:
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
-        print("## Mutation report\n")
+        print("## Mutation report\n", flush=True)
         for module in args.modules or TESTS:
-            ok = report(module, copy, args.sample, args.seed, args.timeout) and ok
+            ok = report(module, copy, args.sample, args.seed) and ok
     return 0 if ok else 1
 
 
