@@ -6,8 +6,8 @@ The factorization runs the classical row-by-row recursion
     l[i][k]   = (m_{i+k} - sum_{j<k} l[i][j] * l[k][j]) / l[k][k]
 
 directly on the backend scalars.  The library runs it in float mode only:
-a rational Hankel matrix scales its ``L`` from the tau fill of its own
-recurrence (``HankelMoments.factor``).  On rational input the recursion still
+a rational Hankel matrix reads its ``L`` off its own Chebyshev pass
+(``HankelMoments.factor``).  On rational input the recursion still
 gives exact surd entries, which the tests use as an independent oracle.
 """
 
@@ -40,10 +40,12 @@ def check_pivot(order: int, pivot, m_2k, mode: str) -> None:
     """Raise :class:`NotPositiveDefinite` unless the order-k pivot passes.
 
     The pivot d_k = Delta_k / Delta_{k-1} must exceed 0 in rational mode and
-    ``FLOAT_PIVOT_RELATIVE * m_2k`` in float mode.  The test is ``<=``, so a
-    NaN pivot passes; NaN moments are not refused at the boundary yet.
+    ``FLOAT_PIVOT_RELATIVE * m_2k`` in float mode.  A rational pivot's sign
+    is its numerator's, read without ``Fraction.__le__``.  The float test is
+    ``<=``, so a NaN pivot passes; NaN moments are not refused at the
+    boundary yet.
     """
-    if pivot <= (0 if mode == RATIONAL else FLOAT_PIVOT_RELATIVE * m_2k):
+    if pivot.numerator <= 0 if mode == RATIONAL else pivot <= FLOAT_PIVOT_RELATIVE * m_2k:
         raise NotPositiveDefinite(order, pivot)
 
 

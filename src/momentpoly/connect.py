@@ -6,8 +6,10 @@ measures, then p_n(x, target) = sum_k gamma[n][k] p_k(x, source) with the
 lower-triangular table gamma = Pi(target) * Lambda(source); the monic
 variant is eta(target) * tau(source).  Rational mode reads all of them off the
 two recurrences, on the integer numerators of their banded fill g, whose rows
-are scaled as the rows of ``Pi`` are; float mode multiplies the tables and
-sums moments, whose bits the benchmark digests pin.
+are scaled as the rows of ``Pi`` are.  g has a source side, so it scales by
+one common denominator; the Radon-Nikodym expansion's eta fill has none, and
+steps as the Chebyshev pass does.  Float mode multiplies the tables and sums
+moments, whose bits the benchmark digests pin.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def connection_table(
         # r * v, not v * r: float() of a Surd multiplies its roots in set order,
         # which for two radicals whose hashes collide is the order of insertion
         rows = g.table() if basis == "monic" else [
-            [r * v for v, r in zip(row, source.roots)] for row in g.scaled(target.roots, by_row=True)]
+            [r * v for v, r in zip(row, source.roots)] for row in g.scaled(target.roots)]
     return ConnectionTable("Pi" if basis == "orthonormal" else "Eta", target.mode, rows,
                            basis=basis, target_label=target.label, source_label=source.label)
 
@@ -154,7 +156,7 @@ def ribbon_check(
         pi = alpha_sys.Pi.rows
         inner = lambda i, j: moment_inner_product(delta_moments, pi[i], pi[j])
     else:
-        a, (d, norms) = alpha_sys.rec, _chebyshev(delta_moments, 2 * n)
+        a, (d, norms, _) = alpha_sys.rec, _chebyshev(delta_moments, 2 * n)
         g = _banded_fill(RATIONAL, n, target=(a.a2, a.b), source=(d.a2, d.b))
         e, (weights,) = _common_scale(RATIONAL, norms)
         down = [1 / root for root in alpha_sys.roots]

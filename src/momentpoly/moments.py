@@ -14,11 +14,13 @@ from fractions import Fraction
 
 from .cholesky import TriangularTable, cholesky_decompose, invert_lower_triangular
 from .qkernel import q_hermite_recurrence
-from .recurrence import (RecurrenceCoefficients, _banded_fill, _chebyshev, _recurrence_from_inverse,
-                         moments_from_recurrence)
+from .recurrence import (RecurrenceCoefficients, _banded_fill, _chebyshev, _entries,
+                         _recurrence_from_inverse, moments_from_recurrence)
 from .scalars import (
     FLOAT,
     RATIONAL,
+    _ONE,
+    Surd,
     _product,
     as_scalar,
     as_scalars,
@@ -161,14 +163,14 @@ class HankelMoments:
     norm of the k-th monic polynomial and equals Delta_k / Delta_{k-1}; so the
     leading principal minors ``deltas`` are the running products of the d_k.
     Rational mode reads the d_k and the ``recurrence`` off one Chebyshev pass
-    over m_0..m_2n, and scales ``factor`` from the tau fill and ``inverse``
-    from the eta fill of that recurrence on first read, with no Cholesky
-    step.  Float mode factors by Cholesky and squares its pivots; reading
-    ``inverse`` inverts L, and reading ``recurrence`` takes ratios of the
-    entries of ``inverse``.  Either way the first d_k <= 0 raises
-    :class:`NotPositiveDefinite`, at the order and with the pivot that the
-    Cholesky factorization names.  Making one checks ``order >= 0`` and that
-    ``source`` reaches m_2n.
+    over m_0..m_2n, reads ``factor`` off the columns of that pass and scales
+    ``inverse`` from the eta fill of that recurrence on first read, with no
+    Cholesky step and no tau fill.  Float mode factors by Cholesky and
+    squares its pivots; reading ``inverse`` inverts L, and reading
+    ``recurrence`` takes ratios of the entries of ``inverse``.  Either way
+    the first d_k <= 0 raises :class:`NotPositiveDefinite`, at the order and
+    with the pivot that the Cholesky factorization names.  Making one checks
+    ``order >= 0`` and that ``source`` reaches m_2n.
     """
 
     order: int
@@ -195,12 +197,12 @@ class HankelMoments:
 
     @functools.cached_property
     def _monic(self) -> tuple:
-        """(recurrence, d_0..d_n): one Chebyshev pass in rational mode; float
-        mode squares the Cholesky pivots and leaves the recurrence, which
-        needs the inverse, to :attr:`recurrence`."""
+        """(recurrence, d_0..d_n, columns): one Chebyshev pass in rational
+        mode; float mode squares the Cholesky pivots and leaves the
+        recurrence, which needs the inverse, to :attr:`recurrence`."""
         if self.mode == RATIONAL:
             return _chebyshev(self.source, 2 * self.order)
-        return None, [d * d for d in self.factor.diagonal()]
+        return None, [d * d for d in self.factor.diagonal()], None
 
     @functools.cached_property
     def recurrence(self) -> RecurrenceCoefficients:
@@ -227,13 +229,24 @@ class HankelMoments:
     def factor(self) -> TriangularTable:
         """Lower-triangular L with L L^T = M, built on first read.
 
-        Rational ``L[i][j] = tau[i][j] * sqrt(d_j)``, each entry scaled from
-        the fill's integer numerator (see :meth:`_Numerators.scaled`).
+        Rational ``L[l][k] = tau[l][k] * sqrt(d_k)``, read off column k of
+        the Chebyshev pass (see :func:`_chebyshev`) with no fill:
+        tau[l][k] = N_k[l] / N_k[k], where N_k[k] > 0 once the order-k pivot
+        passed.  With sqrt(d_k) = c, a Fraction, or sqrt(r) for a radicand
+        r, column k is N_k[l] * c / N_k[k] or N_k[l] / N_k[k] * sqrt(r),
+        made by :func:`_entries` with one gcd per entry after one gcd per
+        column brings c over N_k[k] to lowest terms.
         """
         if self.mode == RATIONAL:
-            rec = self.recurrence
-            fill = _banded_fill(RATIONAL, self.order, source=(rec.a2, rec.b))
-            return TriangularTable("L", RATIONAL, fill.scaled(self.roots, by_row=False))
+            columns = []
+            for col, root in zip(self._monic[2], self.roots):
+                rad = root.radicals if isinstance(root, Surd) else None
+                c = _ONE if rad else root
+                g = math.gcd(c.numerator, col[0])
+                columns.append(_entries(col, c.numerator // g, col[0] // g * c.denominator,
+                                        itertools.repeat(rad)))
+            return TriangularTable("L", RATIONAL, [[col[l - k] for k, col in enumerate(columns[:l + 1])]
+                                                   for l in range(self.order + 1)])
         return cholesky_decompose(self)
 
     @functools.cached_property
@@ -248,7 +261,7 @@ class HankelMoments:
         if self.mode == RATIONAL:
             rec = self.recurrence
             fill = _banded_fill(RATIONAL, self.order, target=(rec.a2, rec.b))
-            return TriangularTable("Pi", RATIONAL, fill.scaled(self.roots, by_row=True))
+            return TriangularTable("Pi", RATIONAL, fill.scaled(self.roots))
         return invert_lower_triangular(self.factor)
 
     @property

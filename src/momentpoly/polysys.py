@@ -4,8 +4,8 @@ A system is its moment matrix: :class:`PolynomialSystem` is a
 :class:`HankelMoments`, which owns in both modes the factor L, its diagonal
 sqrt(d_k), the minors Delta_k, Pi = L^-1 and the three-term recurrence,
 each built on first read.  Rational mode takes the
-recurrence from one Chebyshev pass and scales Pi and L from its fills; float
-mode factors, inverts and reads the recurrence off Pi.
+recurrence and L from one Chebyshev pass and scales Pi from the eta fill;
+float mode factors, inverts and reads the recurrence off Pi.
 Evaluation, associated polynomials, the reproducing kernel and the
 finite-order spectral identities are derived from the tables.
 """

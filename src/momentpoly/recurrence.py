@@ -15,11 +15,14 @@ verbatim and reported against them.
 Every recursion table comes from one banded fill.  In rational mode it steps
 integer numerators: row m is held as integers over its own denominator E_m,
 and after each step the row and E_m are divided by their common gcd, so E_m is
-the lcm of the row's reduced denominators.  The fill hands the numerators on,
+the lcm of the row's reduced denominators.  A fill with no source side steps
+as the Chebyshev pass does, scaled by the denominators of the two
+coefficients the step reads; one with a source side scales by one D for the
+whole fill.  The fill hands the numerators on,
 and each consumer reduces to a ``Fraction`` only the entries it reads: the
 printed tables every entry, the moments column 0, a linearization one row,
 the ribbon test and the Radon-Nikodym expansion weighted sums of rows, and a
-rational Hankel matrix's ``Pi`` and ``L`` scale the numerators when first
+rational Hankel matrix's ``Pi`` scales the eta numerators when first
 read.  The near-diagonal report reduces no entry it compares: it
 cross-multiplies their integer pairs (N, E_m) with its closed forms, and
 reduces only the first mismatch of each check.  Every reader builds its
@@ -33,7 +36,9 @@ col <= count - 1 - row for the moments.  Float mode runs the same fill with
 D = 1.0 and no row denominators.  The Chebyshev pass (``_chebyshev``) runs
 the other way, from moments to the recurrence and the monic norms that a
 rational Hankel matrix factors with.  It holds its rows in the same format
-and makes d_k, a_k^2 and b_k from coprime integer parts too.  A float
+and makes d_k, a_k^2 and b_k from coprime integer parts too.  Its row k is
+d_k times column k of tau, so the rational ``L`` is read off the columns it
+hands back, with no tau fill.  A float
 Hankel matrix goes back by the other route, ``_recurrence_from_inverse``:
 Cholesky, inversion, and ratios of the entries of Pi = L^-1.
 
@@ -56,7 +61,7 @@ from functools import cached_property
 from itertools import chain, islice, repeat
 
 from .cholesky import TriangularTable, check_pivot
-from .scalars import (FLOAT, RATIONAL, _ONE, _ZERO, Surd, _difference, _over, _product, _quotient,
+from .scalars import (FLOAT, RATIONAL, _ZERO, Surd, _difference, _over, _quotient,
                       as_scalars, check_mode, one, scalar_sqrt, zero)
 
 
@@ -154,6 +159,27 @@ def _reduce_row(row: list, e: int) -> tuple:
     return [v // g for v in row], e // g
 
 
+def _step_scales(e: int, e_before: int, b, a2) -> tuple:
+    """(E, c0, cb, ca): one step of the monic recurrence on integer rows.
+
+    Row k is N_k over ``e`` and row k-1 over ``e_before``.  With b_k = p/q
+    and a_k^2 = r/t, row k+1 goes over E = lcm(e*q, e_before*t), or e*q when
+    ``a2`` is None (no term reads row k-1), and is
+    c0*(x N_k) - cb*N_k - ca*N_{k-1} with c0 = E/e, cb = p*(E/(e*q)) and
+    ca = r*(E/(e_before*t)); cb or ca is None where its coefficient is.
+    The Chebyshev pass and every fill with no source side step this way.
+    """
+    q = 1 if b is None else b.denominator
+    if a2 is None:
+        e_next, ca = e * q, None
+    else:
+        t = a2.denominator
+        e_next = math.lcm(e * q, e_before * t)
+        ca = a2.numerator * (e_next // (e_before * t))
+    c0 = e_next // e
+    return e_next, c0, None if b is None else b.numerator * (c0 // q), ca
+
+
 def _entries(row, p: int, q: int, radicals=None) -> list:
     """The entries v * p / q of an integer row, for coprime ints p and q > 0,
     each nonzero one times sqrt(r) where ``radicals`` (an iterable beside the
@@ -214,34 +240,26 @@ class _Numerators:
         """Entry (m, j) as the integer pair (N, E_m), with no gcd."""
         return self.rows[m][j], self.dens[m]
 
-    def scaled(self, roots, by_row: bool) -> list:
-        """Rows with entry (i, j) divided by ``roots[i]`` (``by_row``, Pi) or
-        multiplied by ``roots[j]`` (L).
+    def scaled(self, roots) -> list:
+        """Rows with row i divided by ``roots[i]``: the reader of ``Pi`` and of
+        the orthonormal connection table.
 
         A root is what ``exact_sqrt`` gives: a Fraction c, or
-        ``Surd(1, {r})`` = sqrt(r).  Entry (i, j) is N / E_i.  Row i of Pi is
+        ``Surd(1, {r})`` = sqrt(r).  Entry (i, j) is N / E_i, so row i is
         divided by its root as N * (1 / c) / E_i, or as
         N * (1 / r) / E_i * sqrt(r) since 1 / sqrt(r) = (1 / r) * sqrt(r):
         c or r with its parts swapped, brought to lowest terms p / q over
-        E_i by one gcd per row.  Column j of L is N * C_j / (E_i * B) times
-        sqrt(r_j), where B is the lcm of the denominators of the rational
-        roots, C_j = c_j * B for a rational root and C_j = B for sqrt(r_j).
-        :func:`_entries` reduces each entry with one gcd into the normalized
-        value that generic surd arithmetic would reach, so a zero numerator
-        gives ``Fraction(0)``.
+        E_i by one gcd per row.  :func:`_entries` reduces each entry with one
+        gcd into the normalized value that generic surd arithmetic would
+        reach, so a zero numerator gives ``Fraction(0)``.
         """
-        radicals = [root.radicals if isinstance(root, Surd) else None for root in roots]
-        if by_row:
-            out = []
-            for row, e, root, rad in zip(self.rows, self.dens, roots, radicals):
-                c = root.radicand() if rad else root
-                g = math.gcd(c.denominator, e)
-                out.append(_entries(row, c.denominator // g, c.numerator * (e // g), repeat(rad)))
-            return out
-        b, (c,) = _common_scale(RATIONAL, [_ONE if rad else root for root, rad in zip(roots, radicals)])
-        scale = any(v != 1 for v in c)  # every C_j is 1 when each rational root is 1
-        return [_entries(list(map(operator.mul, row, c)) if scale else row, 1, e * b, radicals)
-                for row, e in zip(self.rows, self.dens)]
+        out = []
+        for row, e, root in zip(self.rows, self.dens, roots):
+            rad = root.radicals if isinstance(root, Surd) else None
+            c = root.radicand() if rad else root
+            g = math.gcd(c.denominator, e)
+            out.append(_entries(row, c.denominator // g, c.numerator * (e // g), repeat(rad)))
+        return out
 
     def pairing(self, weights: list, e: int, i: int, j: int | None = None) -> Fraction:
         """sum_k entry(i, k) * entry(j, k) * weights[k] / e, or without ``j``
@@ -291,36 +309,53 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
 
     With no window the fill computes the whole triangle, as it always did.
 
-    The loop runs on integer numerators.  D is the lcm of the denominators of
-    the coefficients read, and B = b*D and A = a^2*D are integers.  Row m
-    holds integers N_m over its own denominator E_m (see :class:`_Numerators`).
-    Row m+1 is stepped over L*D, L = lcm(E_m, E_{m-1}), or L = E_m when no
-    target a^2 term reads row m-1: row m is brought to L first, and the a^2
-    term reads A_m*(L/E_{m-1})*N_{m-1}[j].  The new row and L*D are then
-    divided by their common gcd (:func:`_reduce_row`), as the Chebyshev rows
-    are.  Readers reduce an entry only when it is read.  Float mode runs the
-    same loop with D = 1.0 and no row denominators, where every product by D
-    is exact.
+    The loop runs on integer numerators.  Row m holds integers N_m over its
+    own denominator E_m (see :class:`_Numerators`), and each step ends by
+    dividing the new row and its denominator by their common gcd
+    (:func:`_reduce_row`), so rows and denominators do not depend on how a
+    step was scaled.  A fill with no source side (eta, xi1, xi2) steps as
+    :func:`_chebyshev` does (:func:`_step_scales`): with TB_m = p/q and
+    TA_m = r/t, row m+1 is over E = lcm(E_m*q, E_{m-1}*t), or E_m*q when no
+    target a^2 term reads row m-1, and
+
+        N_{m+1}[j] = (E/E_m) N_m[j-1] - p (E/(E_m q)) N_m[j]
+                     - r (E/(E_{m-1} t)) N_{m-1}[j].
+
+    A fill with a source side reads a coefficient that changes along the
+    row, so it scales by one D, the lcm of the denominators of all the
+    coefficients read, with B = b*D and A = a^2*D integers: row m+1 is over
+    L*D, L = lcm(E_m, E_{m-1}), or L = E_m when no target a^2 term reads row
+    m-1; row m is brought to L first, and the target a^2 term reads
+    A_m*(L/E_{m-1})*N_{m-1}[j].  A zero target coefficient is skipped.
+    Readers reduce an entry only when it is read.  Float mode runs the same
+    loop with D = 1.0, no row denominators and no skipped coefficient,
+    where every product by D is exact.
     """
     reach = (start + steps, start + steps, steps, steps)
-    d, (SA, SB, TA, TB) = _common_scale(mode, *(None if seq is None else seq[:top]
-                                                for seq, top in zip((*source, *target), reach)))
-    exact = not isinstance(d, float)
+    seqs = tuple(None if seq is None else seq[:top] for seq, top in zip((*source, *target), reach))
+    exact = mode == RATIONAL
+    own = exact and source == (None, None)  # each step scaled by its own denominators
+    d, (SA, SB, TA, TB) = (1, seqs) if own else _common_scale(mode, *seqs)
     z, unit = (0, 1) if exact else (0.0, 1.0)
     rows, dens = [[z] * start + [unit]], ([1] if exact else None)
     before, e_before = [z] * (start + 3), 1  # padded row -1
     for m in range(steps):
         cur = [z] + rows[m] + [z, z]  # cur[j + 1] = row_m[j]
-        above = cur
+        above, step = cur, d
         tb = None if TB is None else TB[m]
         ta = None if TA is None else TA[m]
-        if exact:
+        if own:
+            e, step, tb, ta = _step_scales(dens[m], e_before, tb, ta)
+        elif exact:
             e = dens[m] if TA is None else math.lcm(dens[m], e_before)
             c = e // dens[m]
             if c > 1:
                 above = [c * v for v in cur]
             if TA is not None:
                 ta *= e // e_before
+            e *= d
+        if exact:  # an integer zero term changes nothing; a float one can flip a zero's sign
+            tb, ta = tb or None, ta or None
         size = start + m + 2 if edge is None else min(start + m + 1, edge - m - 1) + 1
         lo = 0 if band is None else max(m + 1 - band, 0)
         row = [z] * size
@@ -328,7 +363,7 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
         if lo and left >= 0:  # a chained range costs every entry a step, so only here
             cols = chain(range(min(left + 1, lo)), cols)
         for j in cols:
-            v = d * above[j]
+            v = step * above[j]
             if SB is not None:
                 t = above[j + 1]
                 if t:
@@ -337,17 +372,17 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
                 t = above[j + 2]
                 if t:
                     v = v + SA[j + 1] * t
-            if TB is not None:
+            if tb is not None:
                 t = above[j + 1]
                 if t:
                     v = v - tb * t
-            if TA is not None:
+            if ta is not None:
                 t = before[j + 1]
                 if t:
                     v = v - ta * t
             row[j] = v
         if exact:
-            row, e = _reduce_row(row, e * d)
+            row, e = _reduce_row(row, e)
             e_before = dens[m]
             dens.append(e)
         rows.append(row)
@@ -356,7 +391,7 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
 
 
 def _chebyshev(m: MomentSequence, top: int):
-    """Recurrence and monic norms d_0..d_n from m_0..m_top, n = top // 2.
+    """(recurrence, norms d_0..d_n, columns) from m_0..m_top, n = top // 2.
 
     The Chebyshev algorithm (Gautschi, *Orthogonal Polynomials*, 2004,
     section 2.1.7) runs the monic recurrence on s_k[l] = <ptilde_k, x^l>,
@@ -375,7 +410,8 @@ def _chebyshev(m: MomentSequence, top: int):
         N_{k+1}[l] = (E/E_k) N_k[l+1] - p (E/(E_k q)) N_k[l]
                      - r (E/(E_{k-1} t)) N_{k-1}[l],
 
-    all plain ints; the row and E are then divided by their common gcd
+    all plain ints (:func:`_step_scales`, the step of the fills with no
+    source side); the row and E are then divided by their common gcd
     (:func:`_reduce_row`, shared with the fill), without which the rows of
     q-hermite grow without bound.  Only d_k, a_k^2 and b_k are made as
     ``Fraction``s, each filled from coprime integer parts with no
@@ -387,6 +423,11 @@ def _chebyshev(m: MomentSequence, top: int):
     parts of these values.  Float mode runs the same loop with E = 1.0, the
     float operators, and the factors (1.0, b_k, a_k^2), whose products are
     the plain floats bit for bit.
+
+    ``columns[k]`` is the slice N_k[k..n] of row k, which the pass computes
+    anyway.  Since x^l = sum_k tau[l][k] ptilde_k, s_k[l] = d_k tau[l][k],
+    so N_k[l] / N_k[k] = tau[l][k] whatever E_k is: a rational Hankel
+    matrix reads its ``L`` off these columns, with no tau fill.
     """
     exact = m.mode == RATIONAL
     z = zero(m.mode)
@@ -395,11 +436,12 @@ def _chebyshev(m: MomentSequence, top: int):
     ratio, divide, minus, blank = ((_over, _quotient, _difference, 0) if exact else
                                    (operator.truediv, operator.truediv, operator.sub, z))
     prev, e_prev = [blank] * (top + 1), e
-    a2, b, norms, lead = [z], [], [], z
+    a2, b, norms, columns, lead = [z], [], [], [], z
     for k in range(n + 1):
         d = ratio(cur[k], e)
         check_pivot(k, d, m.m(2 * k), m.mode)
         norms.append(d)
+        columns.append(cur[k:n + 1])
         if k:
             a2.append(divide(d, norms[k - 1]))
         if 2 * k == top:
@@ -408,11 +450,7 @@ def _chebyshev(m: MomentSequence, top: int):
         b.append(minus(quotient, lead))
         lead = quotient
         if exact:
-            q, t = b[k].denominator, a2[k].denominator
-            e_next = math.lcm(e * q, e_prev * t)
-            c0 = e_next // e
-            cb = b[k].numerator * (c0 // q)
-            ca = a2[k].numerator * (e_next // (e_prev * t))
+            e_next, c0, cb, ca = _step_scales(e, e_prev, b[k], a2[k])
         else:
             e_next, c0, cb, ca = e, e, b[k], a2[k]
         nxt = [blank] * (top + 1)
@@ -426,7 +464,7 @@ def _chebyshev(m: MomentSequence, top: int):
         if exact:
             nxt, e_next = _reduce_row(nxt, e_next)
         prev, cur, e_prev, e = cur, nxt, e, e_next
-    return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms
+    return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms, columns
 
 
 def _recurrence_from_inverse(pi: TriangularTable, label: str) -> RecurrenceCoefficients:

@@ -151,16 +151,18 @@ def recurrence_via_system(m):
 
 
 def chebyshev_fraction_oracle(m, top):
-    """(recurrence, norms) of the Chebyshev algorithm with every s_k[l] a
-    scalar of the mode: a Fraction in rational mode, so each step normalizes."""
+    """(recurrence, norms, columns) of the Chebyshev algorithm with every
+    s_k[l] a scalar of the mode: a Fraction in rational mode, so each step
+    normalizes.  ``columns[k]`` is s_k[k..n], n = top // 2."""
     z = zero(m.mode)
     n = top // 2
     prev, cur = [z] * (top + 1), list(m.moments[: top + 1])
-    a2, b, norms = [z], [], []
+    a2, b, norms, columns = [z], [], [], []
     for k in range(n + 1):
         d = cur[k]
         check_pivot(k, d, m.m(2 * k), m.mode)
         norms.append(d)
+        columns.append(cur[k:n + 1])
         if k:
             a2.append(d / norms[k - 1])
         if 2 * k == top:
@@ -175,4 +177,4 @@ def chebyshev_fraction_oracle(m, top):
                 v = v - a2[k] * prev[l]
             nxt[l] = v
         prev, cur = cur, nxt
-    return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms
+    return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms, columns

@@ -9,6 +9,7 @@ negative numerators included, and a whole rational build against
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from momentpoly import scalars as scalars_module
 from momentpoly.scalars import RATIONAL, Surd, exact_sqrt
 
 import build_oracle
+from conftest import CATALOG, random_recurrence
 from polysys_oracle import as_text
 
 #: signed Fractions with zero and big parts
@@ -182,3 +184,31 @@ class TestBuildAgainstOperators:
                 run()
             assert ("fails", got.value.order, str(got.value)) == want
             assert repr(got.value.pivot) == repr(-excess)
+
+
+def _assert_same_table(got, want):
+    assert repr(got) == repr(want)
+    assert as_text(got) == as_text(want)
+
+
+class TestLambdaOffThePass:
+    """Rational L, read off the columns of the Chebyshev pass, against tau
+    times sqrt(d_k) by the operators (``build_oracle.build``), whose tau is
+    a ``Fraction`` fill of the recurrence."""
+
+    @pytest.mark.parametrize("n", [20, 26, 32, 38])
+    @pytest.mark.parametrize("family, params",
+                             [(family, {}) for family in CATALOG] + [("q-hermite", {"q": Fraction(1, 2)})])
+    def test_catalog_equals_tau_times_root(self, family, params, n):
+        m = make_moments(FamilySpec(family, 2 * n + 1, params))
+        _assert_same_table(build_system(m, n).L.rows, build_oracle.build(m, n)["L"])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_skew_recurrence_equals_tau_times_root(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(12, 20)
+        rec = random_recurrence(rng, n)
+        assert any(rec.b)
+        m = moments_from_recurrence(rec, 2 * n + 1)
+        hank = hankel_matrix(m, n)
+        _assert_same_table(hank.factor.rows, build_oracle.build(m, n)["L"])

@@ -53,6 +53,7 @@ from momentpoly.polysys import (
 )
 from momentpoly.scalars import FLOAT, RATIONAL, exact_sqrt, format_scalar
 
+import forward_oracle
 from conftest import (
     CATALOG,
     gram_schmidt_recurrence,
@@ -172,11 +173,11 @@ def cholesky_route(m, n):
 
 @pytest.fixture
 def counted(monkeypatch):
-    # calls of the Cholesky factorization, of the float inversion and of the
-    # surd scaling
-    calls = {"cholesky": 0, "invert": 0, "scaled": 0}
+    # calls of the Cholesky factorization, of the float inversion, of the
+    # surd scaling and of the banded fills that a Hankel matrix runs
+    calls = {"cholesky": 0, "invert": 0, "scaled": 0, "fill": 0}
     factor, scaled = moments_module.cholesky_decompose, recurrence_module._Numerators.scaled
-    invert = moments_module.invert_lower_triangular
+    invert, fill = moments_module.invert_lower_triangular, moments_module._banded_fill
 
     def count(key, run):
         def wrapped(*args, **kwargs):
@@ -187,6 +188,7 @@ def counted(monkeypatch):
     monkeypatch.setattr(moments_module, "cholesky_decompose", count("cholesky", factor))
     monkeypatch.setattr(moments_module, "invert_lower_triangular", count("invert", invert))
     monkeypatch.setattr(recurrence_module._Numerators, "scaled", count("scaled", scaled))
+    monkeypatch.setattr(moments_module, "_banded_fill", count("fill", fill))
     return calls
 
 
@@ -313,9 +315,9 @@ class TestFloatOwner:
         m = make_moments(FamilySpec("uniform", 25), FLOAT)
         hank = hankel_matrix(m, 12)
         assert len(hank.deltas) == len(hank.roots) == 13
-        assert counted == {"cholesky": 1, "invert": 0, "scaled": 0}
+        assert counted == {"cholesky": 1, "invert": 0, "scaled": 0, "fill": 0}
         hank.recurrence
-        assert counted == {"cholesky": 1, "invert": 1, "scaled": 0}
+        assert counted == {"cholesky": 1, "invert": 1, "scaled": 0, "fill": 0}
 
     @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
     def test_system_is_a_view_of_its_hankel_matrix(self, mode):
@@ -354,18 +356,22 @@ class TestFloatOwner:
 
 
 class TestLazyTables:
-    """A rational build keeps the recurrence and the norms; Pi and L are
-    scaled from the fills when first read, and nothing else reads them."""
+    """A rational build keeps the recurrence, the norms and the columns of
+    its Chebyshev pass; L is read off those columns and Pi is scaled from
+    the eta fill when first read, and nothing else reads them."""
 
     @pytest.mark.parametrize("family, params", FAMILIES + [("from-recurrence", SKEW_PARAMS)])
     def test_factor_is_the_lazy_L(self, family, params, counted):
         m = make_moments(FamilySpec(family, 25, params))
         sys_ = build_system(m, 12)
-        assert sys_.order == 12 and counted["scaled"] == 0  # the order builds no table
+        assert sys_.order == 12 and counted["fill"] == counted["scaled"] == 0  # no table yet
         assert sys_.hankel.factor is sys_.L
+        # L runs no fill and no scaling: it is read off the Chebyshev pass
+        assert counted == {"cholesky": 0, "invert": 0, "scaled": 0, "fill": 0}
         pi = sys_.Pi
+        assert counted == {"cholesky": 0, "invert": 0, "scaled": 1, "fill": 1}
         assert sys_.Pi is pi and sys_.Lambda is sys_.L and len(sys_.deltas) == 13
-        assert counted == {"cholesky": 0, "invert": 0, "scaled": 2}
+        assert counted == {"cholesky": 0, "invert": 0, "scaled": 1, "fill": 1}
         chol = cholesky_decompose(hankel_matrix(m, 12))
         assert as_strings(sys_.L) == as_strings(chol)
         assert sys_.deltas == cholesky_minors(chol)
@@ -389,7 +395,7 @@ class TestLazyTables:
         rn_expansion(alpha, delta_sys, 15)
         assert ribbon_check(alpha_sys, delta, 2, 15).is_ribbon
         # the one scaling is the orthonormal connection table's, of its own fill
-        assert counted == {"cholesky": 0, "invert": 0, "scaled": 1}
+        assert counted == {"cholesky": 0, "invert": 0, "scaled": 1, "fill": 0}
         for sys_ in (alpha_sys, delta_sys):
             assert not {"factor", "inverse"} & vars(sys_.hankel).keys()
 
@@ -537,12 +543,17 @@ def chebyshev_moments(draw):
 
 
 def chebyshev_outcome(run, m, top):
-    """repr of (a2, b, norms), or the order and message of the failure."""
+    """repr of (a2, b, norms, tau columns), or the order and message of the
+    failure.  Column k of a pass is s_k[k..n] on any scale of row k (integers
+    over E_k in the library, the values themselves in the oracle), so it is
+    compared as its ratios to s_k[k], which are tau[l][k] whatever the scale."""
     try:
-        rec, norms = run(m, top)
+        rec, norms, columns = run(m, top)
     except NotPositiveDefinite as exc:
         return "fails", exc.order, str(exc)
-    return repr(rec.a2), repr(rec.b), repr(norms)
+    ratio = Fraction if m.mode == RATIONAL else operator.truediv
+    return (repr(rec.a2), repr(rec.b), repr(norms),
+            repr([[ratio(v, col[0]) for v in col] for col in columns]))
 
 
 class TestChebyshevRows:
@@ -552,11 +563,27 @@ class TestChebyshevRows:
     @given(chebyshev_moments())
     def test_rational_equals_fraction_oracle(self, drawn):
         m, top = drawn
-        rec, norms = recurrence_module._chebyshev(m, top)
-        want_rec, want_norms = chebyshev_fraction_oracle(m, top)
+        rec, norms, _ = recurrence_module._chebyshev(m, top)
+        want_rec, want_norms, _ = chebyshev_fraction_oracle(m, top)
         assert (rec.a2, rec.b, norms) == (want_rec.a2, want_rec.b, want_norms)
         assert chebyshev_outcome(recurrence_module._chebyshev, m, top) == \
             chebyshev_outcome(chebyshev_fraction_oracle, m, top)
+
+    @settings(max_examples=30, deadline=None)
+    @given(chebyshev_moments())
+    def test_columns_are_norm_times_tau(self, drawn):
+        # column k holds N_k[l] = E_k * s_k[l] for l = k..n, with E_k the
+        # positive integer N_k[k] / d_k, and s_k[l] = d_k * tau[l][k]
+        m, top = drawn
+        rec, norms, columns = recurrence_module._chebyshev(m, top)
+        n = top // 2
+        tau = forward_oracle.banded_fill(rec, n, "Tau", expand=True, b=True, a2=True).rows
+        assert [len(col) for col in columns] == list(range(n + 1, 0, -1))
+        for k, (col, d) in enumerate(zip(columns, norms)):
+            assert all(type(v) is int for v in col)
+            e = col[0] / d
+            assert e.denominator == 1 and e > 0
+            assert [v / e for v in col] == [d * tau[l][k] for l in range(k, n + 1)], k
 
     @settings(max_examples=30, deadline=None)
     @given(chebyshev_moments())

@@ -185,6 +185,24 @@ class TestIntegerFill:
             # repr pins the type and, in float mode, every bit
             assert repr(got) == repr(expect)
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(_fill_draws(30), st.integers(0, 5), st.integers(-1, 5))
+    def test_target_fill_rows_in_lowest_terms(self, symmetric, drawn, width, left):
+        # a target-only fill scales each step by the denominators that step
+        # reads; every row still ends over the lcm of its reduced
+        # denominators, with and without the report's windows
+        n, a2s, bs = drawn
+        if symmetric:
+            bs = [Fraction(0)] * (n + 1)
+        rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
+        for side in ((rec.a2, rec.b), (rec.a2, None), (None, rec.b)):
+            for window in ({}, {"band": width}, {"band": width, "left": left}):
+                fill = _banded_fill(RATIONAL, n, target=side, **window)
+                for row, e in zip(fill.rows, fill.dens):
+                    assert e > 0 and math.gcd(e, *row) == 1
+                    assert e == math.lcm(*(Fraction(v, e).denominator for v in row))
+
     @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
     def test_fill_read_twice_gives_the_same_table(self, mode):
         # no reader changes the fill: a second read of every reader gives
