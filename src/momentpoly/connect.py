@@ -6,9 +6,9 @@ measures, then p_n(x, target) = sum_k gamma[n][k] p_k(x, source) with the
 lower-triangular table gamma = Pi(target) * Lambda(source); the monic
 variant is eta(target) * tau(source).  Rational mode reads all of them off the
 two recurrences, on the integer numerators of their banded fill g, whose rows
-are scaled as the rows of ``Pi`` are.  g has a source side, so it scales by
-one common denominator; the Radon-Nikodym expansion's eta fill has none, and
-steps as the Chebyshev pass does.  Float mode multiplies the tables and sums
+are scaled as the rows of ``Pi`` are.  Both fills, g and the Radon-Nikodym
+expansion's eta, step as the Chebyshev pass does, g with its source side
+over one integer scale.  Float mode multiplies the tables and sums
 moments, whose bits the benchmark digests pin.
 """
 

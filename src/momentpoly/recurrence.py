@@ -15,10 +15,10 @@ verbatim and reported against them.
 Every recursion table comes from one banded fill.  In rational mode it steps
 integer numerators: row m is held as integers over its own denominator E_m,
 and after each step the row and E_m are divided by their common gcd, so E_m is
-the lcm of the row's reduced denominators.  A fill with no source side steps
-as the Chebyshev pass does, scaled by the denominators of the two
-coefficients the step reads; one with a source side scales by one D for the
-whole fill.  The fill hands the numerators on,
+the lcm of the row's reduced denominators.  Every fill steps as the
+Chebyshev pass does, scaled by the denominators of the two target
+coefficients the step reads and by one integer scale of the source side,
+if any.  The fill hands the numerators on,
 and each consumer reduces to a ``Fraction`` only the entries it reads: the
 printed tables every entry, the moments column 0, a linearization one row,
 the ribbon test and the Radon-Nikodym expansion weighted sums of rows, and a
@@ -32,8 +32,8 @@ operator (see ``scalars._coprime``).  Where a reader
 reads only part of a fill, the fill computes only a column window that holds
 that part and is closed under the recursion: the band row - col <= 4 for
 the near-diagonal report (O(n) entries per table) and the shrinking edge
-col <= count - 1 - row for the moments.  Float mode runs the same fill with
-D = 1.0 and no row denominators.  The Chebyshev pass (``_chebyshev``) runs
+col <= count - 1 - row for the moments.  Float mode runs the same fill on
+the floats, with no row denominators.  The Chebyshev pass (``_chebyshev``) runs
 the other way, from moments to the recurrence and the monic norms that a
 rational Hankel matrix factors with.  It holds its rows in the same format
 and makes d_k, a_k^2 and b_k from coprime integer parts too.  Its row k is
@@ -159,22 +159,25 @@ def _reduce_row(row: list, e: int) -> tuple:
     return [v // g for v in row], e // g
 
 
-def _step_scales(e: int, e_before: int, b, a2) -> tuple:
+def _step_scales(e: int, e_before: int, b, a2, ds: int = 1) -> tuple:
     """(E, c0, cb, ca): one step of the monic recurrence on integer rows.
 
-    Row k is N_k over ``e`` and row k-1 over ``e_before``.  With b_k = p/q
-    and a_k^2 = r/t, row k+1 goes over E = lcm(e*q, e_before*t), or e*q when
-    ``a2`` is None (no term reads row k-1), and is
-    c0*(x N_k) - cb*N_k - ca*N_{k-1} with c0 = E/e, cb = p*(E/(e*q)) and
-    ca = r*(E/(e_before*t)); cb or ca is None where its coefficient is.
-    The Chebyshev pass and every fill with no source side step this way.
+    Row k is N_k over ``e`` and row k-1 over ``e_before``; a source side, if
+    any, is integers over ``ds``.  With b_k = p/q and a_k^2 = r/t, row k+1
+    goes over E = lcm(e*lcm(ds, q), e_before*t), or e*lcm(ds, q) when ``a2``
+    is None (no term reads row k-1), and is c0*(x N_k) - cb*N_k - ca*N_{k-1}
+    plus c0/ds times the source terms, with c0 = E/e, cb = p*(E/(e*q)) and
+    ca = r*(E/(e_before*t)); cb or ca is None where its coefficient is.  The
+    Chebyshev pass and every rational fill step this way; with ds = 1 or
+    q = 1 the lcm is a product, so a one-sided step takes no extra lcm.
     """
     q = 1 if b is None else b.denominator
+    s = math.lcm(ds, q) if ds > 1 < q else ds * q
     if a2 is None:
-        e_next, ca = e * q, None
+        e_next, ca = e * s, None
     else:
         t = a2.denominator
-        e_next = math.lcm(e * q, e_before * t)
+        e_next = math.lcm(e * s, e_before * t)
         ca = a2.numerator * (e_next // (e_before * t))
     c0 = e_next // e
     return e_next, c0, None if b is None else b.numerator * (c0 // q), ca
@@ -313,67 +316,63 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
     own denominator E_m (see :class:`_Numerators`), and each step ends by
     dividing the new row and its denominator by their common gcd
     (:func:`_reduce_row`), so rows and denominators do not depend on how a
-    step was scaled.  A fill with no source side (eta, xi1, xi2) steps as
-    :func:`_chebyshev` does (:func:`_step_scales`): with TB_m = p/q and
-    TA_m = r/t, row m+1 is over E = lcm(E_m*q, E_{m-1}*t), or E_m*q when no
-    target a^2 term reads row m-1, and
+    step was scaled.  The source pair alone goes over one integer scale ds,
+    the lcm of its denominators (ds = 1 with no source).  Every step is
+    :func:`_step_scales`, as in :func:`_chebyshev`: with TB_m = p/q and
+    TA_m = r/t, row m+1 is over E = lcm(E_m*lcm(ds, q), E_{m-1}*t), or
+    E_m*lcm(ds, q) when no target a^2 term reads row m-1, and with c = E/E_m
 
-        N_{m+1}[j] = (E/E_m) N_m[j-1] - p (E/(E_m q)) N_m[j]
-                     - r (E/(E_{m-1} t)) N_{m-1}[j].
+        N_{m+1}[j] = c N_m[j-1] + (c/ds) (B_j N_m[j] + A_{j+1} N_m[j+1])
+                     - p (E/(E_m q)) N_m[j] - r (E/(E_{m-1} t)) N_{m-1}[j]
 
-    A fill with a source side reads a coefficient that changes along the
-    row, so it scales by one D, the lcm of the denominators of all the
-    coefficients read, with B = b*D and A = a^2*D integers: row m+1 is over
-    L*D, L = lcm(E_m, E_{m-1}), or L = E_m when no target a^2 term reads row
-    m-1; row m is brought to L first, and the target a^2 term reads
-    A_m*(L/E_{m-1})*N_{m-1}[j].  A zero target coefficient is skipped.
-    Readers reduce an entry only when it is read.  Float mode runs the same
-    loop with D = 1.0, no row denominators and no skipped coefficient,
-    where every product by D is exact.
+    for the integers B_j = ds*SB_j and A_j = ds*SA_j; c/ds scales the source
+    integers that the step reads, not the row.  A target-only fill has
+    ds = 1, and a source-only one E = E_m*ds and c/ds = 1, so neither takes
+    an lcm beyond the Chebyshev pass's.  A zero target coefficient is
+    skipped.  Readers reduce an entry only when it is read.  Float mode runs
+    the same loop with ds = 1.0, no row denominators and no skipped
+    coefficient, where every product by ds is exact.
     """
     reach = (start + steps, start + steps, steps, steps)
-    seqs = tuple(None if seq is None else seq[:top] for seq, top in zip((*source, *target), reach))
+    SA, SB, TA, TB = (None if seq is None else seq[:top] for seq, top in zip((*source, *target), reach))
     exact = mode == RATIONAL
-    own = exact and source == (None, None)  # each step scaled by its own denominators
-    d, (SA, SB, TA, TB) = (1, seqs) if own else _common_scale(mode, *seqs)
+    ds, (SA, SB) = _common_scale(mode, SA, SB)
     z, unit = (0, 1) if exact else (0.0, 1.0)
     rows, dens = [[z] * start + [unit]], ([1] if exact else None)
     before, e_before = [z] * (start + 3), 1  # padded row -1
     for m in range(steps):
         cur = [z] + rows[m] + [z, z]  # cur[j + 1] = row_m[j]
-        above, step = cur, d
+        size = start + m + 2 if edge is None else min(start + m + 1, edge - m - 1) + 1
+        sa, sb, step = SA, SB, ds
         tb = None if TB is None else TB[m]
         ta = None if TA is None else TA[m]
-        if own:
-            e, step, tb, ta = _step_scales(dens[m], e_before, tb, ta)
-        elif exact:
-            e = dens[m] if TA is None else math.lcm(dens[m], e_before)
-            c = e // dens[m]
-            if c > 1:
-                above = [c * v for v in cur]
-            if TA is not None:
-                ta *= e // e_before
-            e *= d
-        if exact:  # an integer zero term changes nothing; a float one can flip a zero's sign
+        if exact:
+            e, step, tb, ta = _step_scales(dens[m], e_before, tb, ta, ds)
+            if step > ds:  # c/ds > 1 scales the source integers this step reads
+                f = step // ds
+                if SB is not None:
+                    sb = [f * v for v in SB[:size]]
+                if SA is not None:
+                    sa = [f * v for v in SA[:size + 1]]
+            # an integer zero term changes nothing; a float one can flip a zero's sign
             tb, ta = tb or None, ta or None
-        size = start + m + 2 if edge is None else min(start + m + 1, edge - m - 1) + 1
         lo = 0 if band is None else max(m + 1 - band, 0)
         row = [z] * size
         cols = range(lo, size)
         if lo and left >= 0:  # a chained range costs every entry a step, so only here
             cols = chain(range(min(left + 1, lo)), cols)
         for j in cols:
-            v = step * above[j]
-            if SB is not None:
-                t = above[j + 1]
+            v = step * cur[j]
+            if sb is not None:
+                t = cur[j + 1]
                 if t:
-                    v = v + SB[j] * t
-            if SA is not None:
-                t = above[j + 2]
+                    v = v + sb[j] * t
+            if sa is not None:
+                t = cur[j + 2]
                 if t:
-                    v = v + SA[j + 1] * t
+                    v = v + sa[j + 1] * t
             if tb is not None:
-                t = above[j + 1]
+                t = cur[j + 1]
                 if t:
                     v = v - tb * t
             if ta is not None:
@@ -410,8 +409,8 @@ def _chebyshev(m: MomentSequence, top: int):
         N_{k+1}[l] = (E/E_k) N_k[l+1] - p (E/(E_k q)) N_k[l]
                      - r (E/(E_{k-1} t)) N_{k-1}[l],
 
-    all plain ints (:func:`_step_scales`, the step of the fills with no
-    source side); the row and E are then divided by their common gcd
+    all plain ints (:func:`_step_scales`, the step of every rational fill);
+    the row and E are then divided by their common gcd
     (:func:`_reduce_row`, shared with the fill), without which the rows of
     q-hermite grow without bound.  Only d_k, a_k^2 and b_k are made as
     ``Fraction``s, each filled from coprime integer parts with no

@@ -37,6 +37,10 @@ from polysys_oracle import as_text
 #: signed Fractions with zero and big parts
 fractions = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
 positive = st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40))
+#: row denominators and coefficient scales with shared factors
+_scales = st.sampled_from([1, 2, 3, 4, 6, 9, 12, 35, 60, 97, 360])
+#: integer rows and source coefficients, zeros included
+_int_rows = st.lists(st.integers(-10**20, 10**20) | st.just(0), max_size=6)
 #: radicands that are not perfect squares, and the absent radical
 radical_sets = st.sampled_from([None] + [frozenset((r,)) for r in
                                          (Fraction(2), Fraction(3, 5), Fraction(1, 8), Fraction(10**20 + 1, 7))])
@@ -93,6 +97,37 @@ class TestSlotHelpers:
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert_same(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_int_rows, _int_rows, _int_rows, _int_rows, _scales, _scales, _scales,
+           st.none() | st.just(Fraction(0)) | st.builds(Fraction, st.integers(-10**6, 10**6), _scales),
+           st.none() | st.builds(Fraction, st.integers(1, 10**6), _scales))
+    @example([3, 0, -5], [1], [2, 2, 2, 2], [0, 1], 6, 4, 1, Fraction(0), None)
+    @example([1, 2], [7, -1], [5], [3, 3, 3], 12, 35, 60, Fraction(7, 9), Fraction(5, 8))
+    def test_step_scales_equals_fraction_step(self, now, before, B, A, e, e_before, ds, b, a2):
+        # one integer step over E against the same step in Fraction
+        # operators: row k is N_k over e, row k-1 over e_before, and the
+        # source coefficients B and A are integers over ds
+        e_next, c0, cb, ca = recurrence_module._step_scales(e, e_before, b, a2, ds)
+        assert (cb is None) == (b is None) and (ca is None) == (a2 is None)
+        assert c0 * e == e_next and c0 % ds == 0
+
+        def at(row, j):
+            return row[j] if 0 <= j < len(row) else 0
+
+        for j in range(max(map(len, (now, before, B, A))) + 1):
+            want = (Fraction(at(now, j - 1), e)
+                    + Fraction(at(B, j), ds) * Fraction(at(now, j), e)
+                    + Fraction(at(A, j + 1), ds) * Fraction(at(now, j + 1), e))
+            source = at(B, j) * at(now, j) + at(A, j + 1) * at(now, j + 1)
+            got = c0 * at(now, j - 1) + c0 // ds * source
+            if b is not None:
+                want -= b * Fraction(at(now, j), e)
+                got -= cb * at(now, j)
+            if a2 is not None:
+                want -= a2 * Fraction(at(before, j), e_before)
+                got -= ca * at(before, j)
+            assert Fraction(got, e_next) == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.builds(Fraction, st.integers(0, 10**40), st.integers(1, 10**40)),

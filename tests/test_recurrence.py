@@ -187,21 +187,33 @@ class TestIntegerFill:
 
     @pytest.mark.parametrize("symmetric", [False, True])
     @settings(max_examples=25, deadline=None)
-    @given(_fill_draws(30), st.integers(0, 5), st.integers(-1, 5))
-    def test_target_fill_rows_in_lowest_terms(self, symmetric, drawn, width, left):
-        # a target-only fill scales each step by the denominators that step
-        # reads; every row still ends over the lcm of its reduced
-        # denominators, with and without the report's windows
+    @given(_fill_draws(30), st.integers(0, 5), st.integers(-1, 5), st.integers(1, 4), st.data())
+    def test_fill_rows_in_lowest_terms(self, symmetric, drawn, width, left, start, data):
+        # every fill steps by _step_scales, a source side over its own scale
+        # ds; every row still ends over the lcm of its reduced denominators:
+        # target only with and without the report's windows, source only,
+        # and a target over a source of another recurrence from row
+        # ``start`` > 0, as a linearization fill starts
         n, a2s, bs = drawn
         if symmetric:
             bs = [Fraction(0)] * (n + 1)
         rec = RecurrenceCoefficients((Fraction(0), *a2s), tuple(bs), RATIONAL)
-        for side in ((rec.a2, rec.b), (rec.a2, None), (None, rec.b)):
-            for window in ({}, {"band": width}, {"band": width, "left": left}):
-                fill = _banded_fill(RATIONAL, n, target=side, **window)
-                for row, e in zip(fill.rows, fill.dens):
-                    assert e > 0 and math.gcd(e, *row) == 1
-                    assert e == math.lcm(*(Fraction(v, e).denominator for v in row))
+        # the source reads indices below start + n
+        _, a2o, bo = data.draw(_fill_draws(n + start, min_n=n + start))
+        other = RecurrenceCoefficients((Fraction(0), *a2o), tuple(bo), RATIONAL)
+        sides = [{"target": side, **window}
+                 for side in ((rec.a2, rec.b), (rec.a2, None), (None, rec.b))
+                 for window in ({}, {"band": width}, {"band": width, "left": left})]
+        sides += [{"source": side, "start": at}
+                  for side in ((other.a2, other.b), (other.a2, None), (None, other.b))
+                  for at in (0, start)]
+        sides += [{"target": (rec.a2, rec.b), "source": (other.a2, other.b), "start": at}
+                  for at in (0, start)]
+        for side in sides:
+            fill = _banded_fill(RATIONAL, n, **side)
+            for row, e in zip(fill.rows, fill.dens):
+                assert e > 0 and math.gcd(e, *row) == 1
+                assert e == math.lcm(*(Fraction(v, e).denominator for v in row))
 
     @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
     def test_fill_read_twice_gives_the_same_table(self, mode):
