@@ -267,6 +267,8 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_verify_pm(args) -> int:
+    if not 0 <= args.max_error < math.inf:
+        raise ValueError(f"--max-error must be finite and non-negative, got {args.max_error}")
     params = QParams(q=args.q, rho=args.rho)
     points = None
     if args.points:

@@ -15,6 +15,7 @@ moments, whose bits the benchmark digests pin.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,10 +140,14 @@ def ribbon_check(
     with g the monic connection table from alpha to delta.  Delta's
     recurrence and norms come from its moments by the Chebyshev algorithm, so
     delta must be positive definite to order n, else
-    :class:`NotPositiveDefinite` is raised.  Float mode sums moments.
+    :class:`NotPositiveDefinite` is raised.  Float mode sums moments and
+    counts an entry past ``tol`` as off the ribbon; a ``tol`` that is NaN,
+    infinite or negative raises ``ValueError`` in either mode.
     """
     if r < 0:
         raise ValueError(f"ribbon width must be non-negative, got {r}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"ribbon tolerance must be finite and non-negative, got {tol}")
     if n < 0:
         raise ValueError("order must be nonnegative")
     if alpha_sys.order < n:

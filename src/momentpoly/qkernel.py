@@ -202,8 +202,8 @@ def kernel_weight(x: float, y: float, p: QParams, k: int) -> float:
 def _check_point(x: float, y: float, p: QParams, tol: float) -> None:
     if not (p.in_support(x) and p.in_support(y)):
         raise ValueError("evaluation point outside the support interval")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
 
 def pm_product(x: float, y: float, p: QParams, tol: float = 1e-12) -> float:

@@ -22,13 +22,14 @@ if any.  The fill hands the numerators on,
 and each consumer reduces to a ``Fraction`` only the entries it reads: the
 printed tables every entry, the moments column 0, a linearization one row,
 the ribbon test and the Radon-Nikodym expansion weighted sums of rows, and a
-rational Hankel matrix's ``Pi`` scales the eta numerators when first
-read.  The near-diagonal report reduces no entry it compares: it
-cross-multiplies their integer pairs (N, E_m) with its closed forms, and
-reduces only the first mismatch of each check.  Every reader builds its
-``Fraction`` (and each surd of ``Pi`` and ``L``) from coprime integer parts,
-a whole row with one gcd per entry (``_entries``), with no ``fractions``
-operator (see ``scalars._coprime``).  Where a reader
+rational Hankel matrix's ``Pi`` and ``L`` scale the eta numerators and the
+Chebyshev rows when first read, each row divided by its root
+(``_Numerators.scaled``).  The near-diagonal report reduces no entry it
+compares: it cross-multiplies their integer pairs (N, E_m) with its closed
+forms, and reduces only the first mismatch of each check.  Every reader
+builds its ``Fraction`` (and each surd of ``Pi`` and ``L``) from coprime
+integer parts, a whole row with one gcd per entry (``_entries``), with no
+``fractions`` operator (see ``scalars._coprime``).  Where a reader
 reads only part of a fill, the fill computes only a column window that holds
 that part and is closed under the recursion: the band row - col <= 4 for
 the near-diagonal report (O(n) entries per table) and the shrinking edge
@@ -36,9 +37,10 @@ col <= count - 1 - row for the moments.  Float mode runs the same fill on
 the floats, with no row denominators.  The Chebyshev pass (``_chebyshev``) runs
 the other way, from moments to the recurrence and the monic norms that a
 rational Hankel matrix factors with.  It holds its rows in the same format
-and makes d_k, a_k^2 and b_k from coprime integer parts too.  Its row k is
-d_k times column k of tau, so the rational ``L`` is read off the columns it
-hands back, with no tau fill.  A float
+and makes d_k, a_k^2 and b_k from coprime integer parts too.  It hands its
+rows back as a fill: row k is s_k = <ptilde_k, x^l>, d_k times column k of
+tau, so dividing it by sqrt(d_k) gives column k of the rational ``L``, with
+no tau fill.  A float
 Hankel matrix goes back by the other route, ``_recurrence_from_inverse``:
 Cholesky, inversion, and ratios of the entries of Pi = L^-1.
 
@@ -216,14 +218,17 @@ def _entries(row, p: int, q: int, radicals=None) -> list:
 class _Numerators:
     """Rows of a banded fill, each over its own denominator.
 
-    In rational mode row m holds integers N over ``dens[m]`` = E_m > 0, with
-    gcd(E_m, *N) = 1, so E_m is the lcm of the reduced denominators of the
-    row; float mode holds the entries themselves, with ``dens`` None.  Each
-    reader reduces only the entries it returns, and builds every
-    ``Fraction`` from coprime parts.  :meth:`row`, :meth:`column` and
-    :meth:`table` serve both modes, float mode returning the entries as they
-    are; :meth:`pair`, :meth:`scaled` and :meth:`pairing` are rational only.
-    No reader changes the fill.
+    In rational mode row m holds integers N over ``dens[m]`` = E_m > 0; float
+    mode holds the entries themselves, with ``dens`` None.  A fill's rows
+    keep gcd(E_m, *N) = 1, so E_m is the lcm of the reduced denominators of
+    the row.  The Chebyshev pass hands back slices N_k[k..n] of its rows, and
+    there the invariant holds for the whole row only: row 0 sits over the lcm
+    of all of m_0..m_2n.  No reader relies on it, since :func:`_entries` and
+    ``_over`` reduce each entry.  Each reader reduces only the entries it
+    returns, and builds every ``Fraction`` from coprime parts.
+    :meth:`row`, :meth:`column` and :meth:`table` serve both modes, float
+    mode returning the entries as they are; :meth:`pair`, :meth:`scaled` and
+    :meth:`pairing` are rational only.  No reader changes the fill.
     """
 
     rows: list
@@ -244,8 +249,8 @@ class _Numerators:
         return self.rows[m][j], self.dens[m]
 
     def scaled(self, roots) -> list:
-        """Rows with row i divided by ``roots[i]``: the reader of ``Pi`` and of
-        the orthonormal connection table.
+        """Rows with row i divided by ``roots[i]``: the reader of ``Pi``,
+        ``L`` and the orthonormal connection table.
 
         A root is what ``exact_sqrt`` gives: a Fraction c, or
         ``Surd(1, {r})`` = sqrt(r).  Entry (i, j) is N / E_i, so row i is
@@ -390,7 +395,7 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
 
 
 def _chebyshev(m: MomentSequence, top: int):
-    """(recurrence, norms d_0..d_n, columns) from m_0..m_top, n = top // 2.
+    """(recurrence, norms d_0..d_n, rows) from m_0..m_top, n = top // 2.
 
     The Chebyshev algorithm (Gautschi, *Orthogonal Polynomials*, 2004,
     section 2.1.7) runs the monic recurrence on s_k[l] = <ptilde_k, x^l>,
@@ -423,10 +428,13 @@ def _chebyshev(m: MomentSequence, top: int):
     float operators, and the factors (1.0, b_k, a_k^2), whose products are
     the plain floats bit for bit.
 
-    ``columns[k]`` is the slice N_k[k..n] of row k, which the pass computes
-    anyway.  Since x^l = sum_k tau[l][k] ptilde_k, s_k[l] = d_k tau[l][k],
-    so N_k[l] / N_k[k] = tau[l][k] whatever E_k is: a rational Hankel
-    matrix reads its ``L`` off these columns, with no tau fill.
+    ``rows`` is a :class:`_Numerators` that holds, as its row k, the slice
+    N_k[k..n] that the pass computes anyway, over E_k (``dens`` None in
+    float mode), so its ``row(k)`` is s_k[k..n].  Since
+    s_k[l] = <x^l, ptilde_k> and p_k = ptilde_k / sqrt(d_k),
+    s_k[l] / sqrt(d_k) = <x^l, p_k> = L[l][k]: a rational Hankel matrix
+    reads its ``L`` off these rows by :meth:`_Numerators.scaled`, as it
+    reads ``Pi`` off the eta fill, with no tau fill.
     """
     exact = m.mode == RATIONAL
     z = zero(m.mode)
@@ -435,12 +443,13 @@ def _chebyshev(m: MomentSequence, top: int):
     ratio, divide, minus, blank = ((_over, _quotient, _difference, 0) if exact else
                                    (operator.truediv, operator.truediv, operator.sub, z))
     prev, e_prev = [blank] * (top + 1), e
-    a2, b, norms, columns, lead = [z], [], [], [], z
+    a2, b, norms, columns, dens, lead = [z], [], [], [], [], z
     for k in range(n + 1):
         d = ratio(cur[k], e)
         check_pivot(k, d, m.m(2 * k), m.mode)
         norms.append(d)
         columns.append(cur[k:n + 1])
+        dens.append(e)
         if k:
             a2.append(divide(d, norms[k - 1]))
         if 2 * k == top:
@@ -463,7 +472,8 @@ def _chebyshev(m: MomentSequence, top: int):
         if exact:
             nxt, e_next = _reduce_row(nxt, e_next)
         prev, cur, e_prev, e = cur, nxt, e, e_next
-    return RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label), norms, columns
+    rec = RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label)
+    return rec, norms, _Numerators(columns, dens if exact else None)
 
 
 def _recurrence_from_inverse(pi: TriangularTable, label: str) -> RecurrenceCoefficients:

@@ -48,8 +48,8 @@ TESTS = {
     "connect.py": ["test_connect", "test_library_digest", "test_acceptance", "test_polysys",
                    "test_cli"],
     "linearize.py": ["test_linearize", "test_library_digest", "test_acceptance", "test_cli"],
-    "moments.py": ["test_moments", "test_library_digest", "test_cholesky", "test_polysys",
-                   "test_cli"],
+    "moments.py": ["test_moments", "test_integer_parts", "test_library_digest", "test_cholesky",
+                   "test_polysys", "test_cli"],
     "polysys.py": ["test_polysys", "test_library_digest", "test_cholesky", "test_acceptance"],
     "qkernel.py": ["test_qkernel", "test_library_digest", "test_acceptance", "test_cli"],
     "recurrence.py": ["test_recurrence", "test_integer_parts", "test_library_digest",

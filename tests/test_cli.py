@@ -538,6 +538,17 @@ class TestConnect:
         assert 0 < strict["max_off_ribbon"] == loose["max_off_ribbon"]
         assert strict["is_ribbon"] is False
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_float_ribbon_refuses_bad_tol(self, files, tol, capsys):
+        # the uniform/delta pair is off the 1-ribbon, so NaN or inf would
+        # have passed it and -1 would fail any pair
+        args = ["connect", files["rib_alpha"], files["rib_delta"], "-n", "8",
+                "--ribbon", "1", "--mode", "float", "--tol", tol]
+        assert cli_main(args) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ribbon tolerance must be finite and non-negative")
+
     def test_ribbon_negative_control(self, files):
         res = run_cli("connect", files["rib_alpha"], files["rib_delta"], "-n", "8",
                       "--ribbon", "1")
@@ -591,6 +602,27 @@ class TestVerifyPM:
         res = run_cli("verify-pm", "--q", "0.5", "--rho", "0.3", "--mode", "rational")
         assert res.returncode == 2
         assert "unrecognized arguments: --mode rational" in res.stderr
+
+    @pytest.mark.parametrize("flag, value, message", [
+        # NaN and inf would pass every point, and a negative bound fail them all
+        ("--max-error", "nan", "--max-error must be finite and non-negative"),
+        ("--max-error", "inf", "--max-error must be finite and non-negative"),
+        ("--max-error", "-1", "--max-error must be finite and non-negative"),
+        # a NaN tol never stops the loops, and an inf one stops them at once
+        ("--trunc-tol", "nan", "tol must be positive and finite"),
+        ("--trunc-tol", "inf", "tol must be positive and finite"),
+        ("--trunc-tol", "0", "tol must be positive and finite"),
+    ])
+    def test_bad_tolerance_exits_one(self, flag, value, message, capsys):
+        assert cli_main(["verify-pm", "--q", "0.5", "--rho", "0.9", flag, value]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {message}")
+
+    def test_zero_max_error_is_judged(self, capsys):
+        assert cli_main(["verify-pm", "--q", "0.5", "--rho", "0.9", "--points", "1,-1",
+                         "--max-error", "0"]) == 3
+        assert json.loads(capsys.readouterr().out)["max_error"] > 0
 
     def test_invalid_q_exits_one(self):
         assert run_cli("verify-pm", "--q", "1.5", "--rho", "0.3").returncode == 1

@@ -252,6 +252,15 @@ class TestRibbon:
         assert not ribbon_check(alpha_sys, delta, 2, 8, tol=math.nextafter(worst, 0)).is_ribbon
 
     @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tol_not_finite_and_nonnegative_rejected(self, mode, tol):
+        # NaN and inf would pass every pair (a comparison with NaN is False),
+        # and a negative tol would fail every pair, zeros included
+        alpha, delta = builtin_ribbon_pair(17, mode)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ribbon_check(build_system(alpha, 8), delta, 2, 8, tol=tol)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
     def test_equals_hankel_loop(self, mode):
         alpha, delta = builtin_ribbon_pair(17, mode)
         gauss = make_moments(FamilySpec("gaussian", 17), mode)

@@ -356,9 +356,9 @@ class TestFloatOwner:
 
 
 class TestLazyTables:
-    """A rational build keeps the recurrence, the norms and the columns of
-    its Chebyshev pass; L is read off those columns and Pi is scaled from
-    the eta fill when first read, and nothing else reads them."""
+    """A rational build keeps the recurrence, the norms and the rows of its
+    Chebyshev pass; L is scaled from those rows and Pi from the eta fill
+    when first read, and nothing else reads them."""
 
     @pytest.mark.parametrize("family, params", FAMILIES + [("from-recurrence", SKEW_PARAMS)])
     def test_factor_is_the_lazy_L(self, family, params, counted):
@@ -366,12 +366,12 @@ class TestLazyTables:
         sys_ = build_system(m, 12)
         assert sys_.order == 12 and counted["fill"] == counted["scaled"] == 0  # no table yet
         assert sys_.hankel.factor is sys_.L
-        # L runs no fill and no scaling: it is read off the Chebyshev pass
-        assert counted == {"cholesky": 0, "invert": 0, "scaled": 0, "fill": 0}
+        # L runs no fill: it scales the rows of the Chebyshev pass
+        assert counted == {"cholesky": 0, "invert": 0, "scaled": 1, "fill": 0}
         pi = sys_.Pi
-        assert counted == {"cholesky": 0, "invert": 0, "scaled": 1, "fill": 1}
+        assert counted == {"cholesky": 0, "invert": 0, "scaled": 2, "fill": 1}
         assert sys_.Pi is pi and sys_.Lambda is sys_.L and len(sys_.deltas) == 13
-        assert counted == {"cholesky": 0, "invert": 0, "scaled": 1, "fill": 1}
+        assert counted == {"cholesky": 0, "invert": 0, "scaled": 2, "fill": 1}
         chol = cholesky_decompose(hankel_matrix(m, 12))
         assert as_strings(sys_.L) == as_strings(chol)
         assert sys_.deltas == cholesky_minors(chol)
@@ -543,17 +543,16 @@ def chebyshev_moments(draw):
 
 
 def chebyshev_outcome(run, m, top):
-    """repr of (a2, b, norms, tau columns), or the order and message of the
-    failure.  Column k of a pass is s_k[k..n] on any scale of row k (integers
-    over E_k in the library, the values themselves in the oracle), so it is
-    compared as its ratios to s_k[k], which are tau[l][k] whatever the scale."""
+    """repr of (a2, b, norms, rows s_k[k..n] as lists), or the order and
+    message of the failure.  The library hands its rows back as a fill,
+    integers over E_k read through ``row``; the oracle as the values."""
     try:
-        rec, norms, columns = run(m, top)
+        rec, norms, rows = run(m, top)
     except NotPositiveDefinite as exc:
         return "fails", exc.order, str(exc)
-    ratio = Fraction if m.mode == RATIONAL else operator.truediv
-    return (repr(rec.a2), repr(rec.b), repr(norms),
-            repr([[ratio(v, col[0]) for v in col] for col in columns]))
+    if isinstance(rows, recurrence_module._Numerators):
+        rows = rows.table()
+    return repr(rec.a2), repr(rec.b), repr(norms), repr([list(row) for row in rows])
 
 
 class TestChebyshevRows:
@@ -572,18 +571,17 @@ class TestChebyshevRows:
     @settings(max_examples=30, deadline=None)
     @given(chebyshev_moments())
     def test_columns_are_norm_times_tau(self, drawn):
-        # column k holds N_k[l] = E_k * s_k[l] for l = k..n, with E_k the
-        # positive integer N_k[k] / d_k, and s_k[l] = d_k * tau[l][k]
+        # row k holds the integers N_k[l] = E_k * s_k[l] for l = k..n over
+        # the positive integer E_k, and s_k[l] = d_k * tau[l][k]
         m, top = drawn
-        rec, norms, columns = recurrence_module._chebyshev(m, top)
+        rec, norms, rows = recurrence_module._chebyshev(m, top)
         n = top // 2
         tau = forward_oracle.banded_fill(rec, n, "Tau", expand=True, b=True, a2=True).rows
-        assert [len(col) for col in columns] == list(range(n + 1, 0, -1))
-        for k, (col, d) in enumerate(zip(columns, norms)):
-            assert all(type(v) is int for v in col)
-            e = col[0] / d
-            assert e.denominator == 1 and e > 0
-            assert [v / e for v in col] == [d * tau[l][k] for l in range(k, n + 1)], k
+        assert [len(row) for row in rows.rows] == list(range(n + 1, 0, -1))
+        for k, (row, e, d) in enumerate(zip(rows.rows, rows.dens, norms)):
+            assert all(type(v) is int for v in row) and type(e) is int and e > 0
+            assert row[0] == e * d
+            assert rows.row(k) == [d * tau[l][k] for l in range(k, n + 1)], k
 
     @settings(max_examples=30, deadline=None)
     @given(chebyshev_moments())

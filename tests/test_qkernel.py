@@ -198,6 +198,14 @@ class TestKernelIdentity:
         with pytest.raises(ValueError, match="tol must be positive"):
             pm_product(0.0, 0.0, QParams(q=0.5, rho=0.3), tol=0)
 
+    @pytest.mark.parametrize("run", [pm_product, pm_series])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_tol_not_finite_rejected(self, run, tol):
+        # NaN never stops the loops, so they run every term and fail to
+        # converge; inf stops them after a few terms, far from the value
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            run(0.0, 0.0, QParams(q=0.5, rho=0.3), tol=tol)
+
     def test_series_magnitude_measures_cancellation(self):
         # H_j(-x) = (-1)^j H_j(x): the terms at (x, -x) are those at (x, x)
         # with alternating signs, all positive at (x, x)
