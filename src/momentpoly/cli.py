@@ -166,6 +166,8 @@ def _cmd_recurrence(args) -> int:
         # random draws serve --verify-closed-forms only; tables read a file
         print("a recurrence file is required for this operation", file=sys.stderr)
         return 1
+    if sum(v is not None for v in (*tables, args.verify_closed_forms)) > 1:
+        raise ValueError("pass one of --moments, --eta, --tau and --verify-closed-forms")
     if args.recfile is None:
         rng = random.Random(args.seed)
         recs = [_random_recurrence(rng, args.verify_closed_forms + 5)

@@ -15,10 +15,10 @@ verbatim and reported against them.
 Every recursion table comes from one banded fill.  In rational mode it steps
 integer numerators: row m is held as integers over its own denominator E_m,
 and after each step the row and E_m are divided by their common gcd, so E_m is
-the lcm of the row's reduced denominators.  Every fill steps as the
-Chebyshev pass does, scaled by the denominators of the two target
-coefficients the step reads and by one integer scale of the source side,
-if any.  The fill hands the numerators on,
+the lcm of the row's reduced denominators.  Every fill and the Chebyshev
+pass make each row by one step (``_row_step``), scaled by the denominators
+of the two target coefficients it reads and by one integer scale of the
+source side, if any.  The fill hands the numerators on,
 and each consumer reduces to a ``Fraction`` only the entries it reads: the
 printed tables every entry, the moments column 0, a linearization one row,
 the ribbon test and the Radon-Nikodym expansion weighted sums of rows, and a
@@ -36,8 +36,10 @@ the near-diagonal report (O(n) entries per table) and the shrinking edge
 col <= count - 1 - row for the moments.  Float mode runs the same fill on
 the floats, with no row denominators.  The Chebyshev pass (``_chebyshev``) runs
 the other way, from moments to the recurrence and the monic norms that a
-rational Hankel matrix factors with.  It holds its rows in the same format
-and makes d_k, a_k^2 and b_k from coprime integer parts too.  It hands its
+rational Hankel matrix factors with.  Its rows s_k[l] = <ptilde_k, x^l>
+follow the same recurrence, so it steps them as a fill does, with the x
+term read one column over, and it makes d_k, a_k^2 and b_k from coprime
+integer parts too.  It hands its
 rows back as a fill: row k is s_k = <ptilde_k, x^l>, d_k times column k of
 tau, so dividing it by sqrt(d_k) gives column k of the rational ``L``, with
 no tau fill.  A float
@@ -170,8 +172,9 @@ def _step_scales(e: int, e_before: int, b, a2, ds: int = 1) -> tuple:
     is None (no term reads row k-1), and is c0*(x N_k) - cb*N_k - ca*N_{k-1}
     plus c0/ds times the source terms, with c0 = E/e, cb = p*(E/(e*q)) and
     ca = r*(E/(e_before*t)); cb or ca is None where its coefficient is.  The
-    Chebyshev pass and every rational fill step this way; with ds = 1 or
-    q = 1 the lcm is a product, so a one-sided step takes no extra lcm.
+    rational :func:`_row_step`, of the Chebyshev pass and of every fill,
+    takes these; with ds = 1 or q = 1 the lcm is a product, so a one-sided
+    step takes no extra lcm.
     """
     q = 1 if b is None else b.denominator
     s = math.lcm(ds, q) if ds > 1 < q else ds * q
@@ -281,6 +284,68 @@ class _Numerators:
         return [self.row(m) for m in range(len(self.rows))]
 
 
+def _row_step(xs: list, cur: list, before: list, cols, size: int, e, e_before, b, a2,
+              ds=1, sb=None, sa=None) -> tuple:
+    """(row k+1, its denominator): one step of the monic recurrence
+    ptilde_{k+1} = (x - b_k) ptilde_k - a_k^2 ptilde_{k-1} on rows, the one
+    step of every fill and of the Chebyshev pass.
+
+    ``cur`` and ``before`` are rows k and k-1 with one zero in front, so
+    ``cur[j + 1]`` is entry j of row k.  Entry j of row k+1, for j in
+    ``cols`` out of ``size`` (the others stay zero), sums
+
+        c0 xs[j] + (c0/ds) (sb[j] cur[j+1] + sa[j+1] cur[j+2])
+                 - cb cur[j+1] - ca before[j+1]
+
+    in that order, with no term whose factor is None or reads a zero entry.
+    The x term reads ``xs``.  A fill passes ``cur``, so that term reads
+    column j-1 of row k: a fill expands x ptilde_k in its columns.  The
+    Chebyshev pass passes row k from column 1 on, since its s_{k+1}[l] reads
+    s_k[l+1] = <ptilde_k, x^(l+1)>.  ``sb`` and ``sa``, the source side of a
+    fill, are integers over one scale ``ds``.
+
+    In rational mode rows k and k-1 are integers over the ints ``e`` and
+    ``e_before``.  :func:`_step_scales` gives E, c0, cb and ca from
+    b = b_k and a2 = a_k^2; where c0/ds > 1 it scales the source integers the
+    step reads, not the row; a zero cb or ca changes nothing and is skipped;
+    and the row over E ends in lowest terms (:func:`_reduce_row`).  Float mode
+    has no denominator: ``e`` is 1.0 and is returned as it is, c0 = ds,
+    cb = b and ca = a2, and a zero factor is not skipped, since a float zero
+    term can flip a zero's sign.
+    """
+    c0, exact = ds, not isinstance(e, float)
+    if exact:
+        e, c0, b, a2 = _step_scales(e, e_before, b, a2, ds)
+        if c0 > ds:  # c0/ds > 1 scales the source integers this step reads
+            f = c0 // ds
+            if sb is not None:
+                sb = [f * v for v in sb[:size]]
+            if sa is not None:
+                sa = [f * v for v in sa[:size + 1]]
+        b, a2 = b or None, a2 or None
+    row = [0 if exact else 0.0] * size
+    for j in cols:
+        v = c0 * xs[j]
+        if sb is not None:
+            t = cur[j + 1]
+            if t:
+                v = v + sb[j] * t
+        if sa is not None:
+            t = cur[j + 2]
+            if t:
+                v = v + sa[j + 1] * t
+        if b is not None:
+            t = cur[j + 1]
+            if t:
+                v = v - b * t
+        if a2 is not None:
+            t = before[j + 1]
+            if t:
+                v = v - a2 * t
+        row[j] = v
+    return _reduce_row(row, e) if exact else (row, e)
+
+
 def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, None),
                  start: int = 0, band: int | None = None, left: int = -1,
                  edge: int | None = None) -> _Numerators:
@@ -317,81 +382,45 @@ def _banded_fill(mode: str, steps: int, *, target=(None, None), source=(None, No
 
     With no window the fill computes the whole triangle, as it always did.
 
-    The loop runs on integer numerators.  Row m holds integers N_m over its
-    own denominator E_m (see :class:`_Numerators`), and each step ends by
-    dividing the new row and its denominator by their common gcd
-    (:func:`_reduce_row`), so rows and denominators do not depend on how a
-    step was scaled.  The source pair alone goes over one integer scale ds,
-    the lcm of its denominators (ds = 1 with no source).  Every step is
-    :func:`_step_scales`, as in :func:`_chebyshev`: with TB_m = p/q and
-    TA_m = r/t, row m+1 is over E = lcm(E_m*lcm(ds, q), E_{m-1}*t), or
-    E_m*lcm(ds, q) when no target a^2 term reads row m-1, and with c = E/E_m
+    Each row is one :func:`_row_step`, the step of the Chebyshev pass.  In
+    rational mode row m holds integers N_m over its own denominator E_m (see
+    :class:`_Numerators`), in lowest terms, so rows and denominators do not
+    depend on how a step was scaled.  The source pair alone goes over one
+    integer scale ds, the lcm of its denominators (ds = 1 with no source).
+    With TB_m = p/q and TA_m = r/t, row m+1 is over
+    E = lcm(E_m*lcm(ds, q), E_{m-1}*t), or E_m*lcm(ds, q) when no target a^2
+    term reads row m-1 (:func:`_step_scales`), and with c = E/E_m
 
         N_{m+1}[j] = c N_m[j-1] + (c/ds) (B_j N_m[j] + A_{j+1} N_m[j+1])
                      - p (E/(E_m q)) N_m[j] - r (E/(E_{m-1} t)) N_{m-1}[j]
 
-    for the integers B_j = ds*SB_j and A_j = ds*SA_j; c/ds scales the source
-    integers that the step reads, not the row.  A target-only fill has
+    for the integers B_j = ds*SB_j and A_j = ds*SA_j.  A target-only fill has
     ds = 1, and a source-only one E = E_m*ds and c/ds = 1, so neither takes
-    an lcm beyond the Chebyshev pass's.  A zero target coefficient is
-    skipped.  Readers reduce an entry only when it is read.  Float mode runs
-    the same loop with ds = 1.0, no row denominators and no skipped
-    coefficient, where every product by ds is exact.
+    an lcm beyond the Chebyshev pass's.  Readers reduce an entry only when it
+    is read.  Float mode runs the same step with ds = 1.0 and no row
+    denominators, where every product by ds is exact.
     """
     reach = (start + steps, start + steps, steps, steps)
     SA, SB, TA, TB = (None if seq is None else seq[:top] for seq, top in zip((*source, *target), reach))
     exact = mode == RATIONAL
     ds, (SA, SB) = _common_scale(mode, SA, SB)
     z, unit = (0, 1) if exact else (0.0, 1.0)
-    rows, dens = [[z] * start + [unit]], ([1] if exact else None)
-    before, e_before = [z] * (start + 3), 1  # padded row -1
+    rows, dens = [[z] * start + [unit]], [unit]
+    before = [z] * (start + 3)  # padded row -1, over dens[-1] = dens[0] = 1 at m = 0
     for m in range(steps):
-        cur = [z] + rows[m] + [z, z]  # cur[j + 1] = row_m[j]
+        cur = [z, *rows[m], z, z]  # cur[j + 1] = row_m[j]
         size = start + m + 2 if edge is None else min(start + m + 1, edge - m - 1) + 1
-        sa, sb, step = SA, SB, ds
-        tb = None if TB is None else TB[m]
-        ta = None if TA is None else TA[m]
-        if exact:
-            e, step, tb, ta = _step_scales(dens[m], e_before, tb, ta, ds)
-            if step > ds:  # c/ds > 1 scales the source integers this step reads
-                f = step // ds
-                if SB is not None:
-                    sb = [f * v for v in SB[:size]]
-                if SA is not None:
-                    sa = [f * v for v in SA[:size + 1]]
-            # an integer zero term changes nothing; a float one can flip a zero's sign
-            tb, ta = tb or None, ta or None
         lo = 0 if band is None else max(m + 1 - band, 0)
-        row = [z] * size
         cols = range(lo, size)
         if lo and left >= 0:  # a chained range costs every entry a step, so only here
             cols = chain(range(min(left + 1, lo)), cols)
-        for j in cols:
-            v = step * cur[j]
-            if sb is not None:
-                t = cur[j + 1]
-                if t:
-                    v = v + sb[j] * t
-            if sa is not None:
-                t = cur[j + 2]
-                if t:
-                    v = v + sa[j + 1] * t
-            if tb is not None:
-                t = cur[j + 1]
-                if t:
-                    v = v - tb * t
-            if ta is not None:
-                t = before[j + 1]
-                if t:
-                    v = v - ta * t
-            row[j] = v
-        if exact:
-            row, e = _reduce_row(row, e)
-            e_before = dens[m]
-            dens.append(e)
+        row, e = _row_step(cur, cur, before, cols, size, dens[m], dens[m - 1],
+                           None if TB is None else TB[m], None if TA is None else TA[m],
+                           ds, SB, SA)
         rows.append(row)
+        dens.append(e)
         before = cur
-    return _Numerators(rows, dens)
+    return _Numerators(rows, dens if exact else None)
 
 
 def _chebyshev(m: MomentSequence, top: int):
@@ -405,28 +434,25 @@ def _chebyshev(m: MomentSequence, top: int):
     through :func:`check_pivot` against m_{2k}, in either mode, before any
     division by it.  O(top^2) steps.
 
-    In rational mode row s_k is held as integer numerators N_k over its own
-    row denominator E_k, as :func:`_banded_fill` holds its rows.  N_0 is m
-    times E_0, the lcm of the moment denominators, as :func:`_common_scale`
-    gives.  With b_k = p/q and a_k^2 = r/t, the next row has
-    E = lcm(E_k q, E_{k-1} t) and
+    Each row is one :func:`_row_step`, the step of every fill, with b_k and
+    a_k^2 as the target pair, no source side, and row k from column 1 on as
+    the list its x term reads:
 
-        N_{k+1}[l] = (E/E_k) N_k[l+1] - p (E/(E_k q)) N_k[l]
-                     - r (E/(E_{k-1} t)) N_{k-1}[l],
+        s_{k+1}[l] = s_k[l+1] - b_k s_k[l] - a_k^2 s_{k-1}[l],  k < l < top - k.
 
-    all plain ints (:func:`_step_scales`, the step of every rational fill);
-    the row and E are then divided by their common gcd
-    (:func:`_reduce_row`, shared with the fill), without which the rows of
-    q-hermite grow without bound.  Only d_k, a_k^2 and b_k are made as
+    A zero b_k or a_k^2 (a_0^2 = 0) is passed as None, so that term is
+    skipped in float mode too.  In rational mode row s_k is held as integer
+    numerators N_k over its own row denominator E_k, in lowest terms, as a
+    fill holds its rows; unreduced, the rows of q-hermite grow without
+    bound.  N_0 is m times E_0, the lcm of the moment denominators, as
+    :func:`_common_scale` gives.  Only d_k, a_k^2 and b_k are made as
     ``Fraction``s, each filled from coprime integer parts with no
     ``fractions`` operator: d_k = N_k[k] / E_k and
     s_k[k+1] / d_k = N_k[k+1] / N_k[k] by one gcd each (``_over``; N_k[k] > 0
     once the pivot passed), a_k^2 = d_k / d_{k-1} by the two cross gcds of
     a product (``_quotient``), and b_k as one integer difference over the
-    product of the denominators (``_difference``).  p, q, r and t are the
-    parts of these values.  Float mode runs the same loop with E = 1.0, the
-    float operators, and the factors (1.0, b_k, a_k^2), whose products are
-    the plain floats bit for bit.
+    product of the denominators (``_difference``).  Float mode runs on the
+    floats with E = 1.0 and the float operators.
 
     ``rows`` is a :class:`_Numerators` that holds, as its row k, the slice
     N_k[k..n] that the pass computes anyway, over E_k (``dens`` None in
@@ -439,39 +465,27 @@ def _chebyshev(m: MomentSequence, top: int):
     exact = m.mode == RATIONAL
     z = zero(m.mode)
     n = top // 2
-    e, (cur,) = _common_scale(m.mode, m.moments[: top + 1])
-    ratio, divide, minus, blank = ((_over, _quotient, _difference, 0) if exact else
-                                   (operator.truediv, operator.truediv, operator.sub, z))
-    prev, e_prev = [blank] * (top + 1), e
+    e, (row,) = _common_scale(m.mode, m.moments[: top + 1])
+    ratio, divide, minus = ((_over, _quotient, _difference) if exact else
+                            (operator.truediv, operator.truediv, operator.sub))
+    cur = None  # row -1, which a_0^2 = 0 never reads
     a2, b, norms, columns, dens, lead = [z], [], [], [], [], z
     for k in range(n + 1):
-        d = ratio(cur[k], e)
+        d = ratio(row[k], e)
         check_pivot(k, d, m.m(2 * k), m.mode)
         norms.append(d)
-        columns.append(cur[k:n + 1])
+        columns.append(row[k:n + 1])
         dens.append(e)
         if k:
             a2.append(divide(d, norms[k - 1]))
         if 2 * k == top:
             break
-        quotient = ratio(cur[k + 1], cur[k])  # s_k[k+1] / d_k, and N_k[k] > 0
+        quotient = ratio(row[k + 1], row[k])  # s_k[k+1] / d_k, and N_k[k] > 0
         b.append(minus(quotient, lead))
         lead = quotient
-        if exact:
-            e_next, c0, cb, ca = _step_scales(e, e_prev, b[k], a2[k])
-        else:
-            e_next, c0, cb, ca = e, e, b[k], a2[k]
-        nxt = [blank] * (top + 1)
-        for l in range(k + 1, top - k):  # s_{k+1}[l], zero terms skipped
-            v = c0 * cur[l + 1]
-            if cb and cur[l]:
-                v = v - cb * cur[l]
-            if k and prev[l]:
-                v = v - ca * prev[l]
-            nxt[l] = v
-        if exact:
-            nxt, e_next = _reduce_row(nxt, e_next)
-        prev, cur, e_prev, e = cur, nxt, e, e_next
+        before, cur = cur, [0, *row]
+        row, e = _row_step(row[1:], cur, before, range(k + 1, top - k), top - k, e, dens[k - 1],
+                           b[k] or None, a2[k] or None)
     rec = RecurrenceCoefficients(tuple(a2), tuple(b), m.mode, label=m.label)
     return rec, norms, _Numerators(columns, dens if exact else None)
 

@@ -206,11 +206,12 @@ class Surd:
     # comparisons reduce to rational ones even when two equal values carry
     # different radical-set representations (e.g. sqrt(2)*sqrt(8) vs 4).
 
-    def _compare(self, other) -> int:
-        """Sign of self - other, computed exactly via sign and squared magnitude."""
+    def _compare(self, other):
+        """Sign of self - other, computed exactly via sign and squared
+        magnitude; against a float, the float difference itself, which is
+        NaN against NaN, so every ordering is False, as between floats."""
         if isinstance(other, float):
-            diff = float(self) - other
-            return (diff > 0) - (diff < 0)
+            return float(self) - other
         p = self._parts(other)
         if p is None:
             raise TypeError(f"cannot compare Surd with {type(other)!r}")

@@ -46,15 +46,16 @@ TESTS = {
     "cholesky.py": ["test_cholesky", "test_library_digest", "test_polysys", "test_acceptance"],
     "cli.py": ["test_cli", "test_acceptance"],
     "connect.py": ["test_connect", "test_library_digest", "test_acceptance", "test_polysys",
-                   "test_cli"],
+                   "test_cli", "test_discrete"],
     "linearize.py": ["test_linearize", "test_library_digest", "test_acceptance", "test_cli"],
     "moments.py": ["test_moments", "test_integer_parts", "test_library_digest", "test_cholesky",
                    "test_polysys", "test_cli"],
-    "polysys.py": ["test_polysys", "test_library_digest", "test_cholesky", "test_acceptance"],
+    "polysys.py": ["test_polysys", "test_library_digest", "test_cholesky", "test_acceptance",
+                   "test_discrete"],
     "qkernel.py": ["test_qkernel", "test_library_digest", "test_acceptance", "test_cli"],
     "recurrence.py": ["test_recurrence", "test_integer_parts", "test_library_digest",
                       "test_polysys", "test_connect", "test_linearize", "test_acceptance",
-                      "test_cli"],
+                      "test_cli", "test_discrete"],
     "scalars.py": ["test_scalars", "test_integer_parts", "test_library_digest", "test_polysys",
                    "test_moments"],
 }

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -298,6 +299,15 @@ class TestRecurrence:
 
     def test_no_action_exits_one(self, files):
         assert run_cli("recurrence", files["gauss_rec"]).returncode == 1
+
+    @pytest.mark.parametrize("first, second", list(itertools.combinations(
+        ["--moments", "--eta", "--tau", "--verify-closed-forms"], 2)))
+    def test_two_actions_exit_one(self, files, capsys, first, second):
+        # one output per run: the second action would otherwise be dropped
+        assert cli_main(["recurrence", files["gauss_rec"], first, "3", second, "2"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: pass one of --moments, --eta, --tau and --verify-closed-forms\n"
+        assert out == ""
 
     @pytest.mark.parametrize("flag", ["--moments", "--eta", "--tau"])
     def test_tables_without_rec_file_exit_one(self, flag):

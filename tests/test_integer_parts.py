@@ -130,6 +130,34 @@ class TestSlotHelpers:
             assert Fraction(got, e_next) == want
 
     @settings(max_examples=200, deadline=None)
+    @given(_int_rows.filter(bool), _int_rows, _scales, _scales, st.integers(0, 3),
+           st.just(Fraction(0)) | st.builds(Fraction, st.integers(-10**6, 10**6), _scales),
+           st.builds(Fraction, st.integers(1, 10**6), _scales))
+    @example([5, 0, -3, 7, 2], [], 6, 4, 0, Fraction(0), Fraction(1))
+    @example([4, 0, -6, 2, 8, 0], [1, 2, 3, 4], 12, 35, 1, Fraction(7, 9), Fraction(5, 8))
+    @example([9, 3, 0, 6], [2, 0, 4, 1, 1], 9, 6, 1, Fraction(0), Fraction(1, 3))
+    def test_row_step_equals_fraction_pass_step(self, now, before, e, e_before, k, b, a2):
+        # one step of the Chebyshev pass against the same step in Fraction
+        # operators: s_k is the integers ``now`` over e (l = 0..top - k),
+        # s_{k-1} is ``before`` over e_before, and for k < l < top - k
+        #   s_{k+1}[l] = s_k[l+1] - b_k s_k[l] - a_k^2 s_{k-1}[l];
+        # the pass passes a zero b_k and a_0^2 = 0 as None, and row k from
+        # column 1 on as the list its x term reads
+        top = len(now) - 1 + k
+        before = (before + [0] * len(now))[:len(now) + 1]
+        a2 = a2 if k else Fraction(0)
+        row, e_next = recurrence_module._row_step(
+            now[1:], [0, *now], [0, *before], range(k + 1, top - k), top - k, e, e_before,
+            b or None, a2 or None)
+        assert len(row) == top - k and e_next > 0 and math.gcd(e_next, *row) == 1
+        for l, v in enumerate(row):
+            want = 0
+            if k < l < top - k:
+                want = (Fraction(now[l + 1], e) - b * Fraction(now[l], e)
+                        - a2 * Fraction(before[l], e_before))
+            assert Fraction(v, e_next) == want
+
+    @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.builds(Fraction, st.integers(0, 10**40), st.integers(1, 10**40)),
                      st.builds(lambda a, b: Fraction(a * a, b * b),
                                st.integers(0, 10**20), st.integers(1, 10**20)),

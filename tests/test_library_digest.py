@@ -9,9 +9,11 @@ Records come from ``build_system`` (rec, deltas, roots, L and Pi),
 ``associated_polys``, ``inverse_moment_matrix``, ``kernel``, ``christoffel``,
 the pure-Python fields of ``diagnostics``, ``closed_form_gamma``,
 ``closed_form_linearization``, ``verify_linearization_closed_forms``,
-``eval_monic``, ``q_factorial``, ``q_pochhammer``, ``q_hermite_values`` (both
-normalizations, over rational, float and mixed q and x, q = 1 included) and
-``al_salam_chihara_recurrence``.  They span the four catalog families,
+``eval_monic``, ``recurrence_from_moments`` (at an odd top, which reads b_n
+off m_{2n+1}, at an even top, and the message where a sequence that is not
+positive definite stops it), ``q_factorial``, ``q_pochhammer``,
+``q_hermite_values`` (both normalizations, over rational, float and mixed q
+and x, q = 1 included) and ``al_salam_chihara_recurrence``.  They span the four catalog families,
 q-hermite (q = 1/3) and two seeded b != 0 recurrences at n in {0, 1, 5, 10},
 in both modes.  The eigenvalues, ``q_sandwich_bounds`` and float ``checks`` of
 ``diagnostics`` are left out: they read numpy or the builtin ``sum``, whose
@@ -30,6 +32,8 @@ from conftest import CATALOG, random_recurrence
 
 from momentpoly import (
     FamilySpec,
+    MomentSequence,
+    NotPositiveDefinite,
     al_salam_chihara_recurrence,
     associated_polys,
     build_system,
@@ -43,6 +47,7 @@ from momentpoly import (
     moments_from_recurrence,
     q_factorial,
     q_pochhammer,
+    recurrence_from_moments,
     verify_linearization_closed_forms,
 )
 from momentpoly.polysys import inverse_moment_matrix
@@ -51,8 +56,8 @@ from momentpoly.scalars import FLOAT, MODES, RATIONAL
 
 ORDERS = (0, 1, 5, 10)
 COUNT = 2 * max(ORDERS) + 2
-DIGEST = "35da044fa01043c6d7a6011dd0bb685d63c1c0571e25302d5b13cc00e60465ef"
-RECORDS = 14447
+DIGEST = "e58e014e82e40fefee341f6f477726fb4602b4efab41e6c05ee54cba96647201"
+RECORDS = 15051
 
 _DIAGNOSTIC_FIELDS = ("mu", "moment_trace", "inverse_trace", "p_zero_sum", "q_zero_sum",
                       "q_moment_quadratic", "qp_zero_sum", "qp_moment_sum")
@@ -111,6 +116,28 @@ def _system_records(m, mode, out):
                 _flatten(f"{tag}/verify_lin({a},{n - a})", [_check_fields(c) for c in checks], out)
 
 
+def _pass_records(m, out):
+    """The Chebyshev pass through ``recurrence_from_moments``, its one float
+    route: at the odd top m_{2n+1}, which gives b_n too, and at the even top
+    below it."""
+    for top in (m.top_order, m.top_order - 1):
+        rec = recurrence_from_moments(MomentSequence(m.moments[:top + 1], m.mode, m.label))
+        _flatten(f"{m.label}/{m.mode}/recurrence_from_moments(top={top})", (rec.a2, rec.b), out)
+
+
+def _pass_stop_record(mode, out):
+    """The message where the pass stops: Hilbert moments with m_4 lowered
+    past d_2, so that b != 0 and the order-2 pivot is negative."""
+    moments = (1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5) - Fraction(1, 100))
+    m = MomentSequence(tuple(moments if mode == RATIONAL else map(float, moments)), mode, "lowered")
+    try:
+        recurrence_from_moments(m)
+    except NotPositiveDefinite as err:
+        out.append(f"{m.label}/{mode}/recurrence_from_moments stops: {err}")
+    else:
+        raise AssertionError("the pass must stop at order 2")
+
+
 def _closed_form_records(recs, mode, out):
     for target, source in zip(recs, recs[1:] + recs[:1]):
         for n in ORDERS:
@@ -149,6 +176,8 @@ def library_records() -> list:
         ms = rational if mode == RATIONAL else [m.to_floats() for m in rational]
         for m in ms:
             _system_records(m, mode, out)
+            _pass_records(m, out)
+        _pass_stop_record(mode, out)
         _closed_form_records([build_system(m, max(ORDERS)).rec for m in ms], mode, out)
     _q_records(out)
     return out

@@ -1,6 +1,7 @@
 """Exact surd arithmetic underneath the rational backend."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,21 @@ def test_ordering_against_floats_by_value(sign):
     assert s == at and at == s and s <= at and s >= at and at <= s and at >= s
     assert not (s < at or s > at or at < s or at > s)
     assert s != below and below != s and s != above and above != s
+
+
+@pytest.mark.parametrize("other", [math.nan, math.inf, -math.inf, 1.5],
+                         ids=["nan", "inf", "-inf", "finite"])
+def test_ordering_against_special_floats_follows_floats(other):
+    # every ordering and equality of sqrt(2) against a float gives what the
+    # same comparison of float(sqrt(2)) gives: False for all four orderings
+    # against NaN, on either side of the operator
+    s = exact_sqrt(Fraction(2))
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
+        assert op(s, other) is op(float(s), other)
+        assert op(other, s) is op(other, float(s))
+    if math.isnan(other):
+        assert not (s < other or s <= other or s > other or s >= other or s == other)
+        assert s != other and other != s
 
 
 def test_equality_with_floats_and_foreign_types():
