@@ -50,10 +50,9 @@ def _common(parser: argparse.ArgumentParser) -> None:
 
 
 def _encode(obj):
-    # json.dumps(payload, indent=2, default=format_scalar) gives the same
-    # text, but with indent the stdlib runs its pure-Python encoder, where
-    # the hook costs a nested generator per scalar: an n = 20 rational
-    # decompose payload took 2.2 ms that way against 1.3 ms through here
+    # the one scalar -> text pass of both formats; json.dumps with
+    # default=format_scalar would cost a nested generator per scalar, since
+    # with indent the stdlib runs its pure-Python encoder (see _json)
     if isinstance(obj, float) and math.isinf(obj):
         raise ValueError(f"cannot write {obj}: an output float is past the float range")
     if isinstance(obj, float) or isinstance(obj, (str, int)) or obj is None:
@@ -66,6 +65,34 @@ def _encode(obj):
     if isinstance(obj, (list, tuple)):
         return [_encode(v) for v in obj]
     return format_scalar(obj)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` of an :func:`_encode` output, whose
+    keys are strings.  With ``indent`` the stdlib runs its pure-Python
+    encoder; here each level is one join of its items, and a row of
+    strings, as an exact table holds, is one join of its quoted entries.
+    A finite float is its ``repr``; every other scalar (NaN, ints, bools
+    and None) and every empty container is written by ``json.dumps``."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if not obj or not isinstance(obj, (dict, list)):
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        return "{" + inner + sep.join([f"{_quote(k)}: {_json(v, inner)}"
+                                       for k, v in obj.items()]) + indent + "}"
+    try:
+        body = sep.join(map(_quote, obj))  # a row of strings
+    except TypeError:
+        body = sep.join([_json(v, inner) for v in obj])
+    return "[" + inner + body + indent + "]"
 
 
 def _csv(payload: dict, prefix: str = ""):
@@ -108,7 +135,7 @@ def _emit(payload: dict, args) -> None:
     try:
         payload = _encode(payload)  # the one scalar -> text pass of both formats
         if args.format == "json":
-            text = json.dumps(payload, indent=2)
+            text = _json(payload)
         else:
             # a "\r\n" terminator makes the writer quote a cell that holds
             # CR or LF on every Python; each record then ends in "\n" alone
@@ -158,8 +185,11 @@ def _random_recurrence(rng: random.Random, size: int) -> RecurrenceCoefficients:
 
 
 def _cmd_recurrence(args) -> int:
-    if args.draws < 1:
+    if args.draws is not None and args.draws < 1:
         raise ValueError(f"--draws must be at least 1, got {args.draws}")
+    if args.recfile is not None and (args.draws, args.seed) != (None, None):
+        raise ValueError("--draws and --seed set the random draws; "
+                         "they do not apply to a recurrence file")
     tables = (args.moments, args.eta, args.tau)
     if args.recfile is None and (args.verify_closed_forms is None
                                  or any(v is not None for v in tables)):
@@ -169,9 +199,9 @@ def _cmd_recurrence(args) -> int:
     if sum(v is not None for v in (*tables, args.verify_closed_forms)) > 1:
         raise ValueError("pass one of --moments, --eta, --tau and --verify-closed-forms")
     if args.recfile is None:
-        rng = random.Random(args.seed)
+        rng = random.Random(0 if args.seed is None else args.seed)
         recs = [_random_recurrence(rng, args.verify_closed_forms + 5)
-                for _ in range(args.draws)]
+                for _ in range(5 if args.draws is None else args.draws)]
     else:
         recs = [_load_recurrence(args)]
 
@@ -320,10 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-closed-forms", type=int, default=None, metavar="N",
                    help="verify the closed forms against the recursion tables "
                         "up to base index N")
-    p.add_argument("--draws", type=int, default=5,
-                   help="random draws when no recfile is given")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the random draws")
+    p.add_argument("--draws", type=int, default=None,
+                   help="random draws when no recfile is given (default 5)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the random draws (default 0)")
     _common(p)
     p.set_defaults(func=_cmd_recurrence)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -208,10 +209,17 @@ class Surd:
 
     def _compare(self, other):
         """Sign of self - other, computed exactly via sign and squared
-        magnitude; against a float, the float difference itself, which is
-        NaN against NaN, so every ordering is False, as between floats."""
+        magnitude.  Against a finite float, the float difference itself, or
+        the exact sign where ``float(self)`` overflows; against +-inf and
+        NaN, ``-other``, as for any finite value, so that every ordering
+        against NaN is False, as between floats."""
         if isinstance(other, float):
-            return float(self) - other
+            if not math.isfinite(other):
+                return -other
+            try:
+                return float(self) - other
+            except OverflowError:  # self is past the float range
+                return self._compare(Fraction(other))
         p = self._parts(other)
         if p is None:
             raise TypeError(f"cannot compare Surd with {type(other)!r}")
@@ -227,10 +235,8 @@ class Surd:
         return sa if qa > qb else -sa
 
     def __eq__(self, other):
-        if isinstance(other, (Surd, int, Fraction)):
+        if isinstance(other, (Surd, int, Fraction, float)):
             return self._compare(other) == 0
-        if isinstance(other, float):
-            return float(self) == other
         return NotImplemented
 
     def __hash__(self):
@@ -313,26 +319,37 @@ def check_mode(mode: str) -> str:
     return mode
 
 
+#: an ASCII integer or p/q with q > 0, read as two ints: the strings that
+#: ``Fraction(str)`` reads through its general pattern, only faster
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
 def as_scalar(value, mode: str):
     """Convert a file-level number to a backend scalar.
 
-    In either mode the entry must be a ``str`` ('p/q' or a decimal), ``int``,
-    ``float`` or ``Fraction``, and not a ``bool``; anything else raises
-    ``ValueError``.  Rational mode refuses every non-finite float; float mode
-    refuses +-inf and every number past the float range, and still lets NaN
-    through (NaN pivots pass :func:`check_pivot` too).
+    In either mode the entry must be a ``str`` (what ``Fraction(str)``
+    reads: 'p/q', an integer or a decimal with an optional exponent),
+    ``int``, ``float`` or ``Fraction``, and not a ``bool``; anything else
+    raises ``ValueError``.  A string is read as a Fraction in both modes.
+    Rational mode refuses every non-finite float; float mode refuses +-inf
+    and every number past the float range, and still lets NaN through (NaN
+    pivots pass :func:`check_pivot` too).
     """
     if isinstance(value, bool):
         raise ValueError(f"cannot interpret boolean {value!r} as a number")
-    if isinstance(value, (str, int, float, Fraction)):
+    number = value
+    if isinstance(value, str):
+        plain = _PLAIN.fullmatch(value)
+        number = _over(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(value)
+    if isinstance(number, (int, float, Fraction)):
         if mode == RATIONAL:
-            if not isinstance(value, float) or math.isfinite(value):
+            if not isinstance(number, float) or math.isfinite(number):
                 # a float literal is read as its exact binary value
-                return Fraction(value)
+                return number if isinstance(number, Fraction) else Fraction(number)
         else:
             try:
-                out = float(Fraction(value)) if isinstance(value, str) else float(value)
-            except OverflowError:  # an int, Fraction or decimal string past the range
+                out = float(number)
+            except OverflowError:  # an int or Fraction past the range
                 out = math.inf
             if not math.isinf(out):
                 return out

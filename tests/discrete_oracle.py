@@ -19,7 +19,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from momentpoly import MomentSequence
-from momentpoly.scalars import RATIONAL
+from momentpoly.scalars import RATIONAL, exact_sqrt
 
 #: atoms p/q with |p| <= 9 and q in {1, 2, 3, 7}, so that distinct atoms may
 #: sit close together (1/7 and 1/3) or on a common grid
@@ -49,14 +49,23 @@ def moments(xs, weights, count: int, label: str = "discrete") -> MomentSequence:
 
 
 def stieltjes(xs, weights) -> tuple:
-    """(a2, b): a_0^2 = 0, a_1^2..a_{N-1}^2 and b_0..b_{N-1} of the measure,
-    by the Stieltjes procedure on its N atoms."""
+    """(a2, b, values, norms): a_0^2 = 0, a_1^2..a_{N-1}^2 and b_0..b_{N-1}
+    of the measure, by the Stieltjes procedure on its N atoms, with row k of
+    ``values`` holding ptilde_k(x_i) for each atom and norms[k] = d_k."""
     prev, cur = [Fraction(0)] * len(xs), [Fraction(1)] * len(xs)
-    a2, b, norms = [Fraction(0)], [], []
+    a2, b, values, norms = [Fraction(0)], [], [], []
     for k in range(len(xs)):
+        values.append(cur)
         norms.append(sum(w * p * p for w, p in zip(weights, cur)))
         if k:
             a2.append(norms[k] / norms[k - 1])
         b.append(sum(w * x * p * p for w, x, p in zip(weights, xs, cur)) / norms[k])
         prev, cur = cur, [(x - b[k]) * p - a2[k] * q for x, p, q in zip(xs, cur, prev)]
-    return a2, b
+    return a2, b, values, norms
+
+
+def orthonormal_values(xs, weights) -> list:
+    """Rows p_0..p_{N-1} of the orthonormal polynomials at the N atoms, row k
+    holding p_k(x_i) = ptilde_k(x_i) / sqrt(d_k) for each atom."""
+    _, _, values, norms = stieltjes(xs, weights)
+    return [[p / exact_sqrt(d) for p in row] for row, d in zip(values, norms)]

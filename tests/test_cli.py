@@ -332,6 +332,26 @@ class TestRecurrence:
         assert res.stderr.startswith("error:")
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("flags", [["--draws", "3"], ["--seed", "5"],
+                                       ["--draws", "7", "--seed", "5"]],
+                             ids=["draws", "seed", "both"])
+    def test_draw_flags_with_a_rec_file_exit_one(self, files, capsys, flags):
+        # the two flags set the random draws only: with a file they would be
+        # dropped without a word
+        assert cli_main(["recurrence", files["gauss_rec"], "--moments", "3", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert err == ("error: --draws and --seed set the random draws; "
+                       "they do not apply to a recurrence file\n")
+        assert out == ""
+
+    def test_draw_flags_default_to_five_draws_of_seed_zero(self, capsys):
+        assert cli_main(["recurrence", "--verify-closed-forms", "4"]) == 0
+        default = capsys.readouterr().out
+        assert cli_main(["recurrence", "--verify-closed-forms", "4", "--draws", "5",
+                         "--seed", "0"]) == 0
+        assert capsys.readouterr().out == default
+        assert len(json.loads(default)["draws"]) == 5
+
     def test_float_hermite_moments_to_count_121(self, tmp_path):
         rec = tmp_path / "herm.json"
         rec.write_text(json.dumps({"a2": [str(k) for k in range(61)], "b": ["0"] * 61}))
@@ -869,3 +889,42 @@ class TestCsvOutput:
             assert code == 1 and out == ""
             assert err.startswith("error:") and "'draws'" in err
         assert not out_file.exists()
+
+
+#: JSON-ready scalars as _encode hands them on: text with escapes and
+#: non-ASCII characters, floats with NaN, -0.0 and the infinities, ints past
+#: the int -> str digit limit, bools and None
+_json_scalars = st.one_of(
+    st.text(), st.sampled_from(["", '"', "\\", "\n\t\x00\x1f", "α,β", " ", "\U0001d11e"]),
+    st.floats(), st.sampled_from([-0.0, math.nan, 5e-324, 1e16, 1e-7]),
+    st.integers(), st.sampled_from([1, -1]).map(lambda sign: sign * 10**5000),
+    st.booleans(), st.none())
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(st.text(max_size=3), max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=25)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_payloads)
+    def test_equals_json_dumps_with_indent_two(self, payload):
+        # the digit limit is lifted while the CLI writes, as _emit does
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert cli_module._json(payload) == json.dumps(payload, indent=2)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+    def test_non_ascii_label_is_escaped(self, tmp_path, capsys):
+        path = tmp_path / "mixed.json"
+        path.write_text('{"label": "α,β \\"q\\"", "moments": ["1", "0", "1"]}', encoding="utf-8")
+        assert cli_main(["decompose", str(path), "-n", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith('{\n  "label": "\\u03b1,\\u03b2 \\"q\\"",\n')
+        assert json.loads(out)["label"] == 'α,β "q"'

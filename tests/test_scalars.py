@@ -256,3 +256,95 @@ def test_float_overflow_is_refused_like_infinity(value):
     with pytest.raises(ValueError, match="as a finite float scalar"):
         as_scalar(value, FLOAT)
     assert as_scalar(value, RATIONAL) == Fraction(value)
+
+
+#: sqrt(2 * 10^800) = 1.41... * 10^400: float() of it overflows
+_HUGE = exact_sqrt(Fraction(2 * 10**800))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("other", [0.0, -0.0, 1.0, -1.0, 1.7976931348623157e308,
+                                   -1.7976931348623157e308, 5e-324])
+def test_surd_past_the_float_range_orders_by_its_sign(sign, other):
+    # as Fraction(10**400) > 1.0 is True: past the range, only the sign counts
+    s = sign * _HUGE
+    assert (s > other, s >= other, s < other, s <= other) == (sign > 0, sign > 0, sign < 0, sign < 0)
+    assert (other < s, other > s) == (sign > 0, sign < 0)
+    assert not s == other and s != other and not other == s and other != s
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_surd_past_the_float_range_lies_between_the_infinities(sign):
+    # every real value is below inf and above -inf, as Fraction orders them
+    s = sign * _HUGE
+    assert s < math.inf and s <= math.inf and math.inf > s and not s > math.inf
+    assert s > -math.inf and s >= -math.inf and -math.inf < s and not s < -math.inf
+    assert s != math.inf and s != -math.inf and not s == math.inf and not s == -math.inf
+
+
+def test_surd_past_the_float_range_against_nan():
+    for s in (_HUGE, -_HUGE):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq):
+            assert op(s, math.nan) is False and op(math.nan, s) is False
+        assert s != math.nan and math.nan != s
+
+
+def test_surd_whose_float_overflows_inside_the_range_compares_exactly():
+    # 10^-300 * sqrt(10^400 + 1) is about 10^-100, but math.sqrt of its
+    # radicand overflows: the comparison falls back to exact arithmetic
+    s = Fraction(1, 10**300) * exact_sqrt(Fraction(10**400 + 1))
+    assert isinstance(s, Surd)
+    assert 1e-101 < s < 1e-99 and s < 1.0 and s > -1.0 and s != 1e-100
+
+
+#: strings that the strict p/q pattern takes, and strings that only
+#: Fraction(str) reads or refuses: signs, blanks, decimals, exponents,
+#: underscores, non-ASCII digits, a zero or a negative denominator, a part
+#: past the int digit limit and an integer past the float range
+_digit_runs = st.text("0123456789", min_size=1, max_size=5)
+_pieces = st.sampled_from(["", "-", "+", "/", "//", " ", "\t", "\n", ".", "-3",
+                           "_", "0", "00", "١", "２", "/0", "/00", "/-4"])
+_drawn_text = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.from_regex(r"-?[0-9]{1,5}", fullmatch=True),
+              _digit_runs),
+    st.lists(st.one_of(_digit_runs, _pieces), min_size=1, max_size=6).map("".join),
+    # exponents stay bounded: "1e99999" would make a 330000-bit integer
+    st.builds("{}{}{}".format, st.from_regex(r"[-+]?[0-9]{1,3}(\.[0-9]{0,3})?", fullmatch=True),
+              st.sampled_from(["e", "E"]), st.integers(-400, 400)),
+    st.sampled_from(["-0", "0/7", "007/014", "-0/3", "1/0", "1/00", "3/-4", "12 / 5", "12 /5", "1 2", "- 3", " 3/4 ",
+                     "+1/2", "0.5", "1e-3", "1e400", "1_000", "١٢", "1/２",
+                     "1" * 5000, "-1/" + "7" * 5000, "1" + "0" * 400, "-1" + "0" * 400,
+                     "1" + "0" * 400 + "/3", "nan", "inf", ""]),
+)
+
+
+def _as_fraction_read(text, mode):
+    """What as_scalar gave when every string went through Fraction(str):
+    the value, or the exception's type and message."""
+    try:
+        value = Fraction(text)
+        if mode == FLOAT:
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            if math.isinf(value):
+                raise ValueError(f"cannot interpret {text!r} as a finite float scalar")
+        return value
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_drawn_text, st.sampled_from([RATIONAL, FLOAT]))
+def test_string_entries_read_as_fraction_reads_them(text, mode):
+    expected = _as_fraction_read(text, mode)
+    try:
+        got = as_scalar(text, mode)
+    except (ValueError, ZeroDivisionError) as exc:
+        got = type(exc), str(exc)
+    assert type(got) is type(expected)
+    if mode == FLOAT and isinstance(got, float):
+        assert got.hex() == expected.hex()
+    else:
+        assert got == expected
