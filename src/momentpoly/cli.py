@@ -68,6 +68,7 @@ def _encode(obj):
 
 
 _quote = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _json(obj, indent: str = "\n") -> str:
@@ -75,12 +76,17 @@ def _json(obj, indent: str = "\n") -> str:
     keys are strings.  With ``indent`` the stdlib runs its pure-Python
     encoder; here each level is one join of its items, and a row of
     strings, as an exact table holds, is one join of its quoted entries.
-    A finite float is its ``repr``; every other scalar (NaN, ints, bools
-    and None) and every empty container is written by ``json.dumps``."""
+    A finite float or an int is its ``repr``, and None and the bools are
+    json's literals; NaN and every empty container are written by
+    ``json.dumps``."""
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, float) and math.isfinite(obj):
         return float.__repr__(obj)
+    if obj is None or obj is True or obj is False:
+        return _LITERALS[obj]
+    if type(obj) is int:
+        return int.__repr__(obj)
     if not obj or not isinstance(obj, (dict, list)):
         return json.dumps(obj)
     inner = indent + "  "
@@ -303,11 +309,13 @@ def _cmd_verify_pm(args) -> int:
         raise ValueError(f"--max-error must be finite and non-negative, got {args.max_error}")
     params = QParams(q=args.q, rho=args.rho)
     points = None
-    if args.points:
+    if args.points is not None:
         points = []
         for chunk in args.points.split(";"):
-            x, y = chunk.split(",")
-            points.append((float(x), float(y)))
+            pair = chunk.split(",")
+            if len(pair) != 2:
+                raise ValueError(f"--points takes x,y pairs separated by ';', not {chunk!r}")
+            points.append((float(pair[0]), float(pair[1])))
     report = pm_grid_report(params, points=points, tol=args.trunc_tol)
     max_err = max(p.error for p in report)
     _emit({

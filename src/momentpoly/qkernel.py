@@ -249,8 +249,9 @@ def pm_series(x: float, y: float, p: QParams, tol: float = 1e-12) -> PMSeriesRes
     H_j(x|q) and H_j(y|q) are stepped inline, both points in one loop, rather
     than read from two lazy copies of the monic walk that
     :func:`q_hermite_values` uses.  Those give the same bits, but made
-    ``pm_grid_report`` at q = 0.5, rho = 0.9 about 60% slower (best of 7:
-    3.2-3.4 ms against 5.1-5.4 ms per report, Python 3.11 on a 2-core Xeon).
+    ``pm_grid_report`` at q = 0.5, rho = 0.9 (its 13 evaluations) about 40%
+    slower (best of 7: 1.3-1.4 ms against 1.9 ms per report, Python 3.11.7
+    on a shared 2-core Xeon).
     """
     _check_point(x, y, p, tol)
     q, rho = float(p.q), float(p.rho)
@@ -300,15 +301,30 @@ class PMPoint:
 
 
 def pm_grid_report(p: QParams, points=None, tol: float = 1e-12) -> list:
-    """Evaluate both sides of the kernel identity on a grid of points."""
+    """Evaluate both sides of the kernel identity on a grid of points.
+
+    Each mirror class {(x, y), (-x, -y)} is evaluated once, and a repeated
+    point reuses its first evaluation.  H_j(-x) = (-1)^j H_j(x) makes the
+    kernel even, and the floats are even bit for bit: both loops read x and
+    y only through ``x * hx``, ``y * hy``, ``(c * x) * y`` and
+    ``x * x + y * y``, and round-to-nearest is symmetric in sign, so each
+    weight w_k, term and partial sum at (-x, -y) is the one at (x, y).
+    Only the sign of a zero H_j may differ, in the mirror or between keys
+    0.0 and -0.0, which compare equal; a zero term of either sign leaves
+    the series' total, which starts at 1.0, as it was.  The default 5 x 5
+    grid makes 13 evaluations; each point keeps its own x and y.
+    """
     if points is None:
         edge = 1.9 / (1.0 - float(p.q)) ** 0.5
         axis = [0.0, 1.0, -1.0, edge, -edge]
         points = [(x, y) for x in axis for y in axis]
+    seen = {}
     out = []
     for x, y in points:
-        prod = pm_product(x, y, p, tol)
-        ser = pm_series(x, y, p, tol)
+        sides = seen.get((-x, -y)) or seen.get((x, y))
+        if sides is None:
+            sides = seen[x, y] = pm_product(x, y, p, tol), pm_series(x, y, p, tol)
+        prod, ser = sides
         out.append(PMPoint(x=x, y=y, product=prod, series=ser.value, terms=ser.terms,
                            magnitude=ser.magnitude))
     return out

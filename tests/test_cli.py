@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentpoly import (
@@ -664,6 +664,38 @@ class TestVerifyPM:
         assert len(data["points"]) == 2
         assert data["max_error"] < 1e-8
 
+    @pytest.mark.parametrize("points, chunk", [
+        # an empty --points is no grid, not the default one
+        ("", "''"),
+        ("1,2,3", "'1,2,3'"),
+        ("1;2", "'1'"),
+        ("1,1;", "''"),
+        ("0,0;;1,1", "''"),
+    ])
+    def test_malformed_points_exit_one(self, points, chunk, capsys):
+        assert cli_main(["verify-pm", "--q", "0.5", "--rho", "0.9", "--points", points]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --points takes x,y pairs separated by ';', not {chunk}\n"
+
+    @pytest.mark.parametrize("points, calls", [(None, 13), ("1,-1;-1,1", 1)])
+    def test_one_evaluation_per_mirror_pair(self, points, calls, monkeypatch, capsys):
+        counts = {"pm_product": 0, "pm_series": 0}
+        for name in counts:
+            def counted(*args, run=getattr(qkernel_module, name), name=name):
+                counts[name] += 1
+                return run(*args)
+            monkeypatch.setattr(qkernel_module, name, counted)
+        args = ["verify-pm", "--q", "0.5", "--rho", "0.9"]
+        assert cli_main(args + ([] if points is None else ["--points", points])) == 0
+        report = json.loads(capsys.readouterr().out)["points"]
+        assert counts == {"pm_product": calls, "pm_series": calls}
+        assert len(report) == (25 if points is None else 2)
+        if points is not None:
+            # the mirror keeps its own coordinates and takes the pair's sides
+            assert [(pt["x"], pt["y"]) for pt in report] == [(1.0, -1.0), (-1.0, 1.0)]
+            assert report[0] | {"x": -1.0, "y": 1.0} == report[1]
+
     @pytest.mark.parametrize("patch, q, message", [
         # pm_product refuses a weight w_k <= 0
         (("kernel_weight", lambda x, y, p, k: 0.0), "0.5", "kernel weight w_0 = 0.0"),
@@ -910,6 +942,12 @@ _json_payloads = st.recursive(
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(_json_payloads)
+    # ints, bools and None are written without json.dumps: each of them
+    # inside a list and a dict, an int beside the bool it equals, and an int
+    # past the digit limit
+    @example([True, 1, False, 0, None, -7, 10**5000])
+    @example({"t": True, "one": 1, "f": False, "zero": 0, "none": None, "big": -10**5000,
+              "row": [[None], {"b": False}, 12]})
     def test_equals_json_dumps_with_indent_two(self, payload):
         # the digit limit is lifted while the CLI writes, as _emit does
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import momentpoly.qkernel as qkernel_module
 from momentpoly import (
     QBracketCache,
     QParams,
@@ -194,6 +197,18 @@ class TestKernelIdentity:
         with pytest.raises(ValueError, match=message):
             al_salam_chihara_recurrence(0, rho, q, 6)
 
+    @pytest.mark.parametrize("end", [-1, 1, -1.0, 1.0])
+    def test_both_ends_of_the_unit_interval_refused(self, end):
+        # |q| < 1 and |rho| < 1 are open intervals, at either end
+        with pytest.raises(ValueError, match=r"needs \|q\| < 1, got"):
+            q_hermite_recurrence(end, 6)
+        with pytest.raises(ValueError, match=r"\|q\| < 1 required"):
+            al_salam_chihara_recurrence(0, Fraction(1, 2), end, 6)
+        with pytest.raises(ValueError, match=r"\|q\| < 1 required"):
+            QParams(q=end, rho=0.5)
+        with pytest.raises(ValueError, match=r"\|rho\| < 1 required"):
+            QParams(q=0.5, rho=end)
+
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(ValueError, match="tol must be positive"):
             pm_product(0.0, 0.0, QParams(q=0.5, rho=0.3), tol=0)
@@ -264,6 +279,70 @@ def test_series_matches_per_term_brackets(q, rho, x, y):
     ser = pm_series(x, y, QParams(q=q, rho=rho))
     assert (ser.value, ser.terms, ser.magnitude) == pm_series_per_term(
         x, y, QParams(q=q, rho=rho))
+
+
+def _sides(x, y, p):
+    """What pm_product and pm_series give at (x, y), floats as hex, or the
+    error they raise."""
+    out = []
+    for run in (pm_product, pm_series):
+        try:
+            got = run(x, y, p)
+        except (ValueError, ArithmeticError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append(got.hex() if isinstance(got, float) else
+                       (got.value.hex(), got.terms, got.magnitude.hex()))
+    return out
+
+
+_open_unit = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+#: a point of the support as a fraction of its bound: zeros of both signs,
+#: the edges, and anything between
+_support_share = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+
+
+class TestMirror:
+    """H_j(-x) = (-1)^j H_j(x) makes both sides even in (x, y), bit for bit,
+    and pm_grid_report evaluates each mirror class {(x, y), (-x, -y)} once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=_open_unit, rho=_open_unit, sx=_support_share, sy=_support_share)
+    def test_both_sides_even_bit_for_bit(self, q, rho, sx, sy):
+        p = QParams(q=q, rho=rho)
+        x, y = sx * p.support_bound, sy * p.support_bound
+        assert _sides(-x, -y, p) == _sides(x, y, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.floats(-0.9, 0.9), rho=st.floats(-0.95, 0.95),
+           shares=st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])] * 2),
+                           min_size=1, max_size=8))
+    def test_grid_report_equals_each_point(self, q, rho, shares):
+        # few coordinates, so mirrors, duplicates and signed zeros are common
+        p = QParams(q=q, rho=rho)
+        points = [(sx * p.support_bound, sy * p.support_bound) for sx, sy in shares]
+        report = pm_grid_report(p, points)
+        assert [(pt.x.hex(), pt.y.hex()) for pt in report] == [
+            (x.hex(), y.hex()) for x, y in points]
+        assert [[pt.product.hex(), (pt.series.hex(), pt.terms, pt.magnitude.hex())]
+                for pt in report] == [_sides(x, y, p) for x, y in points]
+
+    @pytest.mark.parametrize("points, calls", [
+        # the default grid and one mirror pair are counted through the CLI
+        ([(1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)], 1),
+        ([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)], 1),
+        ([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)], 2),
+        ([(0.5, 1.0), (1.0, 0.5)], 2),
+    ])
+    def test_one_evaluation_per_mirror_class(self, points, calls, monkeypatch):
+        counts = {"pm_product": 0, "pm_series": 0}
+        for name in counts:
+            def counted(*args, run=getattr(qkernel_module, name), name=name):
+                counts[name] += 1
+                return run(*args)
+            monkeypatch.setattr(qkernel_module, name, counted)
+        assert len(pm_grid_report(QParams(q=0.5, rho=0.9), points)) == len(points)
+        assert counts == {"pm_product": calls, "pm_series": calls}
 
 
 class TestConditionalMeasure:
