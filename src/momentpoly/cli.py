@@ -31,7 +31,7 @@ from .recurrence import (
     recurrence_from_dict,
     tau_table,
 )
-from .scalars import MODES, RATIONAL, format_scalar
+from .scalars import MODES, RATIONAL, Surd, format_scalar
 
 #: closed-form checks whose printed source is a documented misprint; a FAIL
 #: from these is reported but does not flip the exit code
@@ -49,22 +49,43 @@ def _common(parser: argparse.ArgumentParser) -> None:
     _output(parser)
 
 
+#: the case of each type that _encode meets, keyed on ``type(obj)``
+_PASS, _FLOAT, _SCALAR, _LIST, _DICT = range(5)
+_KINDS = {str: _PASS, int: _PASS, bool: _PASS, type(None): _PASS, float: _FLOAT,
+          Fraction: _SCALAR, Surd: _SCALAR, list: _LIST, tuple: _LIST, dict: _DICT}
+
+
 def _encode(obj):
     # the one scalar -> text pass of both formats; json.dumps with
     # default=format_scalar would cost a nested generator per scalar, since
-    # with indent the stdlib runs its pure-Python encoder (see _json)
-    if isinstance(obj, float) and math.isinf(obj):
+    # with indent the stdlib runs its pure-Python encoder (see _json).  One
+    # lookup on type(obj) picks the case; a type missing from the table, such
+    # as a float or int subclass, takes that of its first base in it, and a
+    # type with none is left to format_scalar.  A list encodes its entries in
+    # one loop and recurses only into containers
+    kind = _KINDS.get(type(obj))
+    if kind is None:
+        kind = next((_KINDS[t] for t in type(obj).__mro__ if t in _KINDS), _SCALAR)
+    if kind == _SCALAR:
+        return format_scalar(obj)
+    if kind == _FLOAT and math.isinf(obj):
         raise ValueError(f"cannot write {obj}: an output float is past the float range")
-    if isinstance(obj, float) or isinstance(obj, (str, int)) or obj is None:
-        return obj
-    if isinstance(obj, dict):
+    if kind == _DICT:
         # a value held under two keys (decompose's L and Lambda) is encoded once
         once = {id(v): v for v in obj.values()}
         text = {i: _encode(v) for i, v in once.items()}
         return {k: text[id(v)] for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    return format_scalar(obj)
+    if kind != _LIST:
+        return obj
+    out, fmt, kinds, isinf = [], format_scalar, _KINDS, math.isinf
+    for v in obj:
+        kind = kinds.get(type(v))
+        if kind == _SCALAR:
+            v = fmt(v)
+        elif kind != _PASS and (kind != _FLOAT or isinf(v)):
+            v = _encode(v)  # a container, a type missing from the table, or an infinity
+        out.append(v)
+    return out
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -105,8 +126,10 @@ def _csv(payload: dict, prefix: str = ""):
     """CSV rows of a payload.  An object field is written under dotted keys;
     a list is a table, one row if flat and a header row plus one row per
     object if it holds objects.  A cell that still holds a list or an object
-    raises ``ValueError``.  The payload comes from :func:`_encode`, so each
-    cell carries the JSON text of its scalar."""
+    raises ``ValueError``.  The payload comes from :func:`_encode`, so a
+    cell holds the text that JSON holds for an exact value, a float or an
+    int; a bool is written by ``csv`` as ``True`` or ``False``, where JSON
+    writes ``true`` or ``false``."""
     for key, value in payload.items():
         name = prefix + key
         if isinstance(value, dict):

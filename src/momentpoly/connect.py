@@ -6,24 +6,29 @@ measures, then p_n(x, target) = sum_k gamma[n][k] p_k(x, source) with the
 lower-triangular table gamma = Pi(target) * Lambda(source); the monic
 variant is eta(target) * tau(source).  Rational mode reads all of them off the
 two recurrences, on the integer numerators of their banded fill g, whose rows
-are scaled as the rows of ``Pi`` are.  Both fills, g and the Radon-Nikodym
-expansion's eta, step as the Chebyshev pass does, g with its source side
-over one integer scale.  Float mode multiplies the tables and sums
-moments, whose bits the benchmark digests pin.
+are scaled as the rows of ``Pi`` are, as are the Radon-Nikodym coefficients'
+integer sums.  Both fills, g and the Radon-Nikodym expansion's eta, step as
+the Chebyshev pass does, g with its source side over one integer scale.  An
+exact zero, which a symmetric measure's parity or an exact ribbon gives,
+costs one truth test: no surd product or quotient is made for it.  Float
+mode multiplies the tables and sums moments, whose bits the benchmark
+digests pin.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cholesky import TriangularTable, tri_multiply
 from .moments import FamilySpec, MomentSequence, make_moments
 from .polysys import PolynomialSystem, moment_inner_product
-from .recurrence import (RecurrenceCoefficients, _banded_fill, _chebyshev, _common_scale, eta_table,
-                         tau_table)
+from .recurrence import (RecurrenceCoefficients, _banded_fill, _chebyshev, _common_scale,
+                         _Numerators, eta_table, tau_table)
 from .scalars import RATIONAL, one, sum_scalars
 
 BASES = ("orthonormal", "monic")
@@ -52,7 +57,8 @@ def connection_table(
     recurrences.  The orthonormal table is g scaled by the reader that
     builds the target's ``Pi`` (row n over sqrt(d_n) of the target, see
     :meth:`_Numerators.scaled`), with column k times sqrt(d_k) of the
-    source.  Neither ``Pi`` nor ``L`` is read.
+    source, for a nonzero entry only: a zero stays ``Fraction(0)``.  Neither
+    ``Pi`` nor ``L`` is read.
     """
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}")
@@ -77,9 +83,11 @@ def connection_table(
         t, s = target.rec, source.rec
         g = _banded_fill(RATIONAL, n, target=(t.a2, t.b), source=(s.a2, s.b))
         # r * v, not v * r: float() of a Surd multiplies its roots in set order,
-        # which for two radicals whose hashes collide is the order of insertion
+        # which for two radicals whose hashes collide is the order of insertion;
+        # a zero v stays the Fraction(0) that r * v would give
         rows = g.table() if basis == "monic" else [
-            [r * v for v, r in zip(row, source.roots)] for row in g.scaled(target.roots)]
+            [r * v if v else v for v, r in zip(row, source.roots)]
+            for row in g.scaled(target.roots)]
     return ConnectionTable("Pi" if basis == "orthonormal" else "Eta", target.mode, rows,
                            basis=basis, target_label=target.label, source_label=source.label)
 
@@ -137,10 +145,13 @@ def ribbon_check(
 
     Rational mode reads entry (i, j), <p_i, p_j> under delta, as
     sum_k g[i][k] * g[j][k] * d_k(delta) / (sqrt(d_i) * sqrt(d_j) of alpha),
-    with g the monic connection table from alpha to delta.  Delta's
-    recurrence and norms come from its moments by the Chebyshev algorithm, so
-    delta must be positive definite to order n, else
-    :class:`NotPositiveDefinite` is raised.  Float mode sums moments and
+    with g the monic connection table from alpha to delta.  The sum is
+    tested for zero before it is divided by the roots, and 1 / sqrt(d_i) is
+    taken only for a nonzero sum, so an exact ribbon makes no surd product
+    or quotient at all.  A zero entry, exact or float, is on the ribbon and
+    is never the witness.  Delta's recurrence and norms come from its
+    moments by the Chebyshev algorithm, so delta must be positive definite
+    to order n, else :class:`NotPositiveDefinite` is raised.  Float mode sums moments and
     counts an entry past ``tol`` as off the ribbon; a ``tol`` that is NaN,
     infinite or negative raises ``ValueError`` in either mode.
     """
@@ -164,19 +175,18 @@ def ribbon_check(
         a, (d, norms, _) = alpha_sys.rec, _chebyshev(delta_moments, 2 * n)
         g = _banded_fill(RATIONAL, n, target=(a.a2, a.b), source=(d.a2, d.b))
         e, (weights,) = _common_scale(RATIONAL, norms)
-        down = [1 / root for root in alpha_sys.roots]
-        inner = lambda i, j: g.pairing(weights, e, i, j) * down[i] * down[j]
+        down = functools.cache(lambda i: 1 / alpha_sys.roots[i])
+        inner = lambda i, j: (v := g.pairing(weights, e, i, j)) and v * down(i) * down(j)
     worst = 0.0
     witness = None
     exact_ok = True
     for i in range(n + 1):
         for j in range(i - r):  # off the band: i - j > r
             v = inner(i, j)
+            if not v:  # on the ribbon in either mode, and never the witness
+                continue
             mag = abs(float(v))
-            if mode == RATIONAL:
-                if v != 0:
-                    exact_ok = False
-            elif mag > tol:
+            if mode == RATIONAL or mag > tol:
                 exact_ok = False
             if mag > worst:
                 worst = mag
@@ -235,8 +245,11 @@ def rn_expansion(
     squared density ratio when the caller can supply it independently.
 
     Rational mode sums row j of delta's monic fill eta against alpha's
-    moments as integers, and divides by sqrt(d_j) of delta instead of
-    reading delta's ``Pi``.
+    moments as integers, over e * E_j with e the lcm of the moments'
+    denominators.  These sums, one column, go through the reader of ``Pi``
+    (:meth:`_Numerators.scaled`), which divides row j by sqrt(d_j) of delta
+    with one gcd per omega: no generic surd quotient is made, a zero sum
+    gives ``Fraction(0)``, and delta's ``Pi`` is not read.
     """
     if n < 0:
         raise ValueError(f"expansion order must be non-negative, got {n}")
@@ -253,7 +266,9 @@ def rn_expansion(
         d = delta_sys.rec
         eta = _banded_fill(RATIONAL, n, target=(d.a2, d.b))
         e, (weights,) = _common_scale(RATIONAL, alpha_moments.moments[: n + 1])
-        omegas = [eta.pairing(weights, e, j) / root for j, root in enumerate(delta_sys.roots[: n + 1])]
+        sums = _Numerators([[sum(map(operator.mul, row, weights))] for row in eta.rows],
+                           [e * den for den in eta.dens])
+        omegas = [w for w, in sums.scaled(delta_sys.roots[: n + 1])]
     partial = list(itertools.accumulate(float(w) ** 2 for w in omegas))
     residual = None
     if square_integral is not None:

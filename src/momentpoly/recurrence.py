@@ -253,7 +253,8 @@ class _Numerators:
 
     def scaled(self, roots) -> list:
         """Rows with row i divided by ``roots[i]``: the reader of ``Pi``,
-        ``L`` and the orthonormal connection table.
+        ``L``, the orthonormal connection table and the Radon-Nikodym
+        coefficients.
 
         A root is what ``exact_sqrt`` gives: a Fraction c, or
         ``Surd(1, {r})`` = sqrt(r).  Entry (i, j) is N / E_i, so row i is
@@ -272,13 +273,12 @@ class _Numerators:
             out.append(_entries(row, c.denominator // g, c.numerator * (e // g), repeat(rad)))
         return out
 
-    def pairing(self, weights: list, e: int, i: int, j: int | None = None) -> Fraction:
-        """sum_k entry(i, k) * entry(j, k) * weights[k] / e, or without ``j``
-        sum_k entry(i, k) * weights[k] / e: one ``Fraction`` reduced from the
-        integer numerators and the integer ``weights``.  Rational only."""
-        terms = self.rows[i] if j is None else map(operator.mul, self.rows[i], self.rows[j])
-        e *= self.dens[i] if j is None else self.dens[i] * self.dens[j]
-        return _over(sum(map(operator.mul, terms, weights)), e)
+    def pairing(self, weights: list, e: int, i: int, j: int) -> Fraction:
+        """sum_k entry(i, k) * entry(j, k) * weights[k] / e: one ``Fraction``
+        reduced from the integer numerators and the integer ``weights``.
+        Rational only."""
+        terms = map(operator.mul, self.rows[i], self.rows[j])
+        return _over(sum(map(operator.mul, terms, weights)), e * self.dens[i] * self.dens[j])
 
     def table(self) -> list:
         return [self.row(m) for m in range(len(self.rows))]

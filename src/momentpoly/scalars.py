@@ -370,6 +370,8 @@ def as_scalars(values, mode: str, message: str) -> tuple:
 
 def format_scalar(x) -> str | float:
     """JSON-ready form: floats as-is, rationals as 'p/q', surds as 'p/q*sqrt(r/s)'."""
+    if type(x) is Fraction or type(x) is Surd:
+        return str(x)
     if isinstance(x, float):
         return x
     if isinstance(x, (int, Fraction, Surd)):

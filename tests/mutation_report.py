@@ -69,7 +69,8 @@ SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//", ast.Lt
            ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
 
 #: (module, source of the mutated node, operator, its swap) -> why the mutant
-#: computes what the module computes
+#: computes what the module computes; the operator of a chained comparison
+#: carries its place in the chain, as in ("-1 < q < 1", "<#2", "<=")
 EQUIVALENT = {
     ("scalars.py", "sa < sb", "<", "<="):
         "inside `if sa != sb`, so sa == sb never reaches it",
@@ -91,7 +92,10 @@ def sites(tree: ast.AST) -> list:
 
 
 def mutate(source: str, k: int) -> tuple:
-    """(mutated source, line, node source, operator, swap) of site k."""
+    """(mutated source, line, node source, operator, swap) of site k.  The
+    operator of a chained comparison is followed by ``#`` and its place in
+    the chain, counted from 1, so that ``<#1`` and ``<#2`` tell the two ends
+    of ``-1 < q < 1`` apart."""
     tree = ast.parse(source)
     node, i = sites(tree)[k]
     old = type(node.op if i is None else node.ops[i])
@@ -100,8 +104,9 @@ def mutate(source: str, k: int) -> tuple:
     else:
         node.ops[i] = SWAPS[old]()
     segment = ast.get_source_segment(source, node) or ""
+    place = f"#{i + 1}" if i is not None and len(node.ops) > 1 else ""
     return (ast.unparse(tree), node.lineno, " ".join(segment.split()),
-            SYMBOLS[old], SYMBOLS[SWAPS[old]])
+            SYMBOLS[old] + place, SYMBOLS[SWAPS[old]])
 
 
 def run_tests(copy: Path, files: list) -> str:

@@ -29,7 +29,9 @@ import momentpoly.qkernel as qkernel_module
 from momentpoly.cli import build_parser
 from momentpoly.cli import main as cli_main
 from momentpoly.recurrence import recurrence_from_dict
-from momentpoly.scalars import FLOAT, RATIONAL
+from momentpoly.scalars import FLOAT, RATIONAL, exact_sqrt
+
+from encode_oracle import encode_by_ladder
 
 
 def run_cli(*args):
@@ -939,6 +941,20 @@ _json_payloads = st.recursive(
     max_leaves=25)
 
 
+@contextlib.contextmanager
+def _no_digit_limit():
+    """The int -> str digit limit lifted, as _emit lifts it while the CLI
+    writes."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(_json_payloads)
@@ -949,15 +965,8 @@ class TestJsonWriter:
     @example({"t": True, "one": 1, "f": False, "zero": 0, "none": None, "big": -10**5000,
               "row": [[None], {"b": False}, 12]})
     def test_equals_json_dumps_with_indent_two(self, payload):
-        # the digit limit is lifted while the CLI writes, as _emit does
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        if limit is not None:
-            sys.set_int_max_str_digits(0)
-        try:
+        with _no_digit_limit():
             assert cli_module._json(payload) == json.dumps(payload, indent=2)
-        finally:
-            if limit is not None:
-                sys.set_int_max_str_digits(limit)
 
     def test_non_ascii_label_is_escaped(self, tmp_path, capsys):
         path = tmp_path / "mixed.json"
@@ -966,3 +975,75 @@ class TestJsonWriter:
         out = capsys.readouterr().out
         assert out.startswith('{\n  "label": "\\u03b1,\\u03b2 \\"q\\"",\n')
         assert json.loads(out)["label"] == 'α,β "q"'
+
+
+class _Float(float):
+    """A float subclass: a type missing from _encode's table."""
+
+
+class _Int(int):
+    """An int subclass: a type missing from _encode's table."""
+
+
+class _Fraction(Fraction):
+    """A Fraction subclass: a type missing from _encode's table."""
+
+
+def _aliased(payload: dict, value) -> dict:
+    """``payload`` with one value held under two more keys, as decompose
+    holds its L rows under "L" and "Lambda"."""
+    return {**payload, "L": value, "Lambda": value}
+
+
+#: what the CLI's payloads hold, and what they could: exact scalars, floats
+#: with -0.0, NaN and the infinities, ints past the digit limit, bools, None,
+#: non-ASCII text, subclasses of float, int and Fraction, and a type no
+#: encoder writes
+_encode_scalars = st.one_of(
+    st.fractions(), st.fractions().map(lambda f: _Fraction(f.numerator, f.denominator)),
+    st.builds(lambda c, r: c * exact_sqrt(r), st.fractions().filter(bool),
+              st.fractions(min_value=0, max_denominator=50)),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]), st.floats().map(_Float),
+    st.integers(), st.sampled_from([1, -1]).map(lambda sign: sign * 10**5000),
+    st.integers().map(_Int), st.booleans(), st.none(),
+    st.text(), st.sampled_from(["α,β", "\U0001d11e"]), st.just(1j))
+_encode_payloads = st.recursive(
+    _encode_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                            st.builds(_aliased, st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3), inner)),
+    max_leaves=25)
+
+
+def _typed(obj):
+    """``obj`` with the type of every leaf beside its repr, so that equal
+    outputs hold equal types too, and NaN equals NaN."""
+    if type(obj) is list:
+        return [_typed(v) for v in obj]
+    if type(obj) is dict:
+        return {k: _typed(v) for k, v in obj.items()}
+    return type(obj), repr(obj)
+
+
+def _encoded(encode, payload):
+    """The typed output of ``encode``, or the type and message of what it
+    raised."""
+    try:
+        with _no_digit_limit():
+            return _typed(encode(payload))
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestEncoder:
+    """``cli._encode`` against the isinstance ladder it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_encode_payloads)
+    @example([_Float(-0.0), _Float(math.nan), _Int(7), True, None, (Fraction(1, 3),)])
+    @example({"row": [_Float(math.inf)]})
+    @example([Fraction(2), [1j]])
+    @example(_aliased({"n": 3}, [exact_sqrt(Fraction(2)), 1.5, [math.nan]]))
+    def test_equals_the_isinstance_ladder(self, payload):
+        assert _encoded(cli_module._encode, payload) == _encoded(encode_by_ladder, payload)

@@ -25,7 +25,7 @@ from momentpoly import (
     rn_expansion,
 )
 from momentpoly.cholesky import TriangularTable
-from momentpoly.scalars import FLOAT, RATIONAL
+from momentpoly.scalars import FLOAT, RATIONAL, Surd
 
 from conftest import CATALOG, positive_fractions, random_recurrence, signed_fractions
 from connect_oracle import (connection_by_quotients, connection_by_tables, rn_by_moments,
@@ -454,3 +454,51 @@ class TestRecurrenceRoute:
     @given(_drawn_systems, _drawn_systems, st.integers(0, 3))
     def test_equals_table_routes_property(self, delta, alpha, r):
         assert_matches_table_routes(delta, alpha, alpha.moments, _ORDER, r)
+
+
+@pytest.fixture
+def surd_calls(monkeypatch):
+    """Every product and quotient that ``Surd`` computes, as (name, self,
+    other)."""
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(self, other, name=name, method=getattr(Surd, name)):
+            calls.append((name, self, other))
+            return method(self, other)
+        monkeypatch.setattr(Surd, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def ribbon_systems():
+    """The built-in ribbon pair to order 12, with its roots taken."""
+    alpha, delta = builtin_ribbon_pair(25)
+    systems = build_system(alpha, 12), build_system(delta, 12)
+    assert all(any(isinstance(root, Surd) for root in s.roots) for s in systems)
+    return alpha, delta, *systems
+
+
+class TestZeroEntries:
+    """An exact zero costs the rational connection layer one truth test:
+    no surd product or quotient is made for it."""
+
+    def test_exact_ribbon_does_no_surd_arithmetic(self, ribbon_systems, surd_calls):
+        _, delta, alpha_sys, _ = ribbon_systems
+        assert ribbon_check(alpha_sys, delta, 2, 12).is_ribbon
+        assert surd_calls == []
+        # at band 1 the pairings with i - j = 2 are not zero: each is scaled
+        assert not ribbon_check(alpha_sys, delta, 1, 12).is_ribbon
+        assert surd_calls and all(other != 0 for _, _, other in surd_calls)
+
+    def test_rn_expansion_makes_no_surd_quotient(self, ribbon_systems, surd_calls):
+        alpha, _, _, delta_sys = ribbon_systems
+        omegas = rn_expansion(alpha, delta_sys, 12).omegas
+        assert surd_calls == []
+        assert any(isinstance(w, Surd) for w in omegas) and 0 in omegas
+
+    def test_orthonormal_table_scales_nonzero_entries_only(self, ribbon_systems, surd_calls):
+        _, _, alpha_sys, delta_sys = ribbon_systems
+        rows = connection_table(delta_sys, alpha_sys, 12).rows
+        assert surd_calls and all(v != 0 and other != 0 for _, v, other in surd_calls)
+        zeros = [v for row in rows for v in row if not v]
+        assert zeros and all(type(v) is Fraction for v in zeros)

@@ -394,8 +394,9 @@ class TestLazyTables:
             linearization_table(alpha_sys, 7, 8, basis=basis)
         rn_expansion(alpha, delta_sys, 15)
         assert ribbon_check(alpha_sys, delta, 2, 15).is_ribbon
-        # the one scaling is the orthonormal connection table's, of its own fill
-        assert counted == {"cholesky": 0, "invert": 0, "scaled": 1, "fill": 0}
+        # two scalings, each of its own integers: the orthonormal connection
+        # table's of its fill, and the RN expansion's of its pairing sums
+        assert counted == {"cholesky": 0, "invert": 0, "scaled": 2, "fill": 0}
         for sys_ in (alpha_sys, delta_sys):
             assert not {"factor", "inverse"} & vars(sys_.hankel).keys()
 
