@@ -19,7 +19,7 @@ from fractions import Fraction
 from .cholesky import NotPositiveDefinite
 from .connect import BASES, connection_table, ribbon_check, rn_expansion
 from .linearize import linearization_table
-from .moments import InsufficientMoments, load_moment_file
+from .moments import InsufficientMoments, load_moment_file, read_json
 from .polysys import build_system
 from .qkernel import QParams, pm_grid_report
 from .recurrence import (
@@ -182,9 +182,7 @@ def _emit(payload: dict, args) -> None:
 
 
 def _load_recurrence(args) -> RecurrenceCoefficients:
-    with open(args.recfile, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return recurrence_from_dict(data, mode=args.mode or RATIONAL)
+    return recurrence_from_dict(read_json(args.recfile), mode=args.mode or RATIONAL)
 
 
 def _cmd_decompose(args) -> int:

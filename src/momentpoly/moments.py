@@ -327,6 +327,15 @@ def save_moment_file(m: MomentSequence, path) -> None:
         fh.write("\n")
 
 
-def load_moment_file(path, mode: str | None = None) -> MomentSequence:
+def read_json(path):
+    """``json.load`` of a file.  Input nested past the recursion limit raises
+    ``ValueError``, as other malformed JSON does, not ``RecursionError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return moment_sequence_from_dict(json.load(fh), mode=mode)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: the file nests too deeply to read") from None
+
+
+def load_moment_file(path, mode: str | None = None) -> MomentSequence:
+    return moment_sequence_from_dict(read_json(path), mode=mode)

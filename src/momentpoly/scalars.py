@@ -319,9 +319,9 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-#: an ASCII integer or p/q with q > 0, read as two ints: the strings that
-#: ``Fraction(str)`` reads through its general pattern, only faster
-_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+#: one entry of a list, ended by a newline: an ASCII integer or p/q with
+#: q > 0, which ``Fraction(str)`` reads as the two ints that it captures
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?\n")
 
 
 def as_scalar(value, mode: str):
@@ -337,10 +337,7 @@ def as_scalar(value, mode: str):
     """
     if isinstance(value, bool):
         raise ValueError(f"cannot interpret boolean {value!r} as a number")
-    number = value
-    if isinstance(value, str):
-        plain = _PLAIN.fullmatch(value)
-        number = _over(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(value)
+    number = Fraction(value) if isinstance(value, str) else value
     if isinstance(number, (int, float, Fraction)):
         if mode == RATIONAL:
             if not isinstance(number, float) or math.isfinite(number):
@@ -361,10 +358,27 @@ def as_scalars(values, mode: str, message: str) -> tuple:
     """:func:`as_scalar` of each entry of a list (or tuple) of numbers.
 
     Any other value raises ``ValueError(message)``: a string would otherwise
-    be read one character at a time.
+    be read one character at a time.  A list of plain ``str`` entries, each
+    an integer or p/q, is read in one pass with the same values: one split
+    of the joined entries, then int reads, and in float mode the int true
+    division ``p / q``, which rounds once, as ``float(Fraction(p, q))`` does.
+    Any other list, and one whose reads overflow the float range or pass
+    the int digit limit, is read entry by entry.
     """
     if not isinstance(values, (list, tuple)):
         raise ValueError(message)
+    if set(map(type, values)) == {str}:
+        parts = _PLAIN.split("\n".join(values) + "\n")
+        # split gives a gap, p and q per match, then a last gap: all gaps
+        # empty means that matches tile the text, and one match per entry
+        # that no entry holds a newline
+        if len(parts) == 3 * len(values) + 1 and not any(parts[::3]):
+            try:
+                return tuple(map(_over if mode == RATIONAL else operator.truediv,
+                                 map(int, parts[1::3]),
+                                 map(int, [q or "1" for q in parts[2::3]])))
+            except (OverflowError, ValueError):  # past the float range or
+                pass  # the int digit limit: as_scalar makes the refusal
     return tuple(as_scalar(v, mode) for v in values)
 
 

@@ -76,6 +76,9 @@ EQUIVALENT = {
         "inside `if sa != sb`, so sa == sb never reaches it",
     ("scalars.py", "len(radicals) > 1", ">", ">="):
         "radicals is nonempty there, and one normalized radicand is no square",
+    ("scalars.py", "c2 > 0", ">", ">="):
+        "a zero other gets sign 1, not 0: a Surd is nonzero, so a negative one "
+        "still differs in sign and a positive one compares its square with 0",
 }
 
 

@@ -467,6 +467,18 @@ class TestInputBoundary:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot interpret")
 
+    @pytest.mark.parametrize("head, tail, args", [
+        ('{"moments": ', "}", ["decompose", "-n", "1"]),
+        ('{"b": [0], "a2": ', "}", ["recurrence", "--moments", "3"]),
+    ], ids=["moment-file", "recurrence-file"])
+    def test_deeply_nested_file_exits_one(self, head, tail, args, tmp_path):
+        # json.load raises RecursionError on it, which is no ValueError
+        bad = tmp_path / "nested.json"
+        bad.write_text(head + "[" * 100000 + "]" * 100000 + tail)
+        code, out, err = _main_output([args[0], str(bad), *args[1:]])
+        assert code == 1 and out == ""
+        assert err == f"error: {bad}: the file nests too deeply to read\n"
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: float mode still reads NaN, "
                                            "and prints NaN tokens with exit 0")
     @pytest.mark.parametrize("body, args", [

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentpoly import scalars
 from momentpoly.scalars import (
     FLOAT,
     RATIONAL,
     Surd,
     as_scalar,
+    as_scalars,
     exact_sqrt,
     format_scalar,
     scalar_sqrt,
@@ -320,7 +322,13 @@ _drawn_text = st.one_of(
 
 def _as_fraction_read(text, mode):
     """What as_scalar gave when every string went through Fraction(str):
-    the value, or the exception's type and message."""
+    the value, or the exception's type and message.  An entry that is no
+    string is read by as_scalar, whose other cases these reads leave alone."""
+    if not isinstance(text, str):
+        try:
+            return as_scalar(text, mode)
+        except ValueError as exc:
+            return type(exc), str(exc)
     try:
         value = Fraction(text)
         if mode == FLOAT:
@@ -348,3 +356,76 @@ def test_string_entries_read_as_fraction_reads_them(text, mode):
         assert got.hex() == expected.hex()
     else:
         assert got == expected
+
+
+class _Text(str):
+    """A str subclass, which the list reader reads entry by entry."""
+
+
+#: entries that the one-pass list reader takes: zeros, a negative zero,
+#: leading zeros, 300-digit parts, a p/q past the float range (float mode
+#: falls back on it) and a part past the int digit limit (both modes do)
+_plain_text = st.one_of(
+    st.from_regex(r"-?[0-9]{1,6}(/0*[1-9][0-9]{0,4})?", fullmatch=True),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10**300, 10**300),
+              st.integers(1, 10**300)),
+    st.sampled_from(["0", "-0", "0/5", "-0/3", "007/014", "1" * 300, "-1/" + "3" * 300,
+                     "1" + "0" * 400 + "/3", "-1" + "0" * 400, "1/" + "1" + "0" * 400,
+                     "1" * 5000, "2/" + "3" * 5000]),
+)
+#: strings that it leaves to as_scalar: plain entries joined by a newline
+#: would otherwise read as two or more entries
+_other_text = st.one_of(_drawn_text, st.sampled_from(["1\n2", "-1/3\n007/2\n0", "1/2\n", "\n3"]))
+#: entries of other types, which it leaves to as_scalar too
+_other_entry = st.one_of(
+    _other_text, st.integers(-10**400, 10**400), st.floats(), st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, None]), st.builds(_Text, _plain_text),
+)
+_entry_lists = st.one_of(
+    st.lists(_plain_text, max_size=12),
+    st.lists(_plain_text, max_size=12).map(tuple),
+    st.lists(st.one_of(_plain_text, _other_text), max_size=8),
+    st.lists(st.one_of(_plain_text, _other_entry), max_size=8),
+    st.sampled_from(["1/2", "", None, 3, 0.5, {"moments": ["1"]}, {"1", "2"}]),
+)
+
+
+def _comparable(value):
+    """A value with its type, a float by its hex (NaN included)."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entry_lists, st.sampled_from([RATIONAL, FLOAT]))
+def test_lists_read_as_their_entries_read(values, mode):
+    # the first refusal in list order, or the tuple of the entries' reads;
+    # a value is never a tuple, a refusal is (type, message)
+    if isinstance(values, (list, tuple)):
+        reads = [_as_fraction_read(v, mode) for v in values]
+        refusals = [r for r in reads if isinstance(r, tuple)]
+        expected = refusals[0] if refusals else tuple(map(_comparable, reads))
+    else:
+        expected = ValueError, "not a list"
+    try:
+        got = tuple(map(_comparable, as_scalars(values, mode, "not a list")))
+    except (ValueError, ZeroDivisionError) as exc:
+        got = type(exc), str(exc)
+    assert got == expected
+
+
+def test_plain_lists_are_read_without_as_scalar(monkeypatch):
+    # the fallback reads the same values, so only a count of its calls tells
+    # the two paths apart
+    calls = []
+    read = scalars.as_scalar
+    monkeypatch.setattr(scalars, "as_scalar", lambda v, mode: calls.append(v) or read(v, mode))
+    plain = ["1", "0", "-0", "1/3", "-007/014", "5", "2/" + "3" * 300]
+    for mode in (RATIONAL, FLOAT):
+        kind = Fraction if mode == RATIONAL else float
+        got = as_scalars(plain, mode, "not a list")
+        assert got == tuple(read(v, mode) for v in plain) and {type(v) for v in got} == {kind}
+        assert calls == []
+        mixed = plain[:3] + ["0.5"] + plain[3:]
+        assert as_scalars(mixed, mode, "not a list")[3] == Fraction(1, 2)
+        assert len(calls) == len(mixed)
+        calls.clear()
